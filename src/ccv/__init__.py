@@ -10,18 +10,18 @@ everything with a brute-force finite-field oracle.
 from .fields import (QQ, GF, FieldMismatchError, FpElement, exact_str,
                      field_from_spec)
 from .parser import ParseError, parse_polynomial
-from .poly import (EliminationOrder, Polynomial, ProjectivePoint,
-                   expand_line_pencil, grevlex_key, lex_key)
-from .groebner import (IdealSummary, eliminate, groebner_basis,
+from .poly import (Polynomial, ProjectivePoint, expand_line_pencil,
+                   grevlex_key, lex_key)
+from .groebner import (IdealSummary, groebner_basis,
                        ideal_dimension_and_degree, normal_form,
                        s_polynomial, verify_groebner)
 from .solve import projective_rational_solutions, rational_roots
 from .variety import (Candidate, ClassificationReport, Criterion,
                       CriterionReport, Finding, VarietySpec, build_variety,
                       classify_line_family, criteria_report,
-                      jacobian_rank_at, load_variety, point_on_variety,
-                      reduce_point_mod, reduce_variety_mod,
-                      variety_dimension)
+                      jacobian_rank_at, load_variety, over_prime,
+                      point_on_variety, reduce_point_mod,
+                      reduce_variety_mod, variety_dimension)
 from .linelocus import (LineLocus, LinesReport, line_locus,
                         lines_dimension_report)
 from .conics import (ConicSearchResult, ConicSolution, ConicSystem,
@@ -29,9 +29,8 @@ from .conics import (ConicSearchResult, ConicSolution, ConicSystem,
                      find_singular_conics, line_equations,
                      singular_conic_count_formula, solution_from_vertex)
 from .oracle import (Lcg64, OracleRefusal, OracleStats, PointCapExceeded,
-                     PrimeTooSmall, ProjectiveSpaceEnum, brute_line_locus,
-                     brute_singular_conics, cc_census, line_in_variety,
-                     variety_points)
+                     PrimeTooSmall, brute_line_locus, brute_singular_conics,
+                     cc_census, line_in_variety, variety_points)
 from .ffutil import DEFAULT_POINT_CAP
 
 __version__ = "0.1.0"
@@ -40,15 +39,15 @@ __all__ = [
     "QQ", "GF", "FieldMismatchError", "FpElement", "exact_str",
     "field_from_spec",
     "ParseError", "parse_polynomial",
-    "EliminationOrder", "Polynomial", "ProjectivePoint",
+    "Polynomial", "ProjectivePoint",
     "expand_line_pencil", "grevlex_key", "lex_key",
-    "IdealSummary", "eliminate", "groebner_basis",
+    "IdealSummary", "groebner_basis",
     "ideal_dimension_and_degree", "normal_form", "s_polynomial",
     "verify_groebner",
     "projective_rational_solutions", "rational_roots",
     "Candidate", "ClassificationReport", "Criterion", "CriterionReport",
     "Finding", "VarietySpec", "build_variety", "classify_line_family",
-    "criteria_report", "jacobian_rank_at", "load_variety",
+    "criteria_report", "jacobian_rank_at", "load_variety", "over_prime",
     "point_on_variety", "reduce_point_mod", "reduce_variety_mod",
     "variety_dimension",
     "LineLocus", "LinesReport", "line_locus", "lines_dimension_report",
@@ -57,7 +56,7 @@ __all__ = [
     "line_equations", "singular_conic_count_formula",
     "solution_from_vertex",
     "Lcg64", "OracleRefusal", "OracleStats", "PointCapExceeded",
-    "PrimeTooSmall", "ProjectiveSpaceEnum", "brute_line_locus",
+    "PrimeTooSmall", "brute_line_locus",
     "brute_singular_conics", "cc_census", "line_in_variety",
     "variety_points",
     "DEFAULT_POINT_CAP",

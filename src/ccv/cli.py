@@ -15,14 +15,14 @@ import os
 import sys
 
 from .conics import (conic_system, count_conics, find_singular_conics)
-from .fields import QQ, FieldMismatchError, exact_str
+from .fields import FieldMismatchError, exact_str
 from .ffutil import DEFAULT_POINT_CAP, OracleRefusal
 from .oracle import cc_census
 from .linelocus import line_locus, lines_dimension_report
 from .parser import ParseError
 from .poly import ProjectivePoint
 from .variety import (classify_line_family, criteria_report, load_variety,
-                      reduce_point_mod, reduce_variety_mod)
+                      over_prime)
 
 __all__ = ["entry", "build_arg_parser"]
 
@@ -270,10 +270,8 @@ def _cmd_conics(args, cap: int) -> tuple:
     variety = load_variety(args.variety)
     x = _parse_point(args.x, variety)
     y = _parse_point(args.y, variety)
-    if args.prime is not None and variety.field == QQ:
-        variety = reduce_variety_mod(variety, args.prime)
-        x = reduce_point_mod(x, args.prime)
-        y = reduce_point_mod(y, args.prime)
+    if args.prime is not None:
+        variety, x, y = over_prime(variety, args.prime, x, y)
     system = conic_system(variety, x, y)
     payload = {
         "variety": variety.to_json(),
@@ -287,8 +285,8 @@ def _cmd_conics(args, cap: int) -> tuple:
     lines.append(f"conic system: {len(system.generators)} generators, "
                  f"{system.shared_count} shared equation(s)")
     if not args.count_only:
-        search = find_singular_conics(variety, x, y, prime=args.prime,
-                                      cap=cap)
+        search = find_singular_conics(variety, x, y, args.prime, cap=cap,
+                                      system=system)
         payload["search"] = search.to_json()
         lines.append(f"search mode: {search.mode}, status: {search.status}")
         if search.dimension is not None:
@@ -297,19 +295,14 @@ def _cmd_conics(args, cap: int) -> tuple:
         for note in search.notes:
             lines.append(f"note: {note}")
         lines.extend(_solution_lines(search.solutions))
-    count = count_conics(variety, x, y)
+    count = count_conics(variety, x, y, system=system)
     payload["count"] = count.to_json()
     lines.extend(_count_lines(count))
     return payload, lines
 
 
 def _cmd_oracle(args, cap: int) -> tuple:
-    variety = load_variety(args.variety)
-    if variety.field == QQ:
-        variety = reduce_variety_mod(variety, args.prime)
-    elif variety.field.p != args.prime:
-        raise ValueError(f"variety is over F_{variety.field.p}, "
-                         f"not F_{args.prime}")
+    variety, = over_prime(load_variety(args.variety), args.prime)
     stats = cc_census(variety, sample=args.pairs, seed=args.seed, cap=cap)
     payload = {"variety": variety.to_json(), "census": stats.to_json()}
     lines = _variety_lines(variety)

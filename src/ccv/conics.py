@@ -13,17 +13,16 @@ the number of solutions is exactly prod(d_i! * (d_i - 1)!).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 
-from .fields import QQ
-from .ffutil import (DEFAULT_POINT_CAP, PrimeTooSmall, check_point_budget,
-                     compile_mod_evaluator, enumerate_points)
+from .ffutil import DEFAULT_POINT_CAP, PrimeTooSmall, zero_set
 from .linalg import kernel_basis, matrix_rank
 from .poly import Polynomial, ProjectivePoint, expand_line_pencil
-from .groebner import groebner_basis, ideal_dimension_and_degree
+from .groebner import IdealSummary, groebner_basis, ideal_dimension_and_degree
 from .solve import projective_rational_solutions
-from .variety import (VarietySpec, point_on_variety, reduce_point_mod,
-                      reduce_variety_mod, variety_dimension)
+from .variety import (VarietySpec, over_prime, point_on_variety,
+                      variety_dimension)
 
 __all__ = [
     "ConicSystem",
@@ -47,6 +46,13 @@ class ConicSystem:
     y: ProjectivePoint
     generators: tuple
     shared_count: int
+
+    @cached_property
+    def summary(self) -> IdealSummary:
+        """Dimension and degree of the system, from one grevlex basis
+        computed on first use."""
+        return ideal_dimension_and_degree(
+            self.generators, basis=groebner_basis(self.generators))
 
     def to_json(self) -> dict:
         return {
@@ -185,20 +191,21 @@ class ConicSearchResult:
 
 def find_singular_conics(variety: VarietySpec, x: ProjectivePoint,
                          y: ProjectivePoint, prime: int | None = None,
-                         cap: int | None = DEFAULT_POINT_CAP) -> ConicSearchResult:
+                         cap: int | None = DEFAULT_POINT_CAP,
+                         system: ConicSystem | None = None) -> ConicSearchResult:
     """Find all vertices of singular conics through x and y.
 
     Symbolic mode (prime None) works over the variety's own field through
     Groebner bases: it reports the system's dimension and degree, and when
     zero-dimensional enumerates every field-rational vertex.  Finite-field
-    mode reduces modulo ``prime`` if needed and evaluates the symbolic
+    mode works over F_p (see :func:`over_prime`) and evaluates the symbolic
     system at every point of P^N(F_p); it never touches Groebner machinery,
-    so the two modes check each other.
+    so the two modes check each other.  ``system`` is a conic_system
+    already built for the variety and points of the chosen mode.
     """
     if prime is None:
-        system = conic_system(variety, x, y)
-        basis = groebner_basis(system.generators)
-        summary = ideal_dimension_and_degree(system.generators, basis=basis)
+        system = system or conic_system(variety, x, y)
+        summary = system.summary
         if summary.projective_dimension < 0:
             return ConicSearchResult(
                 "symbolic", "empty", -1, None, (),
@@ -218,31 +225,20 @@ def find_singular_conics(variety: VarietySpec, x: ProjectivePoint,
         return ConicSearchResult("symbolic", "finite", 0, summary.degree,
                                  solutions, notes=(note,))
 
-    if variety.field == QQ:
-        variety = reduce_variety_mod(variety, prime)
-        x = reduce_point_mod(x, prime)
-        y = reduce_point_mod(y, prime)
-    elif variety.field.p != prime:
-        raise ValueError(
-            f"variety is over F_{variety.field.p}, not F_{prime}")
+    variety, x, y = over_prime(variety, prime, x, y)
     top = max(variety.degrees)
     if prime < top:
         raise PrimeTooSmall(
             f"prime {prime} is below the top degree {top}; vanishing on "
             f"all F_{prime} points of a line would not force the line onto "
             f"the variety")
-    system = conic_system(variety, x, y)
+    system = system or conic_system(variety, x, y)
     N = variety.ambient_dim
-    check_point_budget(N, prime, cap)
-    evaluators = [compile_mod_evaluator(g, prime) for g in system.generators]
-    field = variety.field
-    solutions = []
-    for pt in enumerate_points(N, prime):
-        if all(ev(pt) == 0 for ev in evaluators):
-            vertex = ProjectivePoint([field(c) for c in pt], field)
-            solutions.append(solution_from_vertex(vertex, x, y))
+    solutions = tuple(
+        solution_from_vertex(ProjectivePoint(pt, variety.field), x, y)
+        for pt in zero_set(system.generators, N, prime, cap))
     return ConicSearchResult(
-        "finite-field", "finite", None, None, tuple(solutions),
+        "finite-field", "finite", None, None, solutions,
         notes=(f"exhaustive scan of P^{N}(F_{prime}); the list is the "
                f"complete F_{prime} zero set of the system",))
 
@@ -273,7 +269,6 @@ class CountResult:
     formula_applicable: bool
     equality_case: bool
     matches_formula: bool | None
-    rational_solutions: tuple | None
     notes: tuple = ()
 
     def to_json(self) -> dict:
@@ -284,20 +279,20 @@ class CountResult:
             "formula_applicable": self.formula_applicable,
             "equality_case": self.equality_case,
             "matches_formula": self.matches_formula,
-            "rational_solutions": ([str(p) for p in self.rational_solutions]
-                                   if self.rational_solutions is not None
-                                   else None),
+            "rational_solutions": None,  # kept so the output stays stable
             "notes": list(self.notes),
         }
 
 
 def count_conics(variety: VarietySpec, x: ProjectivePoint,
                  y: ProjectivePoint,
-                 enumerate_rational: bool = False) -> CountResult:
-    """Count singular-conic vertices by ideal degree and by the formula."""
-    system = conic_system(variety, x, y)
-    basis = groebner_basis(system.generators)
-    summary = ideal_dimension_and_degree(system.generators, basis=basis)
+                 system: ConicSystem | None = None) -> CountResult:
+    """Count singular-conic vertices by ideal degree and by the formula.
+
+    ``system`` is a conic_system already built for the same inputs; its
+    summary is shared with :func:`find_singular_conics`.
+    """
+    summary = (system or conic_system(variety, x, y)).summary
     degrees = variety.degrees
     m = len(degrees)
     total = sum(degrees)
@@ -325,9 +320,6 @@ def count_conics(variety: VarietySpec, x: ProjectivePoint,
     matches = None
     if applicable and summary.projective_dimension == 0:
         matches = summary.degree == formula_value
-    rational = None
-    if enumerate_rational and summary.projective_dimension == 0:
-        rational = tuple(projective_rational_solutions(system.generators))
     return CountResult(
         system_dimension=summary.projective_dimension,
         ideal_degree=summary.degree,
@@ -335,6 +327,5 @@ def count_conics(variety: VarietySpec, x: ProjectivePoint,
         formula_applicable=applicable,
         equality_case=equality,
         matches_formula=matches,
-        rational_solutions=rational,
         notes=tuple(notes),
     )

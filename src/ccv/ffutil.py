@@ -24,6 +24,7 @@ __all__ = [
     "enumerate_points",
     "scalar_mod",
     "compile_mod_evaluator",
+    "zero_set",
 ]
 
 DEFAULT_POINT_CAP = 10**7
@@ -101,3 +102,12 @@ def compile_mod_evaluator(poly, p: int):
     body = " + ".join(parts) if parts else "0"
     return eval(f"lambda v: ({body}) % {p}",  # noqa: S307 - generated from exponent data only
                 {"__builtins__": {}, "_pow": pow})
+
+
+def zero_set(polys, n: int, p: int, cap) -> tuple:
+    """Points of P^n(F_p) where every polynomial vanishes, in enumeration
+    order, found by evaluating the polynomials at every point."""
+    check_point_budget(n, p, cap)
+    evaluators = [compile_mod_evaluator(f, p) for f in polys]
+    return tuple(q for q in enumerate_points(n, p)
+                 if not any(ev(q) for ev in evaluators))

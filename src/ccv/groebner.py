@@ -23,14 +23,13 @@ from dataclasses import dataclass
 from math import gcd
 
 from .fields import QQ, FieldMismatchError
-from .poly import EliminationOrder, Polynomial, grevlex_key
+from .poly import Polynomial, grevlex_key
 
 __all__ = [
     "groebner_basis",
     "normal_form",
     "s_polynomial",
     "verify_groebner",
-    "eliminate",
     "IdealSummary",
     "ideal_dimension_and_degree",
 ]
@@ -316,17 +315,6 @@ def verify_groebner(basis, key=grevlex_key, generators=None) -> bool:
     return True
 
 
-def eliminate(polys, ndrop: int, key_after=grevlex_key):
-    """Generators of the elimination ideal dropping x0..x{ndrop-1}.
-
-    Computes a Groebner basis for the block order and keeps the elements
-    free of the dropped variables.
-    """
-    basis = groebner_basis(polys, key=EliminationOrder(ndrop))
-    dropped = set(range(ndrop))
-    return [g for g in basis if not (g.support() & dropped)]
-
-
 # dimension and degree ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -364,7 +352,7 @@ def ideal_dimension_and_degree(polys, key=grevlex_key,
     affine_dim = _affine_dimension(lts, nvars)
     if affine_dim == 0:
         return IdealSummary(-1, None)  # cone is just the origin
-    numerator = _hilbert_numerator(tuple(sorted(lts)), nvars)
+    numerator = _hilbert_numerator(tuple(sorted(lts)), nvars, {})
     coeffs = numerator
     for _ in range(nvars - affine_dim):
         coeffs = _divide_one_minus_t(coeffs)
@@ -396,19 +384,17 @@ def _minimalize_monos(monos):
     return out
 
 
-_HILBERT_CACHE: dict = {}
-
-
-def _hilbert_numerator(monos, nvars: int):
+def _hilbert_numerator(monos, nvars: int, cache: dict):
     """Numerator of the Hilbert series of R/(monomial ideal) over (1-t)^nvars.
 
     Pairwise-coprime generators give the closed form prod(1 - t^deg); any
     shared variable v splits the ideal as N(I) = N(I + v) + t * N(I : v).
     Unwinding the recursion reproduces inclusion-exclusion over generator
-    subsets, just with shared subproblems cached.
+    subsets, just with shared subproblems cached in ``cache``, which lives
+    for one top-level call.
     """
-    keyed = (nvars, frozenset(monos))
-    hit = _HILBERT_CACHE.get(keyed)
+    keyed = frozenset(monos)
+    hit = cache.get(keyed)
     if hit is not None:
         return hit
     monos = _minimalize_monos(monos)
@@ -425,10 +411,12 @@ def _hilbert_numerator(monos, nvars: int):
             plus += [m for m in monos if not m[pivot]]
             colon = [tuple(e - 1 if i == pivot and e else e
                            for i, e in enumerate(m)) for m in monos]
-            left = _hilbert_numerator(tuple(sorted(_minimalize_monos(plus))), nvars)
-            right = _hilbert_numerator(tuple(sorted(_minimalize_monos(colon))), nvars)
+            left = _hilbert_numerator(
+                tuple(sorted(_minimalize_monos(plus))), nvars, cache)
+            right = _hilbert_numerator(
+                tuple(sorted(_minimalize_monos(colon))), nvars, cache)
             result = _poly_add(left, (0,) + tuple(right))
-    _HILBERT_CACHE[keyed] = result
+    cache[keyed] = result
     return result
 
 

@@ -1,10 +1,14 @@
 """Brute-force finite-field checks that bypass all symbolic machinery.
 
 Everything here works by direct evaluation over F_p: lines are verified
-point by point, loci and singular conics are found by scanning all of
-P^N(F_p).  Results are exact statements about F_p and serve as an
-independent cross-check of the Groebner route; conclusions over the
-rationals or their closure still belong to the symbolic side.
+point by point.  The cone of lines through a point x is found by testing
+every line through x once, one for each point of the hyperplane x_k = 0
+(k the first nonzero coordinate of x), that is, each point of
+P^(N-1)(F_p); singular-conic vertices through x and y are the points
+common to the cones at x and at y.  Results are exact statements about
+F_p and serve as an independent cross-check of the Groebner route;
+conclusions over the rationals or their closure still belong to the
+symbolic side.
 
 Line containment is decided by evaluating each equation at the p + 1
 points of the line.  A nonzero binary form of degree d has at most d
@@ -17,17 +21,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .conics import ConicSolution, solution_from_vertex
-from .fields import GF, exact_str
+from .fields import exact_str
 from .ffutil import (DEFAULT_POINT_CAP, OracleRefusal, PointCapExceeded,
                      PrimeTooSmall, check_point_budget, compile_mod_evaluator,
-                     enumerate_points, projective_point_count, scalar_mod)
+                     enumerate_points, scalar_mod, zero_set)
 from .poly import ProjectivePoint
 from .variety import VarietySpec, point_on_variety
 
 __all__ = [
-    "ProjectiveSpaceEnum",
     "line_in_variety",
     "brute_line_locus",
     "brute_singular_conics",
@@ -60,10 +64,8 @@ def _require_line_safe(variety: VarietySpec, p: int) -> None:
 
 def _as_tuple(point, p: int) -> tuple:
     """Canonical coordinate tuple mod p (first nonzero entry 1)."""
-    if isinstance(point, ProjectivePoint):
-        vals = [scalar_mod(c, p) for c in point.coords]
-    else:
-        vals = [scalar_mod(c, p) for c in point]
+    coords = point.coords if isinstance(point, ProjectivePoint) else point
+    vals = [scalar_mod(c, p) for c in coords]
     for v in vals:
         if v:
             inv = pow(v, p - 2, p)
@@ -91,24 +93,6 @@ def _line_on(evaluators, p: int, a: tuple, b: tuple) -> bool:
     return not any(ev(b) for ev in evaluators)
 
 
-class ProjectiveSpaceEnum:
-    """All points of P^N(F_p), each with first nonzero coordinate 1."""
-
-    def __init__(self, ambient_dim: int, p: int,
-                 cap: int | None = DEFAULT_POINT_CAP):
-        check_point_budget(ambient_dim, p, cap)
-        self.ambient_dim = ambient_dim
-        self.p = p
-        self.points = tuple(enumerate_points(ambient_dim, p))
-        assert len(self.points) == projective_point_count(ambient_dim, p)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-
 def line_in_variety(variety: VarietySpec, a, b) -> bool:
     """Whether the line through two distinct points lies on the variety."""
     p = _field_prime(variety)
@@ -118,6 +102,35 @@ def line_in_variety(variety: VarietySpec, a, b) -> bool:
     if at == bt:
         raise ValueError("two coincident points do not span a line")
     return _line_on(_compiled(variety, p), p, at, bt)
+
+
+def _cone(evaluators, p: int, xt: tuple, n: int) -> set:
+    """x and every point on a line through x that lies on the variety.
+
+    Each line through x meets the hyperplane x_k = 0 (k the first nonzero
+    coordinate of x) in exactly one point, so scanning that copy of
+    P^(n-1) tests every line once.
+    """
+    k = xt.index(1)
+    cone = {xt}
+    for tail in enumerate_points(n - 1, p):
+        d = tail[:k] + (0,) + tail[k:]
+        if _line_on(evaluators, p, xt, d):
+            cone.update(_line_points(xt, d, p))
+    return cone
+
+
+def _in_enumeration_order(points) -> tuple:
+    return tuple(sorted(points, key=lambda q: (q.index(1), q)))
+
+
+def _base_point(variety: VarietySpec, point, label: str) -> tuple:
+    """Canonical tuple of a point checked to lie on the variety."""
+    pt = _as_tuple(point, variety.field.p)
+    if not point_on_variety(variety, ProjectivePoint(pt, variety.field)):
+        raise ValueError(f"{label} {list(pt)} does not lie on "
+                         f"{variety.name}")
+    return pt
 
 
 def brute_line_locus(variety: VarietySpec, point,
@@ -130,73 +143,43 @@ def brute_line_locus(variety: VarietySpec, point,
     """
     p = _field_prime(variety)
     _require_line_safe(variety, p)
-    xt = _as_tuple(point, p)
-    if not point_on_variety(variety, ProjectivePoint(
-            [variety.field(c) for c in xt], variety.field)):
-        raise ValueError(f"base point {list(xt)} does not lie on "
-                         f"{variety.name}")
+    xt = _base_point(variety, point, "base point")
     check_point_budget(variety.ambient_dim, p, cap)
-    evaluators = _compiled(variety, p)
-    return tuple(q for q in enumerate_points(variety.ambient_dim, p)
-                 if q == xt or _line_on(evaluators, p, xt, q))
+    return _in_enumeration_order(
+        _cone(_compiled(variety, p), p, xt, variety.ambient_dim))
 
 
 def brute_singular_conics(variety: VarietySpec, x, y,
-                          partitions: int | None = None,
                           cap: int | None = DEFAULT_POINT_CAP) -> tuple:
-    """Vertices q with both lines <x,q> and <y,q> on the variety, by scan.
+    """Vertices q with both lines <x,q> and <y,q> on the variety.
 
     The conditions read (q == x or line <x,q> on X) and (q == y or line
     <y,q> on X), which is exactly the zero set of the symbolic conic
-    system.  ``partitions`` splits the scan into that many contiguous
-    chunks merged afterwards; the result does not depend on it.
+    system: the points common to the cones at x and at y, listed in
+    enumeration order.
     """
     p = _field_prime(variety)
     _require_line_safe(variety, p)
-    field = GF(p)
-    xt = _as_tuple(x, p)
-    yt = _as_tuple(y, p)
+    field = variety.field
+    xt = _base_point(variety, x, "x")
+    yt = _base_point(variety, y, "y")
     if xt == yt:
         raise ValueError("need two distinct points")
-    xp = ProjectivePoint([field(c) for c in xt], field)
-    yp = ProjectivePoint([field(c) for c in yt], field)
-    for label, pt in (("x", xp), ("y", yp)):
-        if not point_on_variety(variety, pt):
-            raise ValueError(f"{label} = {pt} does not lie on {variety.name}")
     check_point_budget(variety.ambient_dim, p, cap)
     evaluators = _compiled(variety, p)
-    space = tuple(enumerate_points(variety.ambient_dim, p))
-
-    def scan(chunk):
-        return [q for q in chunk
-                if (q == xt or _line_on(evaluators, p, xt, q))
-                and (q == yt or _line_on(evaluators, p, yt, q))]
-
-    if partitions is None or partitions <= 1:
-        vertices = scan(space)
-    else:
-        size = -(-len(space) // partitions)
-        merged = set()
-        vertices = []
-        for start in range(0, len(space), size):
-            for q in scan(space[start:start + size]):
-                if q not in merged:
-                    merged.add(q)
-                    vertices.append(q)
+    N = variety.ambient_dim
+    xp, yp = (ProjectivePoint(t, field) for t in (xt, yt))
     return tuple(
-        solution_from_vertex(
-            ProjectivePoint([field(c) for c in q], field), xp, yp)
-        for q in vertices)
+        solution_from_vertex(ProjectivePoint(q, field), xp, yp)
+        for q in _in_enumeration_order(_cone(evaluators, p, xt, N)
+                                       & _cone(evaluators, p, yt, N)))
 
 
 def variety_points(variety: VarietySpec,
                    cap: int | None = DEFAULT_POINT_CAP) -> tuple:
     """All F_p points of the variety, in enumeration order."""
-    p = _field_prime(variety)
-    check_point_budget(variety.ambient_dim, p, cap)
-    evaluators = _compiled(variety, p)
-    return tuple(q for q in enumerate_points(variety.ambient_dim, p)
-                 if not any(ev(q) for ev in evaluators))
+    return zero_set(variety.equations, variety.ambient_dim,
+                    _field_prime(variety), cap)
 
 
 class Lcg64:
@@ -279,7 +262,11 @@ def cc_census(variety: VarietySpec, sample: int, seed: int = 0,
             f"{variety.name} has {len(points)} point(s) over F_{p}; "
             f"a census needs at least two")
     evaluators = _compiled(variety, p)
-    space = tuple(enumerate_points(variety.ambient_dim, p))
+
+    @cache  # one cone per sampled point, for this census only
+    def cone(pt):
+        return _cone(evaluators, p, pt, variety.ambient_dim)
+
     rng = Lcg64(seed)
     connected = 0
     with_nondeg = 0
@@ -290,11 +277,8 @@ def cc_census(variety: VarietySpec, sample: int, seed: int = 0,
         if j >= i:
             j += 1
         xt, yt = points[i], points[j]
-        on_xy_line = set(_line_points(xt, yt, p))
-        vertices = [q for q in space
-                    if (q == xt or _line_on(evaluators, p, xt, q))
-                    and (q == yt or _line_on(evaluators, p, yt, q))]
-        nondeg = sum(1 for q in vertices if q not in on_xy_line)
+        vertices = cone(xt) & cone(yt)
+        nondeg = len(vertices - set(_line_points(xt, yt, p)))
         if vertices:
             connected += 1
         if nondeg:

@@ -9,8 +9,7 @@ Grammar (whitespace ignored everywhere):
     VAR    := 'x' UINT
 
 Coefficients in text are integers, so parse/print/parse is a fixed point for
-printed polynomials (printing uses descending grevlex term order; rational
-coefficients can be cleared first with ``primitive_form``).
+printed polynomials (printing uses descending grevlex term order).
 """
 
 from __future__ import annotations

@@ -9,9 +9,6 @@ Variables are x0, x1, ... both in code (``Polynomial.variable``) and in text
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import reduce
-from math import gcd
 from types import MappingProxyType
 
 from .fields import QQ, FieldMismatchError, exact_str
@@ -21,7 +18,6 @@ __all__ = [
     "ProjectivePoint",
     "grevlex_key",
     "lex_key",
-    "EliminationOrder",
     "expand_line_pencil",
 ]
 
@@ -38,29 +34,6 @@ def grevlex_key(monomial):
 def lex_key(monomial):
     """Sort key for plain lexicographic order (ascending)."""
     return tuple(monomial)
-
-
-class EliminationOrder:
-    """Block order eliminating the first ``ndrop`` variables.
-
-    Monomials are compared grevlex on the dropped block first, then grevlex
-    on the kept block, so any monomial involving a dropped variable beats
-    every monomial free of them.  A Groebner basis for this order intersected
-    with the kept variables generates the elimination ideal.
-    """
-
-    def __init__(self, ndrop: int):
-        if ndrop < 1:
-            raise ValueError("need at least one variable to eliminate")
-        self.ndrop = ndrop
-
-    def __call__(self, monomial):
-        head = monomial[: self.ndrop]
-        tail = monomial[self.ndrop :]
-        return grevlex_key(head) + grevlex_key(tail)
-
-    def __repr__(self):
-        return f"EliminationOrder({self.ndrop})"
 
 
 def _check_same_ring(a: "Polynomial", b: "Polynomial"):
@@ -277,19 +250,6 @@ class Polynomial:
         if not self._terms:
             return self
         return self / self.leading_coefficient(key)
-
-    def primitive_form(self) -> "Polynomial":
-        """Integer-coefficient scalar multiple with content 1 and positive
-        leading (grevlex) coefficient.  Rational coefficients only."""
-        if self.field != QQ or not self._terms:
-            return self
-        denom = reduce(lambda a, c: a * c.denominator // gcd(a, c.denominator),
-                       self._terms.values(), 1)
-        numer = gcd(*(c.numerator for c in self._terms.values()))
-        scale = Fraction(denom, numer)
-        if self.leading_coefficient() < 0:
-            scale = -scale
-        return self * scale
 
     # evaluation and substitution
 

@@ -34,6 +34,7 @@ __all__ = [
     "jacobian_rank_at",
     "reduce_variety_mod",
     "reduce_point_mod",
+    "over_prime",
     "Criterion",
     "CriterionReport",
     "criteria_report",
@@ -177,7 +178,7 @@ def load_variety(source) -> VarietySpec:
     return build_variety(json.loads(source))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _computed_summary(variety: VarietySpec):
     basis = groebner_basis(variety.equations)
     return ideal_dimension_and_degree(variety.equations, basis=basis)
@@ -255,6 +256,21 @@ def reduce_point_mod(point: ProjectivePoint, p: int) -> ProjectivePoint:
         return ProjectivePoint([fld(c) for c in point.coords], fld)
     except ZeroDivisionError as exc:
         raise ValueError(f"cannot reduce {point} modulo {p}: {exc}") from exc
+
+
+def over_prime(variety: VarietySpec, p: int, *points) -> tuple:
+    """(variety, *points) over F_p.
+
+    A rational variety and its points are reduced modulo p; a variety
+    already over F_p passes through with its points; any other field is
+    rejected.
+    """
+    if variety.field == QQ:
+        return (reduce_variety_mod(variety, p),
+                *(reduce_point_mod(pt, p) for pt in points))
+    if variety.field.p != p:
+        raise ValueError(f"variety is over F_{variety.field.p}, not F_{p}")
+    return (variety, *points)
 
 
 # numerical criteria ----------------------------------------------------------

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import ccv.cli
 from ccv.cli import entry
 
 from conftest import VARIETIES
@@ -103,6 +104,50 @@ def test_conics_finite_field_mode(capsys):
     assert "search mode: finite-field, status: finite" in out
     assert "exhaustive scan of P^3(F_5)" in out
     assert "solutions listed: 2" in out
+
+
+def test_conics_prime_mismatch_exits_2(capsys, tmp_path):
+    spec = tmp_path / "quadric_f7.json"
+    spec.write_text(json.dumps({"ambient_dim": 3, "field": {"prime": 7},
+                                "equations": ["x0*x3 - x1*x2"]}))
+    for extra in ((), ("--count-only",)):
+        code, out, err = run_cli(capsys, "conics", str(spec), "--x", "1,0,0,0",
+                                 "--y", "0,0,0,1", "--prime", "11", *extra)
+        assert (code, out) == (2, "")
+        assert "variety is over F_7, not F_11" in err
+
+
+def test_conics_builds_the_system_and_basis_once(capsys, monkeypatch):
+    import ccv.conics
+    calls = []
+    inside = []
+
+    def counted(label, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((label, tuple(inside)))
+            inside.append(label)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    system = counted("system", ccv.conics.conic_system)
+    for module in (ccv.conics, ccv.cli):
+        monkeypatch.setattr(module, "conic_system", system)
+    monkeypatch.setattr(ccv.conics, "groebner_basis",
+                        counted("basis", ccv.conics.groebner_basis))
+    monkeypatch.setattr(ccv.cli, "count_conics",
+                        counted("count", ccv.conics.count_conics))
+    argv = ["conics", QUADRIC, "--x", "1,0,0,0", "--y", "0,0,0,1", "--json"]
+    assert run_cli(capsys, *argv)[0] == 0
+    assert [label for label, _ in calls if label != "count"] == [
+        "system", "basis"]
+    calls.clear()
+    assert run_cli(capsys, *argv, "--prime", "5")[0] == 0
+    assert [label for label, _ in calls if label == "system"] == ["system"]
+    assert [call for call in calls if call[0] == "basis"] == [
+        ("basis", ("count",))]
 
 
 def test_conics_canonicalizes_input_points(capsys):

@@ -155,25 +155,28 @@ def test_quadric_count(quadric):
     assert result.formula_applicable
     assert result.equality_case
     assert result.matches_formula is True
-    assert result.rational_solutions is None
+    assert result.to_json()["rational_solutions"] is None
     assert result.notes == ()
 
 
 def test_quadric_count_with_enumeration(quadric):
-    result = count_conics(quadric, qpt(1, 0, 0, 0), qpt(0, 0, 0, 1),
-                          enumerate_rational=True)
-    assert [str(p) for p in result.rational_solutions] == [
+    # the search and the count share one system and its summary
+    x, y = qpt(1, 0, 0, 0), qpt(0, 0, 0, 1)
+    system = conic_system(quadric, x, y)
+    search = find_singular_conics(quadric, x, y, system=system)
+    count = count_conics(quadric, x, y, system=system)
+    assert [str(s.vertex) for s in search.solutions] == [
         "[0:1:0:0]", "[0:0:1:0]"]
+    assert search.degree == count.ideal_degree == 2
 
 
 def test_two_quadrics_count(two_quadrics):
     result = count_conics(two_quadrics, qpt(1, 0, 0, 0, 0, 0, 0),
-                          qpt(0, 0, 0, 0, 0, 0, 1), enumerate_rational=True)
+                          qpt(0, 0, 0, 0, 0, 0, 1))
     assert (result.system_dimension, result.ideal_degree) == (0, 4)
     assert result.formula_value == 4
     assert result.formula_applicable and result.equality_case
     assert result.matches_formula is True
-    assert [str(p) for p in result.rational_solutions] == ["[0:0:0:0:1:0:0]"]
 
 
 def test_fermat_fourfold_count(fermat5):

@@ -1,14 +1,13 @@
-"""Buchberger kernel: bases, normal forms, elimination, dimension, degree."""
+"""Buchberger kernel: bases, normal forms, dimension, degree."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from ccv import (GF, QQ, EliminationOrder, Polynomial, eliminate,
-                 groebner_basis, grevlex_key, ideal_dimension_and_degree,
-                 lex_key, normal_form, parse_polynomial, s_polynomial,
-                 verify_groebner)
+from ccv import (GF, QQ, Polynomial, groebner_basis, grevlex_key,
+                 ideal_dimension_and_degree, lex_key, normal_form,
+                 parse_polynomial, s_polynomial, verify_groebner)
 
 
 def P(text, nvars, field=QQ):
@@ -104,19 +103,6 @@ def test_groebner_over_prime_field():
     basis = groebner_basis(gens)
     assert verify_groebner(basis, generators=gens)
     assert all(g.leading_coefficient() == F.one for g in basis)
-
-
-def test_eliminate_twisted_cubic_projection():
-    # forgetting x0 projects the curve onto the conic x1*x3 = x2^2
-    kept = eliminate(twisted_cubic(), 1)
-    assert kept == [P("x2^2 - x1*x3", 4)]
-    assert all(not (g.support() & {0}) for g in kept)
-
-
-def test_elimination_order_respects_blocks():
-    key = EliminationOrder(1)
-    basis = groebner_basis(twisted_cubic(), key=key)
-    assert verify_groebner(basis, key=key)
 
 
 # dimension and degree conventions

@@ -3,10 +3,10 @@
 import pytest
 
 from ccv import (Lcg64, OracleRefusal, PointCapExceeded, PrimeTooSmall,
-                 ProjectiveSpaceEnum, brute_line_locus, brute_singular_conics,
-                 build_variety, cc_census, conic_system, line_in_variety,
-                 reduce_point_mod, reduce_variety_mod, variety_points)
-from ccv.ffutil import compile_mod_evaluator
+                 brute_line_locus, brute_singular_conics, build_variety,
+                 cc_census, conic_system, line_in_variety, reduce_point_mod,
+                 reduce_variety_mod, variety_points)
+from ccv.ffutil import compile_mod_evaluator, enumerate_points
 
 from conftest import qpt
 
@@ -34,16 +34,6 @@ def test_lcg_draw():
     assert Lcg64(42).draw(10) == Lcg64(42).next_raw() % 10
     with pytest.raises(ValueError, match="positive"):
         Lcg64(0).draw(0)
-
-
-def test_projective_space_enum():
-    space = ProjectiveSpaceEnum(3, 5)
-    assert len(space) == 156
-    pts = list(space)
-    assert len(set(pts)) == 156
-    assert pts[0] == (1, 0, 0, 0)
-    with pytest.raises(PointCapExceeded):
-        ProjectiveSpaceEnum(3, 5, cap=100)
 
 
 def test_line_membership(quadric5):
@@ -78,7 +68,7 @@ def test_brute_locus_matches_the_conic_of_rulings(quadric5):
     assert len(locus) == 11
     assert (1, 0, 0, 0) in locus      # the base point itself
     assert locus == tuple(sorted(locus, key=list(
-        ProjectiveSpaceEnum(3, 5)).index))
+        enumerate_points(3, 5)).index))
     with pytest.raises(ValueError, match="does not lie on"):
         brute_line_locus(quadric5, (1, 1, 1, 0))
 
@@ -88,7 +78,7 @@ def test_brute_locus_equals_symbolic_zero_set(quadric5):
     base = reduce_point_mod(qpt(1, 0, 0, 0), 5)
     gens = line_locus(quadric5, base).ideal_generators
     evaluators = [compile_mod_evaluator(g, 5) for g in gens]
-    symbolic = tuple(pt for pt in ProjectiveSpaceEnum(3, 5)
+    symbolic = tuple(pt for pt in enumerate_points(3, 5)
                      if all(ev(pt) == 0 for ev in evaluators))
     assert brute_line_locus(quadric5, (1, 0, 0, 0)) == symbolic
 
@@ -100,17 +90,27 @@ def test_brute_conics_match_the_symbolic_system(quadric5):
     system = conic_system(quadric5, reduce_point_mod(qpt(1, 0, 0, 0), 5),
                           reduce_point_mod(qpt(0, 0, 0, 1), 5))
     evaluators = [compile_mod_evaluator(g, 5) for g in system.generators]
-    zero_set = [pt for pt in ProjectiveSpaceEnum(3, 5)
+    zero_set = [pt for pt in enumerate_points(3, 5)
                 if all(ev(pt) == 0 for ev in evaluators)]
     assert [tuple(int(c.value) for c in s.vertex.coords)
             for s in solutions] == zero_set
 
 
-def test_partitioned_scan_is_invariant(quadric5):
-    x, y = (1, 0, 0, 0), (0, 0, 0, 1)
-    whole = brute_singular_conics(quadric5, x, y)
-    for parts in (1, 2, 3, 7, 200):
-        assert brute_singular_conics(quadric5, x, y, partitions=parts) == whole
+def test_direction_scan_matches_the_whole_space_scan(fermat4):
+    # x's first nonzero coordinate is not x0, so the scanned hyperplane is
+    # x1 = 0 and line points need rescaling
+    cubic7 = reduce_variety_mod(fermat4, 7)
+    x, y = (0, 1, 6, 0, 0), (0, 0, 0, 1, 6)
+
+    space = tuple(enumerate_points(4, 7))
+    cone_x, cone_y = ({q for q in space
+                       if q == base or line_in_variety(cubic7, base, q)}
+                      for base in (x, y))
+    assert brute_line_locus(cubic7, x) == tuple(
+        q for q in space if q in cone_x)
+    assert [tuple(c.value for c in s.vertex.coords)
+            for s in brute_singular_conics(cubic7, x, y)] == [
+        q for q in space if q in cone_x and q in cone_y]
 
 
 def test_brute_conics_flag_degenerate_vertices(quadric5):

@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from ccv import (GF, QQ, EliminationOrder, FieldMismatchError, Polynomial,
-                 ProjectivePoint, expand_line_pencil, grevlex_key, lex_key,
-                 parse_polynomial)
+from ccv import (GF, QQ, FieldMismatchError, Polynomial, ProjectivePoint,
+                 expand_line_pencil, grevlex_key, lex_key, parse_polynomial)
 from conftest import qpt
 
 
@@ -32,14 +31,6 @@ def test_grevlex_classic_tie_break():
 def test_lex_key_is_plain_exponent_order():
     assert lex_key((1, 0, 0)) > lex_key((0, 5, 5))
     assert lex_key((0, 1, 0)) > lex_key((0, 0, 9))
-
-
-def test_elimination_order_drops_block_first():
-    key = EliminationOrder(2)
-    # any monomial touching the dropped block beats any one that does not
-    assert key((0, 1, 0, 0)) > key((0, 0, 3, 3))
-    # within the kept block it falls back to grevlex
-    assert key((0, 0, 2, 0)) > key((0, 0, 1, 1))
 
 
 # --- arithmetic ---
@@ -119,13 +110,6 @@ def test_monic_and_leading_data():
     assert p.leading_coefficient() == -2
     assert p.monic().leading_coefficient() == 1
     assert p.leading_monomial(lex_key) == (1, 0, 0, 1)
-
-
-def test_primitive_form_clears_denominators_and_content():
-    p = P("x0", 2) * Fraction(2, 3) + P("x1", 2) * Fraction(4, 3)
-    prim = p.primitive_form()
-    assert prim == P("x0 + 2*x1", 2)
-    assert P("-3*x0 - 6*x1", 2).primitive_form() == P("x0 + 2*x1", 2)
 
 
 def test_str_uses_grevlex_descending():

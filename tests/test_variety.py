@@ -7,9 +7,9 @@ import pytest
 
 from ccv import (GF, QQ, ProjectivePoint, build_variety, classify_line_family,
                  criteria_report, jacobian_rank_at, load_variety,
-                 parse_polynomial, point_on_variety, reduce_point_mod,
-                 reduce_variety_mod, variety_dimension)
-from ccv.variety import VarietySpec
+                 over_prime, parse_polynomial, point_on_variety,
+                 reduce_point_mod, reduce_variety_mod, variety_dimension)
+from ccv.variety import VarietySpec, _computed_summary
 
 from conftest import VARIETIES, qpt
 
@@ -79,6 +79,16 @@ def test_dimension_claimed_versus_computed(quadric):
     assert variety_dimension(cubic_curve) == (1, "computed")
 
 
+def test_computed_dimension_cache_is_bounded():
+    bound = _computed_summary.cache_info().maxsize
+    assert bound is not None
+    for k in range(bound + 8):
+        conic = build_variety({"ambient_dim": 2,
+                               "equations": [f"x0^2 + {k + 1}*x1*x2"]})
+        assert variety_dimension(conic) == (1, "computed")
+    assert _computed_summary.cache_info().currsize <= bound
+
+
 def test_point_membership(quadric):
     assert point_on_variety(quadric, qpt(1, 0, 0, 0))
     assert point_on_variety(quadric, qpt(1, 2, 3, 6))
@@ -129,6 +139,16 @@ def test_point_reduction():
         reduce_point_mod(ProjectivePoint([1, Fraction(1, 5)], QQ), 5)
     with pytest.raises(ValueError, match="rational point"):
         reduce_point_mod(qpt(1, 1, field=GF(5)), 5)
+
+
+def test_over_prime_reduces_passes_through_or_rejects(quadric):
+    red, x = over_prime(quadric, 5, qpt(2, 0, 0, 0))
+    assert red == reduce_variety_mod(quadric, 5)
+    assert x == qpt(1, 0, 0, 0, field=GF(5))
+    assert over_prime(red, 5, x) == (red, x)
+    assert over_prime(red, 5) == (red,)
+    with pytest.raises(ValueError, match="variety is over F_5, not F_7"):
+        over_prime(red, 7, x)
 
 
 # the criteria engine
