@@ -48,6 +48,9 @@ CASES.update({
     "conics-two_quadrics_p6-prime5": (("conics", _spec("two_quadrics_p6"),
                                        "--x", E0_P6, "--y", E6_P6,
                                        "--prime", "5", "--json"), None),
+    "conics-fermat_cubic_p5": (("conics", _spec("fermat_cubic_p5"),
+                                "--x", "3,4,5,-6,0,0",
+                                "--y", "0,0,3,4,5,-6", "--json"), None),
     "conics-fermat_cubic_p5-count": (("conics", _spec("fermat_cubic_p5"),
                                       "--x", "3,4,5,-6,0,0",
                                       "--y", "0,0,3,4,5,-6",
