@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
 
-from .ffutil import DEFAULT_POINT_CAP, PrimeTooSmall, zero_set
+from .ffutil import (DEFAULT_POINT_CAP, check_point_budget,
+                     require_line_safe, zero_set)
 from .linalg import kernel_basis, matrix_rank
 from .poly import Polynomial, ProjectivePoint, expand_line_pencil
 from .groebner import IdealSummary, groebner_basis, ideal_dimension_and_degree
@@ -216,6 +217,8 @@ def find_singular_conics(variety: VarietySpec, x: ProjectivePoint,
                 summary.degree, (),
                 notes=("the vertex locus has positive dimension; no "
                        "enumeration attempted",))
+        if variety.field.is_prime_field:  # the root scan visits P^1(F_p)
+            check_point_budget(1, variety.field.p, cap)
         vertices = projective_rational_solutions(system.generators)
         solutions = tuple(solution_from_vertex(v, x, y) for v in vertices)
         note = ("degree counts vertices with multiplicity over the "
@@ -226,12 +229,7 @@ def find_singular_conics(variety: VarietySpec, x: ProjectivePoint,
                                  solutions, notes=(note,))
 
     variety, x, y = over_prime(variety, prime, x, y)
-    top = max(variety.degrees)
-    if prime < top:
-        raise PrimeTooSmall(
-            f"prime {prime} is below the top degree {top}; vanishing on "
-            f"all F_{prime} points of a line would not force the line onto "
-            f"the variety")
+    require_line_safe(variety.degrees, prime)
     system = system or conic_system(variety, x, y)
     N = variety.ambient_dim
     solutions = tuple(

@@ -21,6 +21,7 @@ __all__ = [
     "DEFAULT_POINT_CAP",
     "projective_point_count",
     "check_point_budget",
+    "require_line_safe",
     "enumerate_points",
     "scalar_mod",
     "compile_mod_evaluator",
@@ -53,6 +54,17 @@ def check_point_budget(n: int, p: int, cap) -> int:
         raise PointCapExceeded(
             f"P^{n}(F_{p}) has {total} points, over the cap of {cap}")
     return total
+
+
+def require_line_safe(degrees, p: int) -> None:
+    """Refuse p below the top degree: a line is then not forced onto the
+    variety by vanishing at its p + 1 points."""
+    top = max(degrees)
+    if p < top:
+        raise PrimeTooSmall(
+            f"prime {p} is below the top degree {top}; vanishing on all "
+            f"{p + 1} F_{p} points of a line would not force the line "
+            f"onto the variety")
 
 
 def enumerate_points(n: int, p: int):

@@ -30,7 +30,7 @@ class FieldMismatchError(TypeError):
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality check; field moduli are small by design."""
+    """Trial-division primality check; PrimeField refuses moduli >= 2^31."""
     if n < 2:
         return False
     if n % 2 == 0:
@@ -194,6 +194,8 @@ class PrimeField:
     is_prime_field = True
 
     def __init__(self, p: int):
+        if isinstance(p, int) and p >= 2**31:
+            raise ValueError(f"field modulus must be below 2^31, got {p}")
         if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
             raise ValueError(f"field modulus must be prime, got {p!r}")
         self.p = p

@@ -27,7 +27,8 @@ from .conics import ConicSolution, solution_from_vertex
 from .fields import exact_str
 from .ffutil import (DEFAULT_POINT_CAP, OracleRefusal, PointCapExceeded,
                      PrimeTooSmall, check_point_budget, compile_mod_evaluator,
-                     enumerate_points, scalar_mod, zero_set)
+                     enumerate_points, require_line_safe, scalar_mod,
+                     zero_set)
 from .poly import ProjectivePoint
 from .variety import VarietySpec, point_on_variety
 
@@ -51,15 +52,6 @@ def _field_prime(variety: VarietySpec) -> int:
             "brute-force checks need a variety over a prime field; "
             "reduce modulo a prime first")
     return variety.field.p
-
-
-def _require_line_safe(variety: VarietySpec, p: int) -> None:
-    top = max(variety.degrees)
-    if p < top:
-        raise PrimeTooSmall(
-            f"prime {p} is below the top degree {top}; vanishing on all "
-            f"{p + 1} F_{p} points of a line would not force the line "
-            f"onto the variety")
 
 
 def _as_tuple(point, p: int) -> tuple:
@@ -96,7 +88,7 @@ def _line_on(evaluators, p: int, a: tuple, b: tuple) -> bool:
 def line_in_variety(variety: VarietySpec, a, b) -> bool:
     """Whether the line through two distinct points lies on the variety."""
     p = _field_prime(variety)
-    _require_line_safe(variety, p)
+    require_line_safe(variety.degrees, p)
     at = _as_tuple(a, p)
     bt = _as_tuple(b, p)
     if at == bt:
@@ -142,7 +134,7 @@ def brute_line_locus(variety: VarietySpec, point,
     Points come out in enumeration order as canonical coordinate tuples.
     """
     p = _field_prime(variety)
-    _require_line_safe(variety, p)
+    require_line_safe(variety.degrees, p)
     xt = _base_point(variety, point, "base point")
     check_point_budget(variety.ambient_dim, p, cap)
     return _in_enumeration_order(
@@ -159,7 +151,7 @@ def brute_singular_conics(variety: VarietySpec, x, y,
     enumeration order.
     """
     p = _field_prime(variety)
-    _require_line_safe(variety, p)
+    require_line_safe(variety.degrees, p)
     field = variety.field
     xt = _base_point(variety, x, "x")
     yt = _base_point(variety, y, "y")
@@ -255,7 +247,7 @@ def cc_census(variety: VarietySpec, sample: int, seed: int = 0,
     if sample <= 0:
         raise ValueError("sample must be positive")
     p = _field_prime(variety)
-    _require_line_safe(variety, p)
+    require_line_safe(variety.degrees, p)
     points = variety_points(variety, cap=cap)
     if len(points) < 2:
         raise OracleRefusal(

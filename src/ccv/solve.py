@@ -2,18 +2,22 @@
 
 Projective space is split into the disjoint cells x0 = ... = x_{j-1} = 0,
 x_j = 1; each cell gives an affine system solved by lex Groebner basis and
-back-substitution from the last variable.  Over the rationals the univariate
-roots come from the rational root theorem with full integer factorization,
-so for a zero-dimensional system the enumeration of rational points is
-exhaustive.  Over a prime field roots are found by scanning.
+back-substitution from the last variable.  Univariate roots over a prime
+field come from evaluating at every residue.  Over the rationals they come
+from p-adic lifting (Loos, SIAM J. Comput. 12, 1983): the roots of the
+square-free part modulo a small prime at which they are all simple are
+lifted by Newton's method past the size bound on a/b, recovered by rational
+reconstruction and kept only when exact evaluation gives zero.  So for a
+zero-dimensional system the enumeration of rational points is exhaustive.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import reduce
+from math import gcd, lcm
 
-from .fields import FpElement, QQ
+from .fields import FpElement, is_prime
 from .poly import Polynomial, ProjectivePoint, lex_key
 from .groebner import groebner_basis
 
@@ -78,137 +82,114 @@ def _affine_points(gens, live, field):
 
 
 def _univariate_roots(poly: Polynomial, var: int, field):
+    coeffs = {mono[var]: c for mono, c in poly.terms.items()}
     if field.is_prime_field:
-        p = field.p
-        return [FpElement(v, p) for v in range(p)
-                if not poly.specialize({var: v})]
-    coeffs = {}
-    denom = 1
-    for mono, c in poly.terms.items():
-        coeffs[mono[var]] = c
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = {e: int(c * denom) for e, c in coeffs.items()}
-    return rational_roots(ints)
+        dense = _dense({e: c.value for e, c in coeffs.items()})
+        return [FpElement(v, field.p) for v in _roots_mod(dense, field.p)]
+    denom = lcm(*(c.denominator for c in coeffs.values()))
+    return rational_roots({e: int(c * denom) for e, c in coeffs.items()})
 
 
 def rational_roots(coeffs: dict) -> list:
     """Rational roots of sum(coeffs[e] * t^e) with integer coefficients.
 
-    Complete by the rational root theorem: every root num/den in lowest
-    terms has num dividing the trailing coefficient and den dividing the
-    leading one, and both divisor sets are enumerated from full integer
-    factorizations.
+    Complete and exact: every root a/b in lowest terms has |a| <= |g(0)|
+    and b <= |lc(g)| for the square-free part g, so it is the unique
+    reconstruction of its p-adic lift once the modulus passes
+    2 * max(|g(0)|, |lc(g)|)^2, and every candidate is checked by exact
+    evaluation.  Roots come sorted by (|numerator|, denominator), the
+    positive one of a pair first.
     """
     coeffs = {e: c for e, c in coeffs.items() if c}
     if not coeffs:
         raise ValueError("the zero polynomial has every root")
-    roots = []
     low = min(coeffs)
-    if low > 0:
-        roots.append(Fraction(0))
-        coeffs = {e - low: c for e, c in coeffs.items()}
-    high = max(coeffs)
-    if high == 0:
+    roots = [Fraction(0)] if low > 0 else []
+    if max(coeffs) == low:
         return roots
-    dense = [coeffs.get(e, 0) for e in range(high + 1)]
-    for num in _divisors(abs(dense[0])):
-        for den in _divisors(abs(dense[high])):
-            if gcd(num, den) != 1:
-                continue
-            for sign in (1, -1):
-                cand = Fraction(sign * num, den)
-                acc = 0
-                for c in reversed(dense):
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.append(cand)
-    return roots
-
-
-# integer factorization for the divisor lists -------------------------------
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_probable_prime(n: int) -> bool:
-    """Miller-Rabin; deterministic for n below 3.3e24 with these bases."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
+    g = _squarefree_part(_dense({e - low: c for e, c in coeffs.items()}))
+    dg = [e * c for e, c in enumerate(g)][1:]
+    p = 2
+    # g is square-free, so any prime dividing neither lc(g) nor disc(g) stops
+    # the search: modulo it every root of g is simple.
+    while True:
+        if g[-1] % p and is_prime(p):
+            residues = _roots_mod(g, p)
+            if all(_eval_mod(dg, r, p) for r in residues):
                 break
-        else:
-            return False
-    return True
+        p += 1
+    bound = max(abs(g[0]), abs(g[-1]))  # on |a| and b for every root a/b
+    for r in residues:
+        m = p
+        while m <= 2 * bound * bound:
+            m *= m
+            r = (r - _eval_mod(g, r, m) * pow(_eval_mod(dg, r, m), -1, m)) % m
+        cand = _reconstruct(r, m, bound)
+        if cand is not None and not reduce(lambda acc, c: acc * cand + c,
+                                           reversed(g), 0):
+            roots.append(cand)
+    return sorted(roots, key=lambda q: (abs(q.numerator), q.denominator, q < 0))
 
 
-def _brent_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n."""
-    for c in range(1, 100):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"factorization failed for {n}")
+def _dense(coeffs: dict) -> list:
+    """Coefficient list, lowest degree first, of {exponent: coefficient}."""
+    dense = [0] * (max(coeffs) + 1)
+    for e, c in coeffs.items():
+        dense[e] = c
+    return dense
 
 
-def _factorize(n: int) -> dict:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
-    factors: dict = {}
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        d = _brent_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return factors
+def _eval_mod(dense: list, t: int, m: int) -> int:
+    acc = 0
+    for c in reversed(dense):
+        acc = (acc * t + c) % m
+    return acc
 
 
-def _divisors(n: int) -> list:
-    """Positive divisors of n >= 1 in increasing order."""
-    if n < 1:
-        raise ValueError("divisors of a nonpositive integer")
-    divs = [1]
-    for p, e in _factorize(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
+def _roots_mod(dense: list, p: int) -> list:
+    """Residues t in [0, p), ascending, where the polynomial vanishes mod p."""
+    return [t for t in range(p) if not _eval_mod(dense, t, p)]
+
+
+def _primitive(f: list) -> list:
+    content = gcd(*f) or 1  # gcd() of the empty list is 0
+    return [c // content for c in f]
+
+
+def _pseudo_divmod(a: list, b: list) -> tuple:
+    """q, r with lc(b)^k * a = q * b + r and deg r < deg b, over the
+    integers, so that no fraction ever appears."""
+    a, q = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(a) - len(b), -1, -1):
+        c = a[k + len(b) - 1]
+        a = [b[-1] * x for x in a]
+        q = [b[-1] * x for x in q]
+        q[k] = c
+        for i, bi in enumerate(b):
+            a[k + i] -= c * bi
+    rem = a[:len(b) - 1]
+    while rem and not rem[-1]:
+        rem.pop()
+    return q, rem
+
+
+def _squarefree_part(f: list) -> list:
+    """f / gcd(f, f') as a primitive integer polynomial: the roots of f,
+    each simple.  The gcd comes from the primitive remainder sequence."""
+    a, b = f, [e * c for e, c in enumerate(f)][1:]
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    return _primitive(_pseudo_divmod(f, a)[0])
+
+
+def _reconstruct(r: int, m: int, bound: int):
+    """The fraction a/b with |a|, b <= bound and a = r*b mod m, or None.
+
+    Extended Euclid on (m, r), stopped at the first remainder <= bound; the
+    answer is unique when m > 2 * bound^2 (P. S. Wang, 1981).
+    """
+    r0, r1, s0, s1 = m, r, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return Fraction(r1, s1) if abs(s1) <= bound else None

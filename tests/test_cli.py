@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -220,6 +221,30 @@ def test_refusals_exit_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "oracle", QUADRIC, "--prime", "5")
     assert code == 3
     assert "over the cap of 10" in err
+
+
+def test_symbolic_search_over_fp_respects_the_point_cap(capsys, monkeypatch,
+                                                         tmp_path):
+    # the univariate root scan visits the 102 points of P^1(F_101)
+    spec = tmp_path / "quadric_f101.json"
+    spec.write_text(json.dumps({"ambient_dim": 3, "field": {"prime": 101},
+                                "equations": ["x0*x3 - x1*x2"]}))
+    argv = ("conics", str(spec), "--x", "1,0,0,0", "--y", "0,0,0,1")
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setenv("CCV_POINT_CAP", "50")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert "P^1(F_101) has 102 points, over the cap of 50" in err
+
+
+def test_huge_prime_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "conics", FERMAT4, "--x", "1,-1,0,0,0",
+                             "--y", "0,1,-1,0,0", "--prime",
+                             str(2**61 - 1), "--count-only")
+    assert (code, out) == (2, "")
+    assert "below 2^31" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_point_cap_env_is_validated(capsys, monkeypatch):

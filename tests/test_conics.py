@@ -121,6 +121,19 @@ def test_finite_field_mode_agrees_with_symbolic(quadric):
         assert any("exhaustive scan" in note for note in ff.notes)
 
 
+@pytest.mark.parametrize("q", [7, 11])
+def test_symbolic_search_over_fq_matches_the_brute_force_scan(two_quadrics, q):
+    x = qpt(1, 0, 0, 0, 0, 0, 0)
+    y = qpt(0, 0, 0, 0, 0, 0, 1)
+    red = reduce_variety_mod(two_quadrics, q)
+    xq, yq = (qpt(*pt.coords, field=GF(q)) for pt in (x, y))
+    symbolic = find_singular_conics(red, xq, yq)
+    brute = find_singular_conics(two_quadrics, x, y, prime=q)
+    assert (symbolic.mode, brute.mode) == ("symbolic", "finite-field")
+    assert ({str(s.vertex) for s in symbolic.solutions}
+            == {str(s.vertex) for s in brute.solutions})
+
+
 def test_finite_field_mode_needs_a_large_enough_prime(fermat4):
     with pytest.raises(PrimeTooSmall, match="below the top degree 3"):
         find_singular_conics(fermat4, qpt(1, -1, 0, 0, 0),

@@ -16,6 +16,13 @@ def test_gf_requires_prime_modulus():
     GF(97)
 
 
+def test_gf_refuses_moduli_from_2_to_the_31():
+    assert GF(2**31 - 1).p == 2**31 - 1
+    for big in (2**31, 2**61 - 1, 10**30 + 57):
+        with pytest.raises(ValueError, match="below 2\\^31"):
+            GF(big)
+
+
 def test_gf_is_cached():
     assert GF(5) is GF(5)
     assert GF(5) == GF(5)

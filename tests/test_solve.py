@@ -1,5 +1,6 @@
 """Exact point enumeration for zero-dimensional systems and rational roots."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,47 @@ def test_rational_roots_factors_large_semiprime():
     # trailing coefficient far beyond trial-division range
     n = 1000003 * 1000033
     assert rational_roots({1: 1, 0: -n}) == [n]
+
+
+def _times(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def test_rational_roots_find_exactly_the_planted_roots():
+    # products of (b*t - a) with 40-bit a, b, some squared, times 100-bit
+    # content, irreducible quadratics and a power of t
+    rng = random.Random(20111)
+    for _ in range(60):
+        planted = set()
+        f = [rng.getrandbits(100) | 1 << 99]
+        for _ in range(rng.randint(1, 4)):
+            root = Fraction(rng.choice((1, -1)) * rng.getrandbits(40),
+                            rng.getrandbits(40) | 1)
+            planted.add(root)
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                f = _times(f, [-root.numerator, root.denominator])
+        for _ in range(rng.randint(0, 2)):
+            # b^2 < 4ac: no real roots
+            f = _times(f, [rng.randint(1, 50), rng.randint(-1, 1),
+                           rng.randint(1, 50)])
+        if rng.random() < 0.5:
+            planted.add(Fraction(0))
+            f = _times(f, [0] * rng.randint(1, 3) + [1])
+        roots = rational_roots({e: c for e, c in enumerate(f) if c})
+        assert roots == sorted(planted, key=lambda q: (
+            abs(q.numerator), q.denominator, q < 0))
+
+
+def test_rational_roots_order_and_highly_divisible_content():
+    # the constant term has 71 * 41 divisors at each end
+    c = 2**70 * 3**40
+    assert rational_roots({2: 2 * c, 1: c, 0: -c}) == [
+        Fraction(-1), Fraction(1, 2)]
+    assert rational_roots({2: 4, 0: -1}) == [Fraction(1, 2), Fraction(-1, 2)]
 
 
 def test_vertex_system_points():
