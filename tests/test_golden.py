@@ -38,6 +38,12 @@ CASES.update({
                           "1,0,0,0", "--json"), None),
     "lines-quadric3_p4": (("lines", _spec("quadric3_p4"), "--point",
                            "1,0,0,0,0", "--json"), None),
+    "lines-fermat_cubic_p4": (("lines", _spec("fermat_cubic_p4"), "--point",
+                               "1,-1,0,0,0", "--json"), None),
+    "lines-fermat_cubic_p5": (("lines", _spec("fermat_cubic_p5"), "--point",
+                               "3,4,5,-6,0,0", "--json"), None),
+    "lines-two_quadrics_p6": (("lines", _spec("two_quadrics_p6"), "--point",
+                               E0_P6, "--json"), None),
     "conics-quadric_p3": (("conics", _spec("quadric_p3"), "--x", "1,0,0,0",
                            "--y", "0,0,0,1", "--json"), None),
     "conics-two_quadrics_p6": (("conics", _spec("two_quadrics_p6"),
