@@ -18,9 +18,8 @@ from .groebner import (IdealSummary, groebner_basis,
 from .solve import projective_rational_solutions, rational_roots
 from .variety import (Candidate, ClassificationReport, Criterion,
                       CriterionReport, Finding, VarietySpec, build_variety,
-                      classify_line_family, criteria_report,
-                      jacobian_rank_at, load_variety, over_prime,
-                      point_on_variety, reduce_point_mod,
+                      classify_line_family, criteria_report, load_variety,
+                      over_prime, point_on_variety, reduce_point_mod,
                       reduce_variety_mod, variety_dimension)
 from .linelocus import (LineLocus, LinesReport, line_locus,
                         lines_dimension_report)
@@ -47,7 +46,7 @@ __all__ = [
     "projective_rational_solutions", "rational_roots",
     "Candidate", "ClassificationReport", "Criterion", "CriterionReport",
     "Finding", "VarietySpec", "build_variety", "classify_line_family",
-    "criteria_report", "jacobian_rank_at", "load_variety", "over_prime",
+    "criteria_report", "load_variety", "over_prime",
     "point_on_variety", "reduce_point_mod", "reduce_variety_mod",
     "variety_dimension",
     "LineLocus", "LinesReport", "line_locus", "lines_dimension_report",

@@ -20,7 +20,7 @@ from .ffutil import (DEFAULT_POINT_CAP, check_point_budget,
                      require_line_safe, zero_set)
 from .linalg import kernel_basis, matrix_rank
 from .poly import Polynomial, ProjectivePoint, expand_line_pencil
-from .groebner import IdealSummary, groebner_basis, ideal_dimension_and_degree
+from .groebner import IdealSummary, ideal_dimension_and_degree
 from .solve import projective_rational_solutions
 from .variety import (VarietySpec, over_prime, point_on_variety,
                       variety_dimension)
@@ -52,8 +52,7 @@ class ConicSystem:
     def summary(self) -> IdealSummary:
         """Dimension and degree of the system, from one grevlex basis
         computed on first use."""
-        return ideal_dimension_and_degree(
-            self.generators, basis=groebner_basis(self.generators))
+        return ideal_dimension_and_degree(self.generators)
 
     def to_json(self) -> dict:
         return {
@@ -78,21 +77,11 @@ def conic_system(variety: VarietySpec, x: ProjectivePoint,
     for label, pt in (("x", x), ("y", y)):
         if not point_on_variety(variety, pt):
             raise ValueError(f"{label} = {pt} does not lie on {variety.name}")
-    gens = []
-    seen = set()
-
-    def push(poly):
-        if not poly.is_zero() and poly not in seen:
-            seen.add(poly)
-            gens.append(poly)
-
-    for eq in variety.equations:
-        for cond in expand_line_pencil(eq, x):
-            push(cond)
-    for eq in variety.equations:
-        for cond in expand_line_pencil(eq, y)[:-1]:
-            push(cond)
-    return ConicSystem(x, y, tuple(gens), len(variety.equations))
+    at_x = [c for eq in variety.equations for c in expand_line_pencil(eq, x)]
+    at_y = [c for eq in variety.equations
+            for c in expand_line_pencil(eq, y)[:-1]]
+    gens = tuple(dict.fromkeys(c for c in at_x + at_y if c))
+    return ConicSystem(x, y, gens, len(variety.equations))
 
 
 def line_equations(a: ProjectivePoint, b: ProjectivePoint):

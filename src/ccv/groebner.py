@@ -10,19 +10,22 @@ polynomials sorted by ascending leading monomial.
 separate textbook implementation over field scalars, so a basis produced by
 the integer engine can be checked by code that shares none of its internals.
 
-Dimension and degree of a homogeneous ideal come from the leading-term ideal:
-affine dimension as the largest variable subset meeting no leading support,
-degree through the Hilbert series numerator (variable-pivot recursion on the
-monomial ideal, then exact division by the right power of 1-t).
+Dimension and degree of a homogeneous ideal both come from the Hilbert
+series N(t)/(1-t)^nvars of its leading-term ideal, whose numerator is found
+by a variable-pivot recursion on the monomial ideal.  The pole order at t = 1
+is the affine dimension: N is divided by 1-t while N(1) = 0, and what is
+left, evaluated at 1, is the degree (Bayer and Stillman, "Computation of
+Hilbert functions", J. Symbolic Comput. 14, 1992).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
 
-from .fields import QQ, FieldMismatchError
+from .fields import FieldMismatchError
 from .poly import Polynomial, grevlex_key
 
 __all__ = [
@@ -330,49 +333,31 @@ class IdealSummary:
     degree: int | None
 
 
-def ideal_dimension_and_degree(polys, key=grevlex_key,
-                               basis=None) -> IdealSummary:
+def ideal_dimension_and_degree(polys, key=grevlex_key) -> IdealSummary:
     """Dimension and degree of the projective scheme cut out by the ideal.
 
-    Generators should be homogeneous; pass ``basis`` to reuse a Groebner
-    basis already computed for ``key``.
+    Generators should be homogeneous; one Groebner basis for ``key`` is
+    computed and its leading monomials give both numbers.
     """
     polys = list(polys)
-    if not polys and not basis:
-        raise ValueError("no generators and no basis")
-    nvars = polys[0].nvars if polys else basis[0].nvars
-    polys = [p for p in polys if not p.is_zero()]
-    if basis is None:
-        basis = groebner_basis(polys, key=key)
-    if not basis:
-        return IdealSummary(nvars - 1, 1)  # zero ideal: the whole space
-    lts = _minimalize_monos([g.leading_monomial(key) for g in basis])
+    if not polys:
+        raise ValueError("no generators")
+    nvars = polys[0].nvars
+    lts = _minimalize_monos(
+        [g.leading_monomial(key) for g in groebner_basis(polys, key=key)])
     if (0,) * nvars in lts:
         return IdealSummary(-1, None)  # unit ideal
-    affine_dim = _affine_dimension(lts, nvars)
+    coeffs = _hilbert_numerator(tuple(sorted(lts)), nvars, {})
+    affine_dim = nvars
+    while sum(coeffs) == 0:  # N(1) = 0: N/(1-t) is the partial sums
+        coeffs = tuple(accumulate(coeffs))[:-1]
+        affine_dim -= 1
     if affine_dim == 0:
         return IdealSummary(-1, None)  # cone is just the origin
-    numerator = _hilbert_numerator(tuple(sorted(lts)), nvars, {})
-    coeffs = numerator
-    for _ in range(nvars - affine_dim):
-        coeffs = _divide_one_minus_t(coeffs)
     degree = sum(coeffs)
     if degree <= 0:
         raise ArithmeticError("Hilbert computation produced a bad degree")
     return IdealSummary(affine_dim - 1, degree)
-
-
-def _affine_dimension(lts, nvars: int) -> int:
-    """Largest number of variables containing no leading-term support."""
-    supports = [sum(1 << i for i, e in enumerate(m) if e) for m in lts]
-    best = 0
-    for mask in range(1 << nvars):
-        size = mask.bit_count()
-        if size <= best:
-            continue
-        if all(s & ~mask for s in supports):
-            best = size
-    return best
 
 
 def _minimalize_monos(monos):
@@ -453,14 +438,3 @@ def _poly_add(a, b):
     a = a + (0,) * (n - len(a))
     b = b + (0,) * (n - len(b))
     return tuple(x + y for x, y in zip(a, b))
-
-
-def _divide_one_minus_t(coeffs):
-    acc = 0
-    sums = []
-    for c in coeffs:
-        acc += c
-        sums.append(acc)
-    if sums and sums[-1] != 0:
-        raise ArithmeticError("numerator not divisible by 1 - t")
-    return tuple(sums[:-1])

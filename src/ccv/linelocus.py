@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .poly import ProjectivePoint, expand_line_pencil
-from .groebner import IdealSummary, groebner_basis, ideal_dimension_and_degree
+from .groebner import IdealSummary, ideal_dimension_and_degree
 from .variety import (VarietySpec, ClassificationReport, classify_line_family,
                       point_on_variety, variety_dimension)
 
@@ -43,17 +43,9 @@ def line_locus(variety: VarietySpec, point: ProjectivePoint) -> LineLocus:
     """
     if not point_on_variety(variety, point):
         raise ValueError(f"{point} does not lie on {variety.name}")
-    gens = []
-    seen = set()
-    for eq in variety.equations:
-        for cond in expand_line_pencil(eq, point):
-            if cond.is_zero() or cond in seen:
-                continue
-            seen.add(cond)
-            gens.append(cond)
-    basis = groebner_basis(gens)
-    summary = ideal_dimension_and_degree(gens, basis=basis)
-    return LineLocus(point, tuple(gens), summary)
+    gens = tuple(dict.fromkeys(c for eq in variety.equations
+                               for c in expand_line_pencil(eq, point) if c))
+    return LineLocus(point, gens, ideal_dimension_and_degree(gens))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ Variables are x0, x1, ... both in code (``Polynomial.variable``) and in text
 
 from __future__ import annotations
 
+from math import comb
 from types import MappingProxyType
 
 from .fields import QQ, FieldMismatchError, exact_str
@@ -246,12 +247,7 @@ class Polynomial:
     def leading_coefficient(self, key=grevlex_key):
         return self._terms[self.leading_monomial(key)]
 
-    def monic(self, key=grevlex_key) -> "Polynomial":
-        if not self._terms:
-            return self
-        return self / self.leading_coefficient(key)
-
-    # evaluation and substitution
+    # evaluation and specialization
 
     def evaluate(self, values):
         """Value at a point; ``values`` is a full-length scalar sequence."""
@@ -266,58 +262,6 @@ class Polynomial:
                     term = term * v
             total = total + term
         return total
-
-    def derivative(self, index: int) -> "Polynomial":
-        terms = {}
-        for mono, coeff in self._terms.items():
-            e = mono[index]
-            if not e:
-                continue
-            new = list(mono)
-            new[index] = e - 1
-            coeff = coeff * self.field(e)
-            if coeff:
-                terms[tuple(new)] = terms.get(tuple(new), self.field.zero) + coeff
-                if not terms[tuple(new)]:
-                    del terms[tuple(new)]
-        return Polynomial._make(self.nvars, self.field, terms)
-
-    def substitute(self, replacements):
-        """Substitute polynomials for variables: {index: Polynomial}.
-
-        All replacement polynomials must live in one common ring; the result
-        lives there too.  Untouched variables must exist in that ring at the
-        same index.
-        """
-        if not replacements:
-            raise ValueError("no substitutions given")
-        target = next(iter(replacements.values()))
-        images = []
-        for i in range(self.nvars):
-            if i in replacements:
-                img = replacements[i]
-                _check_same_ring(target, img)
-            else:
-                img = Polynomial.variable(i, target.nvars, target.field)
-            images.append(img)
-        result = Polynomial.zero(target.nvars, target.field)
-        powers = [{0: Polynomial.constant(1, target.nvars, target.field)}
-                  for _ in range(self.nvars)]
-        for mono, coeff in self._terms.items():
-            term = Polynomial.constant(coeff, target.nvars, target.field)
-            for i, e in enumerate(mono):
-                if not e:
-                    continue
-                cache = powers[i]
-                if e not in cache:
-                    best = max(k for k in cache if k <= e)
-                    acc = cache[best]
-                    for k in range(best + 1, e + 1):
-                        acc = acc * images[i]
-                        cache[k] = acc
-                term = term * cache[e]
-            result = result + term
-        return result
 
     def specialize(self, assignments) -> "Polynomial":
         """Fix some variables to scalars: {index: value}.  Ring unchanged."""
@@ -415,12 +359,13 @@ class ProjectivePoint:
 def expand_line_pencil(hypersurface: Polynomial, point: ProjectivePoint):
     """Coefficients of G restricted to lines through a point of {G = 0}.
 
-    For G homogeneous of degree d with G(p) = 0, substitute x = u*c + v*p
-    (c the moving second point, u,v pencil parameters) and collect by powers
-    of v.  The coefficient of u^(d-k) v^k is a degree-k form C_k(c); the list
-    [C_1, ..., C_d] is returned with the ambient ring restored (pencil
-    variables dropped).  C_d equals G itself, and the line through p and c
-    lies in {G = 0} exactly when all C_k vanish at c.
+    For G homogeneous of degree d and p with G(p) = 0, write
+    G(c + t*p) = sum_k C_k(c) * t^(d-k), where C_k is a form of degree k in
+    the moving point c.  Each term of G is expanded binomially, only in the
+    coordinates where p is nonzero, and bucketed by its degree in c.  The
+    list [C_1, ..., C_d] is returned (C_0 = G(p) = 0).  C_d equals G itself,
+    and the line through p and c lies in {G = 0} exactly when all C_k vanish
+    at c.
     """
     n = hypersurface.nvars
     if len(point.coords) != n:
@@ -431,22 +376,20 @@ def expand_line_pencil(hypersurface: Polynomial, point: ProjectivePoint):
         raise ValueError("need a nonzero homogeneous polynomial")
     d = hypersurface.degree()
     field = hypersurface.field
-    big = n + 2  # ambient variables, then u, then v
-    u = Polynomial.variable(n, big, field)
-    v = Polynomial.variable(n + 1, big, field)
-    replacements = {}
-    for i in range(n):
-        ci = Polynomial.variable(i, big, field)
-        replacements[i] = u * ci + v * Polynomial.constant(point.coords[i], big, field)
-    expanded = hypersurface.substitute(replacements)
-    buckets = [dict() for _ in range(d + 1)]
-    for mono, coeff in expanded.terms.items():
-        k = mono[n + 1]
-        buckets[k][mono[:n]] = coeff
-    if buckets[d]:
+    moving = [(i, c) for i, c in enumerate(point.coords) if c]
+    buckets = [{} for _ in range(d + 1)]  # by degree in c
+    for mono, coeff in hypersurface.terms.items():
+        expanded = [(mono, coeff)]
+        for i, p_i in moving:
+            e = mono[i]
+            if e:  # (c_i + t*p_i)^e, keeping c_i^(e-j) and the scalar
+                expanded = [(m[:i] + (e - j,) + m[i + 1:],
+                             c * comb(e, j) * p_i ** j)
+                            for m, c in expanded for j in range(e + 1)]
+        for m, c in expanded:
+            bucket = buckets[sum(m)]
+            bucket[m] = bucket.get(m, field.zero) + c
+    if buckets[0].get((0,) * n):
         raise ValueError("base point not on hypersurface")
-    out = []
-    for k in range(1, d + 1):
-        # v-exponent d-k terms carry exactly k moving-point factors
-        out.append(Polynomial.from_terms(buckets[d - k], n, field))
-    return out
+    return [Polynomial.from_terms(buckets[k], n, field)
+            for k in range(1, d + 1)]

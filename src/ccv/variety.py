@@ -20,10 +20,9 @@ from math import factorial
 from pathlib import Path
 
 from .fields import QQ, GF, exact_str, field_from_spec
-from .linalg import matrix_rank
 from .parser import parse_polynomial
 from .poly import Polynomial, ProjectivePoint
-from .groebner import groebner_basis, ideal_dimension_and_degree
+from .groebner import ideal_dimension_and_degree
 
 __all__ = [
     "VarietySpec",
@@ -31,7 +30,6 @@ __all__ = [
     "load_variety",
     "variety_dimension",
     "point_on_variety",
-    "jacobian_rank_at",
     "reduce_variety_mod",
     "reduce_point_mod",
     "over_prime",
@@ -180,8 +178,7 @@ def load_variety(source) -> VarietySpec:
 
 @lru_cache(maxsize=64)
 def _computed_summary(variety: VarietySpec):
-    basis = groebner_basis(variety.equations)
-    return ideal_dimension_and_degree(variety.equations, basis=basis)
+    return ideal_dimension_and_degree(variety.equations)
 
 
 def variety_dimension(variety: VarietySpec):
@@ -198,21 +195,6 @@ def point_on_variety(variety: VarietySpec, point: ProjectivePoint) -> bool:
     if len(point.coords) != variety.nvars:
         raise ValueError("point does not live in the variety's ambient space")
     return all(not eq.evaluate(point.coords) for eq in variety.equations)
-
-
-def jacobian_rank_at(variety: VarietySpec, point: ProjectivePoint) -> int:
-    """Rank of the Jacobian of the defining equations at a point of X.
-
-    Equals the codimension at a smooth point of a scheme-theoretic cut.
-    Scaling-invariant because each gradient is homogeneous.
-    """
-    if not point_on_variety(variety, point):
-        raise ValueError(f"{point} does not lie on {variety.name}")
-    rows = []
-    for eq in variety.equations:
-        rows.append([eq.derivative(j).evaluate(point.coords)
-                     for j in range(variety.nvars)])
-    return matrix_rank(rows, variety.field.one)
 
 
 def reduce_variety_mod(variety: VarietySpec, p: int) -> VarietySpec:

@@ -120,6 +120,7 @@ def test_conics_prime_mismatch_exits_2(capsys, tmp_path):
 
 def test_conics_builds_the_system_and_basis_once(capsys, monkeypatch):
     import ccv.conics
+    import ccv.groebner
     calls = []
     inside = []
 
@@ -136,8 +137,8 @@ def test_conics_builds_the_system_and_basis_once(capsys, monkeypatch):
     system = counted("system", ccv.conics.conic_system)
     for module in (ccv.conics, ccv.cli):
         monkeypatch.setattr(module, "conic_system", system)
-    monkeypatch.setattr(ccv.conics, "groebner_basis",
-                        counted("basis", ccv.conics.groebner_basis))
+    monkeypatch.setattr(ccv.groebner, "groebner_basis",
+                        counted("basis", ccv.groebner.groebner_basis))
     monkeypatch.setattr(ccv.cli, "count_conics",
                         counted("count", ccv.conics.count_conics))
     argv = ["conics", QUADRIC, "--x", "1,0,0,0", "--y", "0,0,0,1", "--json"]

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -145,11 +146,44 @@ def test_unit_and_zero_ideal_conventions():
         ideal_dimension_and_degree([])
 
 
-def test_summary_reuses_supplied_basis():
-    gens = twisted_cubic()
-    basis = groebner_basis(gens)
-    assert ideal_dimension_and_degree(gens, basis=basis) \
-        == ideal_dimension_and_degree(gens)
+def _reference_dimension(monomials, nvars):
+    """(projective dimension, number of top-dimensional coordinate
+    subspaces) of a monomial ideal, by searching variable subsets: the
+    subspace where only the variables in S are nonzero lies in the zero set
+    exactly when every generator uses a variable outside S."""
+    for size in range(nvars, 0, -1):
+        hits = [s for s in combinations(range(nvars), size)
+                if all(any(e and i not in s for i, e in enumerate(m))
+                       for m in monomials)]
+        if hits:
+            return size - 1, len(hits)
+    return -1, 0
+
+
+def test_dimension_matches_a_subset_search_on_monomial_ideals():
+    rng = random.Random(4021)
+    cases = [(3, [(0, 0, 0)]),                       # unit ideal
+             (4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                  (0, 0, 0, 1)]),                    # the origin
+             (5, [])]                                # zero ideal
+    for _ in range(150):
+        nvars = rng.randint(2, 8)
+        top = rng.choice([1, 3])  # squarefree ideals half the time
+        cases.append((nvars, [
+            tuple(rng.randint(0, top) if rng.random() < 0.4 else 0
+                  for _ in range(nvars))
+            for _ in range(rng.randint(1, 5))]))
+    for nvars, monomials in cases:
+        gens = [Polynomial.from_terms({m: 1}, nvars) for m in monomials]
+        summary = ideal_dimension_and_degree(
+            gens or [Polynomial.zero(nvars)])
+        dim, components = _reference_dimension(monomials, nvars)
+        assert summary.projective_dimension == dim, monomials
+        if dim < 0:
+            assert summary.degree is None
+        elif all(e <= 1 for m in monomials for e in m):
+            # a squarefree ideal is reduced: one per top component
+            assert summary.degree == components, monomials
 
 
 def _random_ideal(rng, nvars):

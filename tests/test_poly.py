@@ -1,5 +1,6 @@
 """Sparse polynomials, monomial orders, projective points, pencil expansion."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -85,19 +86,6 @@ def test_evaluate():
     assert q.evaluate([F(2), F(1)]) == F(0)
 
 
-def test_derivative():
-    p = P("x0^3 + x0*x1", 2)
-    assert p.derivative(0) == P("3*x0^2 + x1", 2)
-    assert p.derivative(1) == P("x0", 2)
-    assert P("x1", 2).derivative(0).is_zero()
-
-
-def test_substitute_polynomials():
-    p = P("x0^2 + x1", 2)
-    s = p.substitute({0: P("x0 + x1", 2)})
-    assert s == P("x0^2 + 2*x0*x1 + x1^2 + x1", 2)
-
-
 def test_specialize_scalars():
     p = P("x0*x3 - x1*x2", 4)
     assert p.specialize({0: QQ(1)}) == P("x3 - x1*x2", 4)
@@ -108,7 +96,6 @@ def test_monic_and_leading_data():
     p = P("2*x0*x3 - 2*x1*x2", 4)
     assert p.leading_monomial() == (0, 1, 1, 0)
     assert p.leading_coefficient() == -2
-    assert p.monic().leading_coefficient() == 1
     assert p.leading_monomial(lex_key) == (1, 0, 0, 1)
 
 
@@ -178,6 +165,50 @@ def test_pencil_conditions_vanish_at_base_point():
     point = qpt(3, 4, 5, -6, 0)
     for cond in expand_line_pencil(G, point):
         assert cond.evaluate(list(point.coords)) == 0
+
+
+def _random_form_through(rng, field, nvars, degree, point):
+    """Random homogeneous form of the given degree vanishing at point."""
+    terms = {}
+    for _ in range(rng.randint(3, 8)):
+        mono = [0] * nvars
+        for _ in range(degree):
+            mono[rng.randrange(nvars)] += 1
+        terms[tuple(mono)] = field(rng.randint(-9, 9))
+    form = Polynomial.from_terms(terms, nvars, field)
+    j = next(i for i, c in enumerate(point.coords) if c)
+    power = tuple(degree if i == j else 0 for i in range(nvars))
+    shift = form.evaluate(point.coords) / point.coords[j] ** degree
+    return form - Polynomial.from_terms({power: shift}, nvars, field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "F101"])
+def test_pencil_expands_the_restriction_to_each_line(field):
+    """G(c + t*p) = sum_k C_k(c) * t^(d-k), at random c and t."""
+    rng = random.Random(20261018)
+    checked = 0
+    while checked < 12:
+        nvars = rng.randint(4, 6)
+        coords = [0] * nvars
+        for i in rng.sample(range(nvars), rng.randint(3, nvars)):
+            coords[i] = rng.choice([-7, -3, -2, -1, 1, 2, 5, 11])
+        point = ProjectivePoint([field(c) for c in coords], field)
+        d = rng.randint(1, 4)
+        G = _random_form_through(rng, field, nvars, d, point)
+        if G.is_zero():
+            continue
+        conditions = expand_line_pencil(G, point)
+        assert len(conditions) == d
+        assert conditions[-1] == G
+        for _ in range(3):
+            c = [field(rng.randint(-20, 20)) for _ in range(nvars)]
+            t = field(rng.randint(-20, 20))
+            line_point = [ci + t * pi for ci, pi in zip(c, point.coords)]
+            expected = sum((C.evaluate(c) * t ** (d - k)
+                            for k, C in enumerate(conditions, start=1)),
+                           field.zero)
+            assert G.evaluate(line_point) == expected
+        checked += 1
 
 
 def test_pencil_rejects_base_point_off_hypersurface():

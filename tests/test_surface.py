@@ -1,0 +1,48 @@
+"""The public surface of ccv and the functions the per-layer trace wraps.
+
+Every name in a module's ``__all__`` must resolve.  ``perfbench/spans.py``
+wraps ccv functions by (module, name) when a benchmark runs with
+``--trace 1``; a rename inside ccv would break that run without failing
+any other test, so each wrapped name is checked here.
+"""
+
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import ccv
+
+MODULES = ["ccv"] + sorted(f"ccv.{m.name}"
+                           for m in pkgutil.iter_modules(ccv.__path__))
+SPANS_FILE = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _traced_functions():
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  SPANS_FILE)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    # the tracer wraps enumerate_points besides the SPANS table
+    return sorted(spans.SPANS) + [("ffutil", "enumerate_points")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    exported = module.__all__
+    assert exported, f"{name} exports nothing"
+    missing = [attr for attr in exported if not hasattr(module, attr)]
+    assert not missing, f"{name}.__all__ names missing objects: {missing}"
+
+
+def test_every_traced_function_exists():
+    traced = _traced_functions()
+    assert ("poly", "expand_line_pencil") in traced
+    missing = [
+        (mod, fn) for mod, fn in traced
+        if not callable(getattr(importlib.import_module(f"ccv.{mod}"), fn,
+                                None))]
+    assert not missing, f"perfbench/spans.py wraps missing functions: {missing}"

@@ -1,12 +1,13 @@
 """Variety specs, the criteria engine, and the line-family classifier."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from ccv import (GF, QQ, ProjectivePoint, build_variety, classify_line_family,
-                 criteria_report, jacobian_rank_at, load_variety,
+                 criteria_report, load_variety,
                  over_prime, parse_polynomial, point_on_variety,
                  reduce_point_mod, reduce_variety_mod, variety_dimension)
 from ccv.variety import VarietySpec, _computed_summary
@@ -97,16 +98,6 @@ def test_point_membership(quadric):
         point_on_variety(quadric, qpt(1, 0, 0, 0, field=GF(5)))
     with pytest.raises(ValueError, match="ambient"):
         point_on_variety(quadric, qpt(1, 0, 0))
-
-
-def test_jacobian_rank(quadric):
-    # the quadric is smooth: full rank at every point
-    assert jacobian_rank_at(quadric, qpt(1, 0, 0, 0)) == 1
-    cone = build_variety({"ambient_dim": 3, "equations": ["x0*x2 - x1^2"]})
-    assert jacobian_rank_at(cone, qpt(1, 0, 0, 0)) == 1
-    assert jacobian_rank_at(cone, qpt(0, 0, 0, 1)) == 0  # the cone vertex
-    with pytest.raises(ValueError, match="does not lie on"):
-        jacobian_rank_at(cone, qpt(1, 1, 0, 0))
 
 
 def test_reduction_mod_p(quadric):
@@ -243,6 +234,20 @@ def test_dimension_computed_only_on_demand():
     assert report.dimension is None
     assert report.dimension_source is None
     assert report.codimension is None
+
+
+def test_dimension_of_a_large_quadric_is_computed_quickly():
+    # a smooth quadric in P^27 with no claimed dimension
+    equation = " + ".join(f"x{2 * i}*x{2 * i + 1}" for i in range(14))
+    spec = build_variety({"ambient_dim": 27, "equations": [equation],
+                          "smooth": True, "scheme_theoretic": True})
+    _computed_summary.cache_clear()
+    t0 = time.perf_counter()
+    report = criteria_report(spec)
+    elapsed = time.perf_counter() - t0
+    assert (report.dimension, report.dimension_source) == (26, "computed")
+    assert report.codimension == 1
+    assert elapsed < 2.0, f"took {elapsed:.2f} s"
 
 
 def test_degree_one_equations_disable_count_consistency():
