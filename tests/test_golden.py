@@ -30,6 +30,13 @@ def _spec(name: str) -> str:
     return f"varieties/{name}.json"
 
 
+def _boundary(name: str, n: int, *options) -> tuple:
+    """``conics --json`` between the first and the last coordinate point."""
+    x = ",".join("1" if i == 0 else "0" for i in range(n + 1))
+    y = ",".join("1" if i == n else "0" for i in range(n + 1))
+    return ("conics", _spec(name), "--x", x, "--y", y) + options + ("--json",)
+
+
 # name -> (argv, CCV_POINT_CAP or None)
 CASES = {f"check-{name}": (("check", _spec(name), "--json"), None)
          for name in SPECS}
@@ -78,6 +85,15 @@ CASES.update({
     "refuse-conics-point-cap": (("conics", _spec("quadric_p3"), "--x",
                                  "1,0,0,0", "--y", "0,0,0,1", "--prime", "5",
                                  "--json"), "100"),
+    # boundary complete intersections 2*sum(d) - c = N from the benchmark
+    # generator (seed 1), between x = e_0 and y = e_N
+    "conics-ci_2_2_p6": (_boundary("ci_2_2_p6", 6), None),
+    "conics-ci_3_p5": (_boundary("ci_3_p5", 5), None),
+    "conics-ci_2_2_2_p9": (_boundary("ci_2_2_2_p9", 9), None),
+    "conics-ci_3_2_p8-count": (_boundary("ci_3_2_p8", 8, "--count-only"),
+                               None),
+    "conics-ci_4_p7-count-fp": (_boundary("ci_4_p7", 7, "--count-only",
+                                          "--prime", "32003"), None),
     # the README examples, as text
     "readme-check": (("check", _spec("quadric_p3")), None),
     "readme-lines": (("lines", _spec("quadric3_p4"), "--point",
