@@ -3,12 +3,27 @@
 The Buchberger engine keeps integer coefficients internally: content-free
 with positive leading coefficient over the rationals (no Fraction churn),
 monic residues modulo p.  Pair selection is normal strategy (smallest lcm
-first) with the coprime-lm and chain criteria.  Public results are monic
-polynomials sorted by ascending leading monomial.
+first, ties by pair index) with the coprime-lm and chain criteria.  Public
+results are monic polynomials sorted by ascending leading monomial.
+
+Inside :func:`groebner_basis` a monomial is one Python int with a
+fixed-width field per exponent, whose top bit is a guard.  Grevlex lays out
+x_N ... x_0 from the top field down and subtracts the total degree above
+them, so a smaller int is a larger monomial; lex lays out x_0 ... x_N, so a
+larger int is larger.  A product is ``+``, a quotient ``-``, and b divides a
+exactly when ``(a - b) & guards`` is 0 (a field that borrows sets its guard
+bit).  Division pops monomials off a heap (Monagan and Pearce, "Sparse
+polynomial division using a heap", J. Symbolic Comput. 46, 2011): each
+monomial is pushed once, cancelled terms are skipped when popped, and the
+divisor's leading term, which always cancels, is never formed.  Basis
+exponents and reduction multipliers must stay below 2^_HALF, half the
+field, which keeps every sum below the guard bits; anything larger raises
+:class:`ExponentOverflow` rather than risk a wrong basis.
 
 :func:`normal_form`, :func:`s_polynomial`, and :func:`verify_groebner` are a
-separate textbook implementation over field scalars, so a basis produced by
-the integer engine can be checked by code that shares none of its internals.
+separate textbook implementation over tuple monomials and field scalars, so
+a basis produced by the packed engine can be checked by code that shares
+none of its internals.
 
 Dimension and degree of a homogeneous ideal both come from the Hilbert
 series N(t)/(1-t)^nvars of its leading-term ideal, whose numerator is found
@@ -22,24 +37,79 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 from math import gcd
+from operator import or_
 
 from .fields import FieldMismatchError
-from .poly import Polynomial, grevlex_key
+from .ffutil import OracleRefusal
+from .poly import Polynomial, grevlex_key, lex_key
 
 __all__ = [
     "groebner_basis",
     "normal_form",
     "s_polynomial",
     "verify_groebner",
+    "ExponentOverflow",
     "IdealSummary",
     "ideal_dimension_and_degree",
 ]
 
+_WIDTH = 44  # bits per exponent field, the top one a guard
+_HALF = _WIDTH // 2  # basis exponents and multipliers stay below 2^_HALF
+
+
+class ExponentOverflow(OracleRefusal):
+    """An exponent would not fit the packed monomial fields (a refusal, so
+    the command line exits 3 as for every other one)."""
+
+
+def _overflow(what):
+    raise ExponentOverflow(f"{what} has an exponent of 2^{_HALF} or more, "
+                           "past the packed monomial fields")
+
 
 def _divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
+
+
+# packed-integer engine -----------------------------------------------------
+
+class _Packing:
+    """Layout of exponent tuples as ints for grevlex or lex (see the module
+    docstring).  ``down`` is 1 when a smaller int is a larger monomial and
+    -1 otherwise, so ``down * m`` is a min-heap priority, largest first."""
+
+    def __init__(self, nvars: int, graded: bool):
+        self.graded = graded
+        self.down = 1 if graded else -1
+        self.top = _WIDTH * nvars
+        self.offsets = tuple(_WIDTH * (i if graded else nvars - 1 - i)
+                             for i in range(nvars))
+        ones = sum(1 << o for o in self.offsets)
+        self.guards = ones << (_WIDTH - 1)
+        self.overflow = ones * ((1 << _WIDTH) - (1 << _HALF))
+        self.mask = (1 << _WIDTH) - 1
+
+    def pack(self, mono) -> int:
+        if mono and max(mono) >> _HALF:
+            _overflow("a generator")
+        m = sum(e << o for e, o in zip(mono, self.offsets))
+        return m - (sum(mono) << self.top) if self.graded else m
+
+    def unpack(self, m: int) -> tuple:
+        return tuple((m >> o) & self.mask for o in self.offsets)
+
+    def terms(self, poly: Polynomial, mod) -> dict:
+        """{packed monomial: int} from a polynomial, denominators cleared."""
+        if mod is None:
+            denom = 1
+            for c in poly.terms.values():
+                denom = denom * c.denominator // gcd(denom, c.denominator)
+            return {self.pack(m): int(c * denom)
+                    for m, c in poly.terms.items()}
+        return {self.pack(m): c.value for m, c in poly.terms.items()}
 
 
 def _common_ring(polys):
@@ -53,158 +123,156 @@ def _common_ring(polys):
     return nvars, field
 
 
-# integer-coefficient internals -------------------------------------------
-
-def _int_terms(poly: Polynomial, mod):
-    """Plain {monomial: int} dict from a polynomial, denominators cleared."""
-    if mod is None:
-        denom = 1
-        for c in poly.terms.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        return {m: int(c * denom) for m, c in poly.terms.items()}
-    return {m: c.value for m, c in poly.terms.items()}
-
-
-def _normalize(terms, mod, key):
-    """Content 1 and positive leading coefficient (mod None), or monic."""
+def _normalize(terms, mod):
+    """Content 1 and positive leading coefficient (mod None), or monic.
+    The terms run from the leading monomial down, as :func:`_reduce` makes
+    them."""
     if not terms:
         return terms
+    lead = terms[next(iter(terms))]
     if mod is None:
         content = gcd(*terms.values())
-        if terms[max(terms, key=key)] < 0:
+        if lead < 0:
             content = -content
         if content != 1:
             terms = {m: c // content for m, c in terms.items()}
         return terms
-    lead = terms[max(terms, key=key)]
     if lead != 1:
         inv = pow(lead, mod - 2, mod)
         terms = {m: c * inv % mod for m, c in terms.items()}
     return terms
 
 
-def _entry(terms, key):
-    lm = max(terms, key=key)
-    return (lm, terms[lm], terms)
+def _entry(terms, packing):
+    """(lm, lc, tail, terms) of a new basis element."""
+    if reduce(or_, terms) & packing.overflow:
+        _overflow("a basis element")
+    items = iter(terms.items())
+    lm, lc = next(items)
+    return (lm, lc, list(items), terms)
 
 
-def _reduce(f, entries, key, mod):
+def _reduce(f, entries, packing, mod):
     """Remainder of f on division by the entries, never leaving the integers.
 
     Over the rationals the whole partial result is rescaled whenever a
     reduction step needs it (fraction-free division); mod p the divisors are
-    monic so no rescaling happens.  The remainder is not normalized here.
+    monic, so no rescaling happens and residues are only reduced when their
+    monomial comes off the heap.  The remainder runs from its leading
+    monomial down and is not normalized here.
     """
+    down, guards = packing.down, packing.guards
     work = dict(f)
+    heap = [down * m for m in work]
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
     rem = {}
-    while work:
-        mono = max(work, key=key)
-        hit = None
-        for lm, lc, terms in entries:
-            if _divides(lm, mono):
-                hit = (lm, lc, terms)
-                break
-        if hit is None:
-            rem[mono] = work.pop(mono)
+    while heap:
+        mono = down * pop(heap)
+        coeff = work.pop(mono)
+        if mod is not None:
+            coeff %= mod
+        if not coeff:
             continue
-        lm, lc, terms = hit
-        coeff = work[mono]
+        for lm, lc, tail, _ in entries:
+            shift = mono - lm
+            if not shift & guards:
+                break
+        else:
+            rem[mono] = coeff
+            continue
+        if shift & packing.overflow:
+            _overflow("a reduction multiplier")
         if mod is None:
             g = gcd(coeff, lc)
             mult = lc // g
-            q = coeff // g
+            q = -(coeff // g)
             if mult != 1:
                 for m in work:
                     work[m] *= mult
                 for m in rem:
                     rem[m] *= mult
         else:
-            q = coeff  # divisor is monic
-        shift = tuple(a - b for a, b in zip(mono, lm))
-        for m2, c2 in terms.items():
-            m = tuple(a + b for a, b in zip(m2, shift))
-            acc = work.get(m, 0) - q * c2
-            if mod is not None:
-                acc %= mod
-            if acc:
-                work[m] = acc
+            q = mod - coeff  # divisor is monic
+        for m2, c2 in tail:
+            m = m2 + shift
+            c = work.get(m)
+            if c is None:
+                work[m] = q * c2
+                push(heap, down * m)
             else:
-                work.pop(m, None)
+                work[m] = c + q * c2
     return rem
 
 
-def _spair(ei, ej, key, mod):
-    """S-polynomial of two entries as an integer term dict."""
-    lmi, lci, ti = ei
-    lmj, lcj, tj = ej
-    lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
+def _spair(ei, ej, lcm, mod):
+    """S-polynomial of two entries as an integer term dict.  The leading
+    terms cancel and are left out; zero and unreduced coefficients are left
+    for :func:`_reduce`."""
+    lmi, lci, taili, _ = ei
+    lmj, lcj, tailj, _ = ej
     if mod is None:
         g = gcd(lci, lcj)
         ci, cj = lcj // g, lci // g
     else:
         ci = cj = 1  # both monic
-    si = tuple(a - b for a, b in zip(lcm, lmi))
-    sj = tuple(a - b for a, b in zip(lcm, lmj))
-    s = {}
-    for m, c in ti.items():
-        mm = tuple(a + b for a, b in zip(m, si))
-        s[mm] = s.get(mm, 0) + ci * c
-    for m, c in tj.items():
-        mm = tuple(a + b for a, b in zip(m, sj))
-        acc = s.get(mm, 0) - cj * c
-        if mod is not None:
-            acc %= mod
-        if acc:
-            s[mm] = acc
-        else:
-            s.pop(mm, None)
-    if mod is not None:
-        s = {m: c % mod for m, c in s.items() if c % mod}
-    else:
-        s = {m: c for m, c in s.items() if c}
+    si, sj = lcm - lmi, lcm - lmj
+    s = {m + si: ci * c for m, c in taili}
+    for m, c in tailj:
+        m += sj
+        s[m] = s.get(m, 0) - cj * c
     return s
 
 
-def _is_unit(terms, nvars) -> bool:
-    return len(terms) == 1 and (0,) * nvars in terms
-
-
 def groebner_basis(polys, key=grevlex_key):
-    """Reduced Groebner basis (monic, ascending leading monomials)."""
+    """Reduced Groebner basis (monic, ascending leading monomials).
+
+    ``key`` is :func:`~ccv.poly.grevlex_key` or :func:`~ccv.poly.lex_key`;
+    any other order raises ValueError.  Refuses with
+    :class:`ExponentOverflow` if an exponent would outgrow its packed field.
+    """
+    if key is not grevlex_key and key is not lex_key:
+        raise ValueError("groebner_basis supports grevlex_key and lex_key")
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return []
     nvars, field = _common_ring(polys)
     mod = field.p if field.is_prime_field else None
     one = [Polynomial.constant(1, nvars, field)]
+    packing = _Packing(nvars, key is grevlex_key)
+    down, guards = packing.down, packing.guards
 
     entries = []
+    exps = []  # exponent tuple of each entry's leading monomial
     for p in sorted(polys, key=lambda q: key(q.leading_monomial(key))):
-        r = _normalize(_reduce(_int_terms(p, mod), entries, key, mod), mod, key)
+        r = _normalize(_reduce(packing.terms(p, mod), entries, packing, mod),
+                       mod)
         if not r:
             continue
-        if _is_unit(r, nvars):
+        if len(r) == 1 and 0 in r:
             return one
-        entries.append(_entry(r, key))
+        entries.append(_entry(r, packing))
+        exps.append(packing.unpack(entries[-1][0]))
+
+    def push_pairs(k):
+        for t in range(k):
+            lcm = packing.pack(tuple(map(max, exps[t], exps[k])))
+            heapq.heappush(heap, (-down * lcm, t, k, lcm))
+            pending.add((t, k))
 
     heap = []
     pending = set()
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            lcm = tuple(max(a, b) for a, b in zip(entries[i][0], entries[j][0]))
-            heapq.heappush(heap, (key(lcm), i, j))
-            pending.add((i, j))
+    for k in range(len(entries)):
+        push_pairs(k)
 
     while heap:
-        _, i, j = heapq.heappop(heap)
+        _, i, j, lcm = heapq.heappop(heap)
         pending.discard((i, j))
-        lmi, lmj = entries[i][0], entries[j][0]
-        lcm = tuple(max(a, b) for a, b in zip(lmi, lmj))
-        if all(a + b == c for a, b, c in zip(lmi, lmj, lcm)):
+        if lcm == entries[i][0] + entries[j][0]:
             continue  # coprime leading monomials
         skip = False
         for t in range(len(entries)):
-            if t in (i, j) or not _divides(entries[t][0], lcm):
+            if t in (i, j) or (lcm - entries[t][0]) & guards:
                 continue
             a = (min(i, t), max(i, t))
             b = (min(j, t), max(j, t))
@@ -213,26 +281,22 @@ def groebner_basis(polys, key=grevlex_key):
                 break
         if skip:
             continue
-        r = _normalize(_reduce(_spair(entries[i], entries[j], key, mod),
-                               entries, key, mod), mod, key)
+        r = _normalize(_reduce(_spair(entries[i], entries[j], lcm, mod),
+                               entries, packing, mod), mod)
         if not r:
             continue
-        if _is_unit(r, nvars):
+        if len(r) == 1 and 0 in r:
             return one
-        k = len(entries)
-        entries.append(_entry(r, key))
-        for t in range(k):
-            lcm = tuple(max(a, b) for a, b in zip(entries[t][0], entries[k][0]))
-            heapq.heappush(heap, (key(lcm), t, k))
-            pending.add((t, k))
+        entries.append(_entry(r, packing))
+        exps.append(packing.unpack(entries[-1][0]))
+        push_pairs(len(entries) - 1)
 
-    # minimalize: keep only entries with minimal leading monomials
-    order = sorted(range(len(entries)), key=lambda t: key(entries[t][0]))
+    # minimalize: keep only minimal leading monomials, in ascending order
     kept = []
-    for t in order:
-        if not any(_divides(entries[s][0], entries[t][0]) for s in kept):
-            kept.append(t)
-    entries = [entries[t] for t in kept]
+    for e in sorted(entries, key=lambda e: -down * e[0]):
+        if all((e[0] - k[0]) & guards for k in kept):
+            kept.append(e)
+    entries = kept
 
     # inter-reduce tails until nothing changes
     changed = True
@@ -240,20 +304,14 @@ def groebner_basis(polys, key=grevlex_key):
         changed = False
         for t in range(len(entries)):
             others = entries[:t] + entries[t + 1 :]
-            r = _normalize(_reduce(dict(entries[t][2]), others, key, mod),
-                           mod, key)
-            if r != entries[t][2]:
-                entries[t] = _entry(r, key)
+            r = _normalize(_reduce(entries[t][3], others, packing, mod), mod)
+            if r != entries[t][3]:
+                entries[t] = _entry(r, packing)
                 changed = True
 
-    out = []
-    for lm, lc, terms in sorted(entries, key=lambda e: key(e[0])):
-        if mod is None:
-            coeffs = {m: field(c) / field(lc) for m, c in terms.items()}
-        else:
-            coeffs = {m: field(c) for m, c in terms.items()}
-        out.append(Polynomial.from_terms(coeffs, nvars, field))
-    return out
+    return [Polynomial.from_terms(
+        {packing.unpack(m): field(c) / field(lc) for m, c in terms.items()},
+        nvars, field) for _, lc, _, terms in entries]
 
 
 # field-scalar checking layer ----------------------------------------------
@@ -285,7 +343,6 @@ def normal_form(f: Polynomial, basis, key=grevlex_key) -> Polynomial:
 
 def s_polynomial(f: Polynomial, g: Polynomial, key=grevlex_key) -> Polynomial:
     """S-polynomial (lcm/lt(f)) f - (lcm/lt(g)) g."""
-    _common_ring([f, g])
     lmf, lmg = f.leading_monomial(key), g.leading_monomial(key)
     lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
     mf = Polynomial.from_terms(

@@ -243,3 +243,16 @@ def test_criterion_8_groebner_kernel_properties():
     report(8, elapsed, 60.0,
            "20 randomized ideals: S-polynomials reduce to zero, normal form "
            "idempotent, grevlex/lex membership agrees")
+
+
+def test_criterion_9_quartic_count_over_fp(capsys):
+    t0 = time.perf_counter()
+    doc = run_json(capsys, "conics", str(VARIETIES / "ci_4_p7.json"),
+                   "--x", "1,0,0,0,0,0,0,0", "--y", "0,0,0,0,0,0,0,1",
+                   "--count-only", "--prime", "32003")
+    elapsed = time.perf_counter() - t0
+    assert doc["count"]["ideal_degree"] == 144
+    assert doc["count"]["formula_value"] == 144    # 4! * 3!
+    assert doc["count"]["matches_formula"] is True
+    report(9, elapsed, 5.0,
+           "quartic in P^7 over F_32003: degree 144 = 4!*3!")

@@ -224,6 +224,23 @@ def test_refusals_exit_3(capsys, monkeypatch):
     assert "over the cap of 10" in err
 
 
+def test_exponent_overflow_exits_3(capsys, tmp_path):
+    # the dimension needs a grevlex basis whose exponents outgrow the
+    # packed monomial fields: refused, never answered
+    spec = tmp_path / "binomials.json"
+    spec.write_text(json.dumps({
+        "ambient_dim": 3, "field": "rational", "smooth": True,
+        "scheme_theoretic": True,
+        "equations": ["x0^999999*x1 - x2^1000000",
+                      "x0*x1^999999 - x3^1000000"]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "check", str(spec), "--json")
+    assert (code, out) == (3, "")
+    assert err.startswith("refused: ")
+    assert "packed monomial fields" in err
+    assert time.perf_counter() - start < 5
+
+
 def test_symbolic_search_over_fp_respects_the_point_cap(capsys, monkeypatch,
                                                          tmp_path):
     # the univariate root scan visits the 102 points of P^1(F_101)

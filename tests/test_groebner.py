@@ -6,9 +6,11 @@ from itertools import combinations
 
 import pytest
 
-from ccv import (GF, QQ, Polynomial, groebner_basis, grevlex_key,
-                 ideal_dimension_and_degree, lex_key, normal_form,
-                 parse_polynomial, s_polynomial, verify_groebner)
+import ccv.groebner
+from ccv import (GF, QQ, OracleRefusal, Polynomial, groebner_basis,
+                 grevlex_key, ideal_dimension_and_degree, lex_key,
+                 normal_form, parse_polynomial, s_polynomial, verify_groebner)
+from ccv.parser import MAX_EXPONENT
 
 
 def P(text, nvars, field=QQ):
@@ -186,22 +188,23 @@ def test_dimension_matches_a_subset_search_on_monomial_ideals():
             assert summary.degree == components, monomials
 
 
-def _random_ideal(rng, nvars):
+def _random_ideal(rng, nvars, field=QQ, homogeneous=False):
     gens = []
     for _ in range(rng.randint(2, 4)):
+        degree = rng.randint(1, 3) if homogeneous else None
         terms = {}
         for _ in range(rng.randint(1, 4)):
             mono = [0] * nvars
-            for _ in range(rng.randint(0, 3)):
+            for _ in range(degree or rng.randint(0, 3)):
                 mono[rng.randrange(nvars)] += 1
             coeff = rng.choice([-3, -2, -1, 1, 2, 3])
             mono = tuple(mono)
             terms[mono] = terms.get(mono, 0) + coeff
         poly = Polynomial.from_terms(
-            {m: Fraction(c) for m, c in terms.items() if c}, nvars)
+            {m: field(c) for m, c in terms.items() if c}, nvars, field)
         if not poly.is_zero():
             gens.append(poly)
-    return gens or [Polynomial.variable(0, nvars)]
+    return gens or [Polynomial.variable(0, nvars, field)]
 
 
 def test_randomized_corpus_properties():
@@ -223,3 +226,74 @@ def test_randomized_corpus_properties():
             assert nf_g.is_zero() == nf_l.is_zero()
             assert normal_form(nf_g, basis_g) == nf_g
         seen += 1
+
+
+# the packed engine against the field-scalar layer
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "F101"])
+def test_engine_cross_check(field, monkeypatch):
+    """Seeded ideals, homogeneous or not: each basis is a reduced Groebner
+    basis by the field-scalar checks, and both orders give one ideal.  On
+    homogeneous input in grevlex, normal strategy takes the S-pairs in
+    order of non-decreasing lcm degree."""
+    lcms = []
+    spair = ccv.groebner._spair
+
+    def spy(ei, ej, lcm, mod):
+        lcms.append(lcm)
+        return spair(ei, ej, lcm, mod)
+
+    monkeypatch.setattr(ccv.groebner, "_spair", spy)
+    rng = random.Random(f"engine-2:{field}")
+    for trial in range(80):
+        nvars = rng.randint(2, 5)
+        homogeneous = trial % 2 == 0
+        gens = _random_ideal(rng, nvars, field, homogeneous)
+        bases = {}
+        for key in (grevlex_key, lex_key):
+            lcms.clear()
+            basis = groebner_basis(gens, key=key)
+            if homogeneous and key is grevlex_key:
+                packing = ccv.groebner._Packing(nvars, graded=True)
+                degrees = [sum(packing.unpack(m)) for m in lcms]
+                assert degrees == sorted(degrees), trial
+            assert verify_groebner(basis, key, generators=gens), (trial, key)
+            leads = [g.leading_monomial(key) for g in basis]
+            ranks = [key(m) for m in leads]
+            assert ranks == sorted(ranks)
+            assert all(g.leading_coefficient(key) == field.one for g in basis)
+            for g in basis:
+                for lm in leads:
+                    if lm != g.leading_monomial(key):
+                        assert not any(all(a <= b for a, b in zip(lm, m))
+                                       for m in g.terms), (trial, key)
+            bases[key] = basis
+        for key, other in ((grevlex_key, lex_key), (lex_key, grevlex_key)):
+            assert all(normal_form(g, bases[other], other).is_zero()
+                       for g in bases[key]), trial
+
+
+def test_generator_at_the_exponent_limit_is_its_own_basis():
+    for field in (QQ, GF(101)):
+        f = Polynomial.from_terms(
+            {(MAX_EXPONENT, 0, 0): field(1),
+             (0, 1, MAX_EXPONENT - 1): field(-2)}, 3, field)
+        for key in (grevlex_key, lex_key):
+            assert groebner_basis([f], key=key) == [f]
+
+
+def test_exponents_past_the_packed_fields_are_refused():
+    limit = 2 ** ccv.groebner._HALF
+    f = Polynomial.from_terms({(limit, 0): 1, (0, 1): 1}, 2)
+    with pytest.raises(OracleRefusal, match="a generator"):
+        groebner_basis([f])
+    # x0 - x2^(D^2) is the basis; substituting x1 = x2^D grows the
+    # multiplier past the field before it gets there
+    gens = [P(f"x0 - x1^{MAX_EXPONENT}", 3), P(f"x1 - x2^{MAX_EXPONENT}", 3)]
+    with pytest.raises(OracleRefusal, match="multiplier"):
+        groebner_basis(gens, key=lex_key)
+
+
+def test_other_orders_are_rejected():
+    with pytest.raises(ValueError):
+        groebner_basis(twisted_cubic(), key=lambda m: m)
