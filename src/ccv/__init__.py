@@ -7,8 +7,7 @@ prod(d! (d-1)!), classify line-family dimensions, and cross-check
 everything with a brute-force finite-field oracle.
 """
 
-from .fields import (QQ, GF, FieldMismatchError, FpElement, exact_str,
-                     field_from_spec)
+from .fields import QQ, GF, FieldMismatchError, FpElement, field_from_spec
 from .parser import ParseError, parse_polynomial
 from .poly import (Polynomial, ProjectivePoint, expand_line_pencil,
                    grevlex_key, lex_key)
@@ -35,8 +34,7 @@ from .ffutil import DEFAULT_POINT_CAP
 __version__ = "0.1.0"
 
 __all__ = [
-    "QQ", "GF", "FieldMismatchError", "FpElement", "exact_str",
-    "field_from_spec",
+    "QQ", "GF", "FieldMismatchError", "FpElement", "field_from_spec",
     "ParseError", "parse_polynomial",
     "Polynomial", "ProjectivePoint",
     "expand_line_pencil", "grevlex_key", "lex_key",

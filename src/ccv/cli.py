@@ -15,7 +15,7 @@ import os
 import sys
 
 from .conics import (conic_system, count_conics, find_singular_conics)
-from .fields import FieldMismatchError, exact_str
+from .fields import FieldMismatchError
 from .ffutil import DEFAULT_POINT_CAP, OracleRefusal
 from .oracle import cc_census
 from .linelocus import line_locus, lines_dimension_report
@@ -117,32 +117,23 @@ def _parse_point(text: str, variety) -> ProjectivePoint:
     return ProjectivePoint([variety.field(p) for p in parts], variety.field)
 
 
+# the echoed run configuration, in the order of the text line; the keys
+# other than subcommand, input and point_cap are option names
+_CONFIG_KEYS = ("subcommand", "input", "point", "x", "y", "count_only",
+                "prime", "pairs", "seed", "n", "c", "a", "delta", "index",
+                "point_cap")
+
+
 def _run_config(args, cap: int) -> dict:
-    return {
-        "subcommand": args.command,
-        "input": getattr(args, "variety", None),
-        "point": getattr(args, "point", None),
-        "x": getattr(args, "x", None),
-        "y": getattr(args, "y", None),
-        "count_only": getattr(args, "count_only", None),
-        "prime": getattr(args, "prime", None),
-        "pairs": getattr(args, "pairs", None),
-        "seed": getattr(args, "seed", None),
-        "n": getattr(args, "n", None),
-        "c": getattr(args, "c", None),
-        "a": getattr(args, "a", None),
-        "delta": getattr(args, "delta", None),
-        "index": getattr(args, "index", None),
-        "point_cap": cap,
-        "json": args.json,
-    }
+    config = {key: getattr(args, key, None) for key in _CONFIG_KEYS}
+    config.update(subcommand=args.command,
+                  input=getattr(args, "variety", None),
+                  point_cap=cap, json=args.json)
+    return config
 
 
 def _config_line(config: dict) -> str:
-    shown = [f"{k}={config[k]}" for k in
-             ("subcommand", "input", "point", "x", "y", "count_only",
-              "prime", "pairs", "seed", "n", "c", "a", "delta", "index",
-              "point_cap")
+    shown = [f"{k}={config[k]}" for k in _CONFIG_KEYS
              if config[k] is not None]
     return "config: " + " ".join(shown)
 
@@ -312,10 +303,9 @@ def _cmd_oracle(args, cap: int) -> tuple:
     lines.append(f"pairs connected: {stats.pairs_connected}")
     lines.append(f"pairs with a non-degenerate conic: "
                  f"{stats.pairs_with_nondegenerate}")
-    lines.append(f"connected fraction: "
-                 f"{exact_str(stats.connected_fraction)}")
+    lines.append(f"connected fraction: {stats.connected_fraction}")
     lines.append(f"non-degenerate fraction: "
-                 f"{exact_str(stats.nondegenerate_fraction)}")
+                 f"{stats.nondegenerate_fraction}")
     for vertices, pairs in stats.histogram:
         lines.append(f"  {vertices} non-degenerate vertex(es): "
                      f"{pairs} pair(s)")

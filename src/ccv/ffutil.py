@@ -9,10 +9,9 @@ point sweeps cheap enough to use as ground truth.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
-from .fields import FpElement
+from .fields import GF
 
 __all__ = [
     "OracleRefusal",
@@ -23,7 +22,6 @@ __all__ = [
     "check_point_budget",
     "require_line_safe",
     "enumerate_points",
-    "scalar_mod",
     "compile_mod_evaluator",
     "zero_set",
 ]
@@ -75,31 +73,16 @@ def enumerate_points(n: int, p: int):
             yield head + tail
 
 
-def scalar_mod(value, p: int) -> int:
-    """Reduce an exact scalar to its residue in [0, p)."""
-    if isinstance(value, FpElement):
-        if value.p != p:
-            raise ValueError(f"F_{value.p} scalar reduced modulo {p}")
-        return value.value
-    if isinstance(value, Fraction):
-        if value.denominator % p == 0:
-            raise ZeroDivisionError(
-                f"denominator of {value} vanishes modulo {p}")
-        return value.numerator * pow(value.denominator, p - 2, p) % p
-    if isinstance(value, int):
-        return value % p
-    raise TypeError(f"cannot reduce {value!r} modulo {p}")
-
-
 def compile_mod_evaluator(poly, p: int):
     """Compile a polynomial to a fast function (int tuple) -> residue.
 
     The generated code is a single arithmetic expression; small exponents
     are unrolled into repeated products, large ones call three-argument pow.
     """
+    field = GF(p)
     parts = []
     for mono, coeff in poly.terms.items():
-        c = scalar_mod(coeff, p)
+        c = field(coeff).value
         if c == 0:
             continue
         factors = [str(c)]

@@ -20,7 +20,6 @@ __all__ = [
     "PrimeField",
     "FieldMismatchError",
     "field_from_spec",
-    "exact_str",
     "is_prime",
 ]
 
@@ -252,10 +251,3 @@ def field_from_spec(spec):
     if isinstance(spec, dict) and set(spec) == {"prime"}:
         return GF(spec["prime"])
     raise ValueError(f"unrecognized field spec {spec!r}")
-
-
-def exact_str(value) -> str:
-    """Render an exact scalar ("5", "5/2", F_p residue) for reports."""
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return str(value.numerator)
-    return str(value)

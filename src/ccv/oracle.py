@@ -24,11 +24,9 @@ from fractions import Fraction
 from functools import cache
 
 from .conics import ConicSolution, solution_from_vertex
-from .fields import exact_str
 from .ffutil import (DEFAULT_POINT_CAP, OracleRefusal, PointCapExceeded,
                      PrimeTooSmall, check_point_budget, compile_mod_evaluator,
-                     enumerate_points, require_line_safe, scalar_mod,
-                     zero_set)
+                     enumerate_points, require_line_safe, zero_set)
 from .poly import ProjectivePoint
 from .variety import VarietySpec, point_on_variety
 
@@ -54,24 +52,30 @@ def _field_prime(variety: VarietySpec) -> int:
     return variety.field.p
 
 
-def _as_tuple(point, p: int) -> tuple:
-    """Canonical coordinate tuple mod p (first nonzero entry 1)."""
+def _as_tuple(point, field) -> tuple:
+    """Canonical residue tuple (first nonzero entry 1) of a point given as
+    a ProjectivePoint or by its coordinates."""
     coords = point.coords if isinstance(point, ProjectivePoint) else point
-    vals = [scalar_mod(c, p) for c in coords]
-    for v in vals:
-        if v:
-            inv = pow(v, p - 2, p)
-            return tuple((inv * w) % p for w in vals)
-    raise ValueError("the zero vector is not a projective point")
+    return tuple(c.value for c in ProjectivePoint(coords, field).coords)
 
 
 def _compiled(variety: VarietySpec, p: int):
     return [compile_mod_evaluator(eq, p) for eq in variety.equations]
 
 
+def _canonical(vals, p: int) -> tuple:
+    """A nonzero residue vector scaled so its first nonzero entry is 1; in
+    plain ints, since the census canonicalizes every point of every cone
+    line."""
+    for v in vals:
+        if v:
+            inv = pow(v, p - 2, p)
+            return tuple((inv * w) % p for w in vals)
+
+
 def _line_points(a: tuple, b: tuple, p: int):
     """The p + 1 canonical points of the line through distinct a, b."""
-    pts = [_as_tuple([(ai + t * bi) % p for ai, bi in zip(a, b)], p)
+    pts = [_canonical([(ai + t * bi) % p for ai, bi in zip(a, b)], p)
            for t in range(p)]
     pts.append(b)
     return pts
@@ -89,8 +93,8 @@ def line_in_variety(variety: VarietySpec, a, b) -> bool:
     """Whether the line through two distinct points lies on the variety."""
     p = _field_prime(variety)
     require_line_safe(variety.degrees, p)
-    at = _as_tuple(a, p)
-    bt = _as_tuple(b, p)
+    at = _as_tuple(a, variety.field)
+    bt = _as_tuple(b, variety.field)
     if at == bt:
         raise ValueError("two coincident points do not span a line")
     return _line_on(_compiled(variety, p), p, at, bt)
@@ -118,7 +122,7 @@ def _in_enumeration_order(points) -> tuple:
 
 def _base_point(variety: VarietySpec, point, label: str) -> tuple:
     """Canonical tuple of a point checked to lie on the variety."""
-    pt = _as_tuple(point, variety.field.p)
+    pt = _as_tuple(point, variety.field)
     if not point_on_variety(variety, ProjectivePoint(pt, variety.field)):
         raise ValueError(f"{label} {list(pt)} does not lie on "
                          f"{variety.name}")
@@ -229,8 +233,8 @@ class OracleStats:
             "pairs_with_nondegenerate": self.pairs_with_nondegenerate,
             "histogram": [{"vertices": k, "pairs": v}
                           for k, v in self.histogram],
-            "connected_fraction": exact_str(self.connected_fraction),
-            "nondegenerate_fraction": exact_str(self.nondegenerate_fraction),
+            "connected_fraction": str(self.connected_fraction),
+            "nondegenerate_fraction": str(self.nondegenerate_fraction),
             "notes": list(self.notes),
         }
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import comb
 from types import MappingProxyType
 
-from .fields import QQ, FieldMismatchError, exact_str
+from .fields import QQ, FieldMismatchError
 
 __all__ = [
     "Polynomial",
@@ -50,43 +50,34 @@ class Polynomial:
 
     Construct via the classmethods (:meth:`zero`, :meth:`constant`,
     :meth:`variable`, :meth:`from_terms`) or arithmetic; the raw constructor
-    trusts its input.
+    trusts its input and keeps the ``terms`` dict it is given.
     """
 
     __slots__ = ("nvars", "field", "_terms", "_hash")
 
-    def __init__(self, nvars: int, field, terms):
-        self.nvars = nvars
-        self.field = field
-        self._terms = dict(terms)
-        self._hash = None
-
-    @classmethod
-    def _make(cls, nvars, field, terms):
-        self = object.__new__(cls)
+    def __init__(self, nvars: int, field, terms: dict):
         self.nvars = nvars
         self.field = field
         self._terms = terms
         self._hash = None
-        return self
 
     @classmethod
     def zero(cls, nvars: int, field=QQ) -> "Polynomial":
-        return cls._make(nvars, field, {})
+        return cls(nvars, field, {})
 
     @classmethod
     def constant(cls, value, nvars: int, field=QQ) -> "Polynomial":
         value = field(value)
         if not value:
             return cls.zero(nvars, field)
-        return cls._make(nvars, field, {(0,) * nvars: value})
+        return cls(nvars, field, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, index: int, nvars: int, field=QQ) -> "Polynomial":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
         mono = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls._make(nvars, field, {mono: field.one})
+        return cls(nvars, field, {mono: field.one})
 
     @classmethod
     def from_terms(cls, terms, nvars: int, field=QQ) -> "Polynomial":
@@ -98,7 +89,7 @@ class Polynomial:
             coeff = field(coeff)
             if coeff:
                 acc[mono] = coeff
-        return cls._make(nvars, field, acc)
+        return cls(nvars, field, acc)
 
     @property
     def terms(self):
@@ -156,37 +147,34 @@ class Polynomial:
                     terms[mono] = acc
                 else:
                     del terms[mono]
-        return Polynomial._make(self.nvars, self.field, terms)
+        return Polynomial(self.nvars, self.field, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._make(
+        return Polynomial(
             self.nvars, self.field,
             {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, Polynomial):
             return self + (-other)
-        return self + (-self._as_scalar(other))
+        return self + (-self.field(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def _as_scalar(self, value):
-        return self.field(value)
-
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             try:
-                scalar = self._as_scalar(other)
+                scalar = self.field(other)
             except FieldMismatchError:
                 raise
             except (TypeError, ValueError):
                 return NotImplemented
             if not scalar:
                 return Polynomial.zero(self.nvars, self.field)
-            return Polynomial._make(
+            return Polynomial(
                 self.nvars, self.field,
                 {m: c * scalar for m, c in self._terms.items()})
         _check_same_ring(self, other)
@@ -203,7 +191,7 @@ class Polynomial:
                         terms[mono] = acc
                     else:
                         del terms[mono]
-        return Polynomial._make(self.nvars, self.field, terms)
+        return Polynomial(self.nvars, self.field, terms)
 
     __rmul__ = __mul__
 
@@ -283,7 +271,7 @@ class Polynomial:
                         terms[mono] = acc
                     else:
                         del terms[mono]
-        return Polynomial._make(self.nvars, self.field, terms)
+        return Polynomial(self.nvars, self.field, terms)
 
     # rendering
 
@@ -295,7 +283,7 @@ class Polynomial:
             coeff = self._terms[mono]
             factors = [f"x{i}" + (f"^{e}" if e > 1 else "")
                        for i, e in enumerate(mono) if e]
-            cs = exact_str(coeff)
+            cs = str(coeff)
             if factors:
                 if cs == "1":
                     body = "*".join(factors)
@@ -350,7 +338,7 @@ class ProjectivePoint:
         return hash((self.field, self.coords))
 
     def __str__(self):
-        return "[" + ":".join(exact_str(c) for c in self.coords) + "]"
+        return "[" + ":".join(str(c) for c in self.coords) + "]"
 
     def __repr__(self):
         return f"ProjectivePoint({self})"

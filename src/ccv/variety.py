@@ -4,22 +4,24 @@ classification of extremal line families.
 A variety is given by homogeneous equations in P^N plus optional flags
 (claimed dimension, smoothness, scheme-theoretic cut, secant defect, Fano
 index).  The criteria engine turns the numbers (N, m, degrees, codimension)
-into verdicts on a fixed list of inequalities; every comparison is done in
-exact rational arithmetic and reported with exact values.  The classifier
-takes the abstract invariants (n, c, a) of a family of lines through a
-general point and reports consistency findings and candidate varieties.
+into verdicts on a fixed list of inequalities; one judge makes every
+comparison in exact rational arithmetic and reports the exact values.  The
+classifier takes the abstract invariants (n, c, a) of a family of lines
+through a general point and reports consistency findings and candidate
+varieties, drawn only from fixed extremal lists.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from pathlib import Path
 
-from .fields import QQ, GF, exact_str, field_from_spec
+from .fields import QQ, GF, field_from_spec
 from .parser import parse_polynomial
 from .poly import Polynomial, ProjectivePoint
 from .groebner import ideal_dimension_and_degree
@@ -216,18 +218,8 @@ def reduce_variety_mod(variety: VarietySpec, p: int) -> VarietySpec:
         if reduced.is_zero():
             raise ValueError(f"equation {eq} vanishes identically modulo {p}")
         eqs.append(reduced)
-    return VarietySpec(
-        name=variety.name,
-        ambient_dim=variety.ambient_dim,
-        field=fld,
-        equations=tuple(eqs),
-        claimed_dim=variety.claimed_dim,
-        scheme_theoretic=variety.scheme_theoretic,
-        smooth=variety.smooth,
-        secant_defect=variety.secant_defect,
-        fano_index=variety.fano_index,
-        notes=variety.notes + (f"coefficients reduced modulo {p}",),
-    )
+    return replace(variety, field=fld, equations=tuple(eqs),
+                   notes=variety.notes + (f"coefficients reduced modulo {p}",))
 
 
 def reduce_point_mod(point: ProjectivePoint, p: int) -> ProjectivePoint:
@@ -326,6 +318,23 @@ _CAVEAT = ("verdicts use only the stated numbers and flags; the geometric "
            "conclusions additionally require the variety and any chosen "
            "points to be general")
 
+_COMPARISONS = {"<=": operator.le, "==": operator.eq}
+
+
+def _judge(name: str, inequality: str, conclusion: str, sides,
+           op: str = "<=", reason: str | None = None,
+           notes: tuple = ()) -> Criterion:
+    """The verdict on ``left op right`` for ``sides = (left, right)``,
+    compared and rendered exactly; not applicable, with ``reason`` as its
+    note, when ``sides`` is None."""
+    if sides is None:
+        return Criterion(name, inequality, "not applicable",
+                         conclusion=conclusion, notes=(reason,))
+    left, right = (Fraction(side) for side in sides)
+    holds = _COMPARISONS[op](left, right)
+    return Criterion(name, inequality, "holds" if holds else "fails",
+                     str(left), str(right), op, conclusion, notes)
+
 
 def criteria_report(variety: VarietySpec) -> CriterionReport:
     """Evaluate every connectedness criterion on one variety.
@@ -346,25 +355,15 @@ def criteria_report(variety: VarietySpec) -> CriterionReport:
     def dimension():
         if not dim_cache:
             dim_cache.append(variety_dimension(variety))
-        return dim_cache[0]
-
-    def fr(x) -> str:
-        return exact_str(Fraction(x))
-
-    criteria = []
+        return dim_cache[0][0]
 
     # (a) two general points joined by a pair of lines meeting at a point
     bound_a = Fraction(N + m, 2)
-    holds_a = total <= bound_a
-    criteria.append(Criterion(
-        name="singular-conic-connected",
-        inequality="sum(d) <= (N + m)/2",
-        left=fr(total), right=fr(bound_a), op="<=",
-        verdict="holds" if holds_a else "fails",
-        conclusion=("two general points of the variety are connected by a "
-                    "singular conic: two lines in the variety meeting at a "
-                    "common point"),
-    ))
+    singular = _judge(
+        "singular-conic-connected", "sum(d) <= (N + m)/2",
+        "two general points of the variety are connected by a singular "
+        "conic: two lines in the variety meeting at a common point",
+        (total, bound_a))
 
     # (b) smooth conics through two general points
     missing_b = []
@@ -372,127 +371,78 @@ def criteria_report(variety: VarietySpec) -> CriterionReport:
         missing_b.append("the smooth flag")
     if not variety.scheme_theoretic:
         missing_b.append("the scheme-theoretic flag")
+    sides_b = None
     codim = None
     if not missing_b:
-        n_b, _src = dimension()
+        n_b = dimension()
         if n_b is None or n_b < 0:
             missing_b.append("a nonempty variety")
+        elif m < N - n_b:
+            missing_b.append("at least c equations")
         else:
             codim = N - n_b
-            if m < codim:
-                missing_b.append("at least c equations")
-    conclusion_b = ("the variety is conic-connected, through smooth conics "
-                    "as well, and is covered by lines")
-    if missing_b:
-        criteria.append(Criterion(
-            name="smooth-conic-connected",
-            inequality="sum of the c largest d <= (N + c)/2",
-            verdict="not applicable",
-            conclusion=conclusion_b,
-            notes=(f"missing: {', '.join(missing_b)}",),
-        ))
-        holds_b = False
-    else:
-        top = sum(degrees[:codim])
-        bound_b = Fraction(N + codim, 2)
-        holds_b = top <= bound_b
-        criteria.append(Criterion(
-            name="smooth-conic-connected",
-            inequality="sum of the c largest d <= (N + c)/2",
-            left=fr(top), right=fr(bound_b), op="<=",
-            verdict="holds" if holds_b else "fails",
-            conclusion=conclusion_b,
-        ))
+            sides_b = (sum(degrees[:codim]), Fraction(N + codim, 2))
+    smooth_conic = _judge(
+        "smooth-conic-connected", "sum of the c largest d <= (N + c)/2",
+        "the variety is conic-connected, through smooth conics as well, "
+        "and is covered by lines",
+        sides_b, reason=f"missing: {', '.join(missing_b)}")
 
     # (c) covered by lines, with the dimension bounds for the line family
-    holds_c = total <= N - 1
     notes_c = ()
-    if holds_c:
+    if total <= N - 1:
         notes_c = (
             f"the lines through a general point form a family of dimension "
             f">= N - 1 - sum(d) = {N - 1 - total}",
             f"the union of those lines has dimension >= N - sum(d) = "
             f"{N - total}",
         )
-    criteria.append(Criterion(
-        name="covered-by-lines",
-        inequality="sum(d) <= N - 1",
-        left=fr(total), right=fr(N - 1), op="<=",
-        verdict="holds" if holds_c else "fails",
-        conclusion="through every general point there is a line inside the variety",
-        notes=notes_c,
-    ))
+    covered = _judge(
+        "covered-by-lines", "sum(d) <= N - 1",
+        "through every general point there is a line inside the variety",
+        (total, N - 1), notes=notes_c)
 
     # (d) complete intersection version with the dimension on the right
     missing_d = []
+    sides_d = None
     if not variety.smooth:
         missing_d.append("the smooth flag")
-    n_d = None
-    if not missing_d:
-        n_d, _src = dimension()
+    else:
+        n_d = dimension()
         if n_d is None or n_d < 0:
             missing_d.append("a nonempty variety")
         elif m != N - n_d:
             missing_d.append("m == c (a complete intersection)")
-    if missing_d:
-        criteria.append(Criterion(
-            name="ci-conic-connected",
-            inequality="sum(d) <= n/2 + c",
-            verdict="not applicable",
-            conclusion="a smooth complete intersection in this range is conic-connected",
-            notes=(f"missing: {', '.join(missing_d)}",),
-        ))
-    else:
-        c_d = N - n_d
-        bound_d = Fraction(n_d, 2) + c_d
-        criteria.append(Criterion(
-            name="ci-conic-connected",
-            inequality="sum(d) <= n/2 + c",
-            left=fr(total), right=fr(bound_d), op="<=",
-            verdict="holds" if total <= bound_d else "fails",
-            conclusion="a smooth complete intersection in this range is conic-connected",
-        ))
+        else:
+            sides_d = (total, Fraction(n_d, 2) + N - n_d)
+    ci = _judge(
+        "ci-conic-connected", "sum(d) <= n/2 + c",
+        "a smooth complete intersection in this range is conic-connected",
+        sides_d, reason=f"missing: {', '.join(missing_d)}")
 
     # (e) connectedness of the defining system itself
-    criteria.append(Criterion(
-        name="few-equations-complete-intersection",
-        inequality="m <= N/2",
-        left=fr(m), right=fr(Fraction(N, 2)), op="<=",
-        verdict="holds" if m <= Fraction(N, 2) else "fails",
-        conclusion=("a smooth variety cut out scheme-theoretically by at "
-                    "most N/2 equations is a complete intersection"),
-    ))
+    few = _judge(
+        "few-equations-complete-intersection", "m <= N/2",
+        "a smooth variety cut out scheme-theoretically by at most N/2 "
+        "equations is a complete intersection",
+        (m, Fraction(N, 2)))
 
     # (f) consistency: the singular-conic bound forces 3m <= N
-    if holds_a and degrees and min(degrees) >= 2:
-        criteria.append(Criterion(
-            name="equation-count-consistency",
-            inequality="3m <= N",
-            left=fr(3 * m), right=fr(N), op="<=",
-            verdict="holds" if 3 * m <= N else "fails",
-            conclusion=("with every degree at least 2, the singular-conic "
-                        "bound already forces 3m <= N, so a smooth "
-                        "scheme-theoretic cut this small is a complete "
-                        "intersection"),
-        ))
-    else:
-        criteria.append(Criterion(
-            name="equation-count-consistency",
-            inequality="3m <= N",
-            verdict="not applicable",
-            conclusion=("with every degree at least 2, the singular-conic "
-                        "bound already forces 3m <= N, so a smooth "
-                        "scheme-theoretic cut this small is a complete "
-                        "intersection"),
-            notes=("applies when the singular-conic criterion holds and "
-                   "every degree is at least 2",),
-        ))
+    sides_f = None
+    if singular.verdict == "holds" and degrees and min(degrees) >= 2:
+        sides_f = (3 * m, N)
+    consistency = _judge(
+        "equation-count-consistency", "3m <= N",
+        "with every degree at least 2, the singular-conic bound already "
+        "forces 3m <= N, so a smooth scheme-theoretic cut this small is a "
+        "complete intersection",
+        sides_f, reason="applies when the singular-conic criterion holds "
+                        "and every degree is at least 2")
 
     # (g) boundary flags for the singular-conic bound
-    eq_bound = total == bound_a
     notes_g = ()
-    if eq_bound:
-        n_g, _src = dimension()
+    if total == bound_a:
+        n_g = dimension()
         if n_g is not None and n_g >= 0 and m == N - n_g:
             count = 1
             for d in degrees:
@@ -503,52 +453,29 @@ def criteria_report(variety: VarietySpec) -> CriterionReport:
         else:
             notes_g = ("expect finitely many singular conics through two "
                        "general points",)
-    criteria.append(Criterion(
-        name="boundary-equality",
-        inequality="sum(d) == (N + m)/2",
-        left=fr(total), right=fr(bound_a), op="==",
-        verdict="holds" if eq_bound else "fails",
-        conclusion=("the degrees meet the singular-conic bound exactly; "
-                    "only finitely many singular conics pass through two "
-                    "general points"),
-        notes=notes_g,
-    ))
+    boundary = _judge(
+        "boundary-equality", "sum(d) == (N + m)/2",
+        "the degrees meet the singular-conic bound exactly; only finitely "
+        "many singular conics pass through two general points",
+        (total, bound_a), op="==", notes=notes_g)
 
-    sharp_bound = Fraction(N + m + 1, 2)
-    criteria.append(Criterion(
-        name="boundary-sharpness",
-        inequality="sum(d) == (N + m + 1)/2",
-        left=fr(total), right=fr(sharp_bound), op="==",
-        verdict="holds" if total == sharp_bound else "fails",
-        conclusion=("the degree sum misses the singular-conic bound by the "
-                    "least possible margin; such a variety (a smooth cubic "
-                    "hypersurface in P^4, say) can be conic-connected while "
-                    "carrying no singular conic through two general points, "
-                    "so the bound is sharp"),
-    ))
+    sharpness = _judge(
+        "boundary-sharpness", "sum(d) == (N + m + 1)/2",
+        "the degree sum misses the singular-conic bound by the least "
+        "possible margin; such a variety (a smooth cubic hypersurface in "
+        "P^4, say) can be conic-connected while carrying no singular conic "
+        "through two general points, so the bound is sharp",
+        (total, Fraction(N + m + 1, 2)), op="==")
 
     # Hartshorne range: the smooth-conic bound forces 2c <= n
-    if holds_b and codim is not None:
-        n_h = N - codim
-        criteria.append(Criterion(
-            name="complete-intersection-range",
-            inequality="2c <= n",
-            left=fr(2 * codim), right=fr(n_h), op="<=",
-            verdict="holds" if 2 * codim <= n_h else "fails",
-            conclusion=("the smooth-conic bound puts the variety in the "
-                        "range n >= 2c where the Hartshorne conjecture "
-                        "predicts a complete intersection"),
-        ))
-    else:
-        criteria.append(Criterion(
-            name="complete-intersection-range",
-            inequality="2c <= n",
-            verdict="not applicable",
-            conclusion=("the smooth-conic bound puts the variety in the "
-                        "range n >= 2c where the Hartshorne conjecture "
-                        "predicts a complete intersection"),
-            notes=("applies when the smooth-conic criterion holds",),
-        ))
+    sides_h = None
+    if smooth_conic.verdict == "holds":
+        sides_h = (2 * codim, N - codim)
+    hartshorne = _judge(
+        "complete-intersection-range", "2c <= n",
+        "the smooth-conic bound puts the variety in the range n >= 2c "
+        "where the Hartshorne conjecture predicts a complete intersection",
+        sides_h, reason="applies when the smooth-conic criterion holds")
 
     dim_val, dim_src = (dim_cache[0] if dim_cache else (None, None))
     return CriterionReport(
@@ -559,7 +486,8 @@ def criteria_report(variety: VarietySpec) -> CriterionReport:
         dimension=dim_val,
         dimension_source=dim_src,
         codimension=(N - dim_val) if dim_val is not None else None,
-        criteria=tuple(criteria),
+        criteria=(singular, smooth_conic, covered, ci, few, consistency,
+                  boundary, sharpness, hartshorne),
         caveat=_CAVEAT,
     )
 
@@ -602,6 +530,25 @@ class ClassificationReport:
         }
 
 
+# the two varieties that close both the dual-defective and the high-index
+# border, by (n, c)
+_EXTREMAL = {
+    (6, 3): Candidate(
+        "grassmannian-lines-p4",
+        "Grassmannian of lines in P^4, Pluecker-embedded in P^9",
+        "dimension 6, codimension 3, dual defect 2"),
+    (10, 5): Candidate(
+        "spinor-tenfold",
+        "spinor variety of dimension 10 in P^15",
+        "dimension 10, codimension 5, dual defect 4"),
+}
+
+
+def _unlisted(key: str, n: int, c: int) -> Finding:
+    return Finding(key, "inconsistent",
+                   f"no variety in the extremal list has (n, c) = ({n}, {c})")
+
+
 def classify_line_family(n: int, c: int, a: int,
                          delta: int | None = None,
                          index: int | None = None) -> ClassificationReport:
@@ -623,14 +570,9 @@ def classify_line_family(n: int, c: int, a: int,
         raise ValueError("a < 0 means there is no line family to classify")
 
     findings = []
-    candidates: dict = {}
-
-    def add_candidate(key, name, detail):
-        candidates.setdefault(key, Candidate(key, name, detail))
-
+    candidates = []
     contact = a >= n - c
     border = 2 * a == n + c - 3
-    over_bound = 2 * a > n + c - 3
     half = Fraction(n + c - 3, 2)
 
     if contact:
@@ -638,17 +580,15 @@ def classify_line_family(n: int, c: int, a: int,
             "contact-locus", "info",
             f"a = {a} >= n - c = {n - c}: every line of the family is a "
             f"contact line, so the variety is not a complete intersection"))
-        if over_bound:
+        if 2 * a > n + c - 3:
             findings.append(Finding(
                 "family-dimension-bound", "inconsistent",
-                f"a = {a} exceeds (n + c - 3)/2 = {exact_str(half)}; no "
-                f"variety covered by lines has a family this large once "
-                f"a >= n - c"))
+                f"a = {a} exceeds (n + c - 3)/2 = {half}; no variety "
+                f"covered by lines has a family this large once a >= n - c"))
         else:
             findings.append(Finding(
                 "family-dimension-bound", "info",
-                f"a = {a} respects the bound (n + c - 3)/2 = "
-                f"{exact_str(half)}"))
+                f"a = {a} respects the bound (n + c - 3)/2 = {half}"))
         if n > 2 * c:
             findings.append(Finding(
                 "codimension-conjecture", "info",
@@ -667,41 +607,30 @@ def classify_line_family(n: int, c: int, a: int,
                 f"a >= (n + c - 2)/2 forces n >= 3c, but n = {n} < {3 * c}"))
 
     if border and contact:
-        k = c - 1
         findings.append(Finding(
             "dual-defective-border", "info",
             f"a = (n + c - 3)/2 with a >= n - c: the variety is dual "
-            f"defective with dual defect k = c - 1 = {k} and its dual has "
-            f"the same dimension"))
+            f"defective with dual defect k = c - 1 = {c - 1} and its dual "
+            f"has the same dimension"))
         if n <= 2 * c:
             if c == n - 1 and n >= 3:
-                add_candidate(
+                candidates.append(Candidate(
                     "segre-line-times-space",
                     f"Segre product of a line and a projective "
                     f"{n - 1}-space in P^{2 * n - 1}",
-                    f"dimension {n}, codimension {n - 1}, dual defect {n - 2}")
-            if (n, c) == (6, 3):
-                add_candidate(
-                    "grassmannian-lines-p4",
-                    "Grassmannian of lines in P^4, Pluecker-embedded in P^9",
-                    "dimension 6, codimension 3, dual defect 2")
-            if (n, c) == (10, 5):
-                add_candidate(
-                    "spinor-tenfold",
-                    "spinor variety of dimension 10 in P^15",
-                    "dimension 10, codimension 5, dual defect 4")
-            if not candidates:
-                findings.append(Finding(
-                    "dual-defective-border", "inconsistent",
-                    f"no variety in the extremal list has (n, c) = "
-                    f"({n}, {c})"))
+                    f"dimension {n}, codimension {n - 1}, dual defect "
+                    f"{n - 2}"))
+            elif (n, c) in _EXTREMAL:
+                candidates.append(_EXTREMAL[n, c])
+            else:
+                findings.append(_unlisted("dual-defective-border", n, c))
 
     if border and not contact and n <= 2 * c and c <= 2:
-        add_candidate(
+        candidates.append(Candidate(
             "quadric-surface",
             "smooth quadric surface in P^3",
             "dimension 2, codimension 1; the one extremal case with "
-            "a < n - c, outside the contact-line hypothesis")
+            "a < n - c, outside the contact-line hypothesis"))
 
     if index is not None:
         if index == a + 2:
@@ -715,62 +644,49 @@ def classify_line_family(n: int, c: int, a: int,
                 f"index {index} differs from a + 2 = {a + 2}; for a prime "
                 f"Fano variety covered by lines the index is a + 2"))
 
-    if index is not None and delta is not None:
-        if 2 * index >= n + delta:
+    if index is not None and delta is not None and 2 * index >= n + delta:
+        findings.append(Finding(
+            "high-index", "info",
+            f"index {index} >= (n + delta)/2 = {Fraction(n + delta, 2)}: "
+            f"only quadrics and a short list of codimension >= 3 varieties "
+            f"reach this"))
+        if c == 1:
+            candidates.append(Candidate(
+                "quadric-hypersurface",
+                f"smooth quadric hypersurface in P^{n + 1}",
+                f"dimension {n}, codimension 1, index {n}"))
+        elif c == 2:
             findings.append(Finding(
-                "high-index", "info",
-                f"index {index} >= (n + delta)/2 = "
-                f"{exact_str(Fraction(n + delta, 2))}: only quadrics and a "
-                f"short list of codimension >= 3 varieties reach this"))
-            if c == 1:
-                add_candidate(
-                    "quadric-hypersurface",
-                    f"smooth quadric hypersurface in P^{n + 1}",
-                    f"dimension {n}, codimension 1, index {n}")
-            elif c == 2:
+                "high-index", "inconsistent",
+                "no non-degenerate variety of codimension 2 reaches the "
+                "high-index range"))
+        elif n > 2 * c:
+            findings.append(Finding(
+                "high-index-codimension", "inconsistent",
+                f"the high-index range in codimension >= 3 forces n <= 2c, "
+                f"but n = {n} > {2 * c}"))
+        else:
+            findings.append(Finding(
+                "high-index-entry-locus", "info",
+                "in the high-index range, a conic-connected variety has "
+                "quadric entry loci (it is a local quadratic entry locus "
+                "variety)"))
+            if n == 2 * c:
                 findings.append(Finding(
-                    "high-index", "inconsistent",
-                    "no non-degenerate variety of codimension 2 reaches "
-                    "the high-index range"))
-            else:
-                if n > 2 * c:
-                    findings.append(Finding(
-                        "high-index-codimension", "inconsistent",
-                        f"the high-index range in codimension >= 3 forces "
-                        f"n <= 2c, but n = {n} > {2 * c}"))
+                    "high-index-border", "info",
+                    "n = 2c forces the border value a = (n + c - 3)/2; only "
+                    "two varieties close this case"))
+                if (n, c) in _EXTREMAL:
+                    candidates.append(_EXTREMAL[n, c])
                 else:
-                    findings.append(Finding(
-                        "high-index-entry-locus", "info",
-                        "in the high-index range, a conic-connected variety "
-                        "has quadric entry loci (it is a local quadratic "
-                        "entry locus variety)"))
-                    if n == 2 * c:
-                        findings.append(Finding(
-                            "high-index-border", "info",
-                            "n = 2c forces the border value a = (n + c - 3)/2; "
-                            "only two varieties close this case"))
-                        if (n, c) == (6, 3):
-                            add_candidate(
-                                "grassmannian-lines-p4",
-                                "Grassmannian of lines in P^4, "
-                                "Pluecker-embedded in P^9",
-                                "dimension 6, codimension 3, dual defect 2")
-                        elif (n, c) == (10, 5):
-                            add_candidate(
-                                "spinor-tenfold",
-                                "spinor variety of dimension 10 in P^15",
-                                "dimension 10, codimension 5, dual defect 4")
-                        else:
-                            findings.append(Finding(
-                                "high-index-border", "inconsistent",
-                                f"no variety in the extremal list has "
-                                f"(n, c) = ({n}, {c})"))
+                    findings.append(_unlisted("high-index-border", n, c))
 
-    consistent = all(f.status != "inconsistent" for f in findings)
-    inputs = {"n": n, "c": c, "a": a, "delta": delta, "index": index}
+    unique = {}  # by key, first occurrence first
+    for cand in candidates:
+        unique.setdefault(cand.key, cand)
     return ClassificationReport(
-        inputs=inputs,
+        inputs={"n": n, "c": c, "a": a, "delta": delta, "index": index},
         findings=tuple(findings),
-        candidates=tuple(candidates.values()),
-        consistent=consistent,
+        candidates=tuple(unique.values()),
+        consistent=all(f.status != "inconsistent" for f in findings),
     )

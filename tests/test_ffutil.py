@@ -7,7 +7,7 @@ import pytest
 
 from ccv import GF, QQ, PointCapExceeded, Polynomial, parse_polynomial
 from ccv.ffutil import (check_point_budget, compile_mod_evaluator,
-                        enumerate_points, projective_point_count, scalar_mod)
+                        enumerate_points, projective_point_count)
 
 
 def test_projective_point_counts():
@@ -36,19 +36,6 @@ def test_point_budget():
     assert check_point_budget(3, 5, 156) == 156
     with pytest.raises(PointCapExceeded):
         check_point_budget(3, 5, 155)
-
-
-def test_scalar_mod_coercions():
-    assert scalar_mod(12, 5) == 2
-    assert scalar_mod(-1, 5) == 4
-    assert scalar_mod(Fraction(1, 2), 5) == 3
-    assert scalar_mod(GF(7)(3), 7) == 3
-    with pytest.raises(ZeroDivisionError):
-        scalar_mod(Fraction(1, 5), 5)
-    with pytest.raises(ValueError):
-        scalar_mod(GF(7)(3), 5)
-    with pytest.raises(TypeError):
-        scalar_mod(0.5, 5)
 
 
 def test_compiled_evaluator_agrees_with_exact_evaluation():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ccv import GF, QQ, FieldMismatchError, FpElement, exact_str, field_from_spec
+from ccv import GF, QQ, FieldMismatchError, FpElement, field_from_spec
 from ccv.fields import is_prime
 
 
@@ -110,6 +110,20 @@ def test_prime_field_coerces_fractions_via_inverse():
         F(Fraction(1, 7))
 
 
+def test_prime_field_reduces_every_exact_scalar():
+    F = GF(5)
+    assert F(12).value == 2
+    assert F(-1).value == 4
+    assert F(Fraction(1, 2)).value == 3
+    assert GF(7)(GF(7)(3)).value == 3
+    with pytest.raises(ZeroDivisionError):
+        F(Fraction(1, 5))
+    with pytest.raises(FieldMismatchError):
+        F(GF(7)(3))
+    with pytest.raises(TypeError):
+        F(0.5)
+
+
 def test_fp_element_hash_consistent_with_eq():
     a = GF(11)(4)
     b = GF(11)(15)
@@ -132,13 +146,6 @@ def test_field_from_spec():
 def test_describe_round_trips_through_spec():
     for field in (QQ, GF(5), GF(101)):
         assert field_from_spec(field.describe()) == field
-
-
-def test_exact_str():
-    assert exact_str(Fraction(5, 2)) == "5/2"
-    assert exact_str(Fraction(3)) == "3"
-    assert exact_str(Fraction(-1, 2)) == "-1/2"
-    assert exact_str(GF(5)(3)) == "3"
 
 
 def test_fp_repr_is_unambiguous():
