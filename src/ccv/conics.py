@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
 
 from .ffutil import (DEFAULT_POINT_CAP, check_point_budget,
                      require_line_safe, zero_set)
@@ -23,7 +22,7 @@ from .poly import Polynomial, ProjectivePoint, expand_line_pencil
 from .groebner import IdealSummary, ideal_dimension_and_degree
 from .solve import projective_rational_solutions
 from .variety import (VarietySpec, over_prime, point_on_variety,
-                      variety_dimension)
+                      singular_conic_count_formula, variety_dimension)
 
 __all__ = [
     "ConicSystem",
@@ -228,16 +227,6 @@ def find_singular_conics(variety: VarietySpec, x: ProjectivePoint,
         "finite-field", "finite", None, None, solutions,
         notes=(f"exhaustive scan of P^{N}(F_{prime}); the list is the "
                f"complete F_{prime} zero set of the system",))
-
-
-def singular_conic_count_formula(degrees) -> int:
-    """prod(d! * (d-1)!) over the degrees."""
-    value = 1
-    for d in degrees:
-        if d < 1:
-            raise ValueError("degrees must be positive")
-        value *= factorial(d) * factorial(d - 1)
-    return value
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,21 @@ by a variable-pivot recursion on the monomial ideal.  The pole order at t = 1
 is the affine dimension: N is divided by 1-t while N(1) = 0, and what is
 left, evaluated at 1, is the degree (Bayer and Stillman, "Computation of
 Hilbert functions", J. Symbolic Comput. 14, 1992).
+
+Over the rationals that basis is first taken modulo p = 32003, which skips
+the coefficient swell of the fraction-free engine.  Each of the r nonzero
+homogeneous generators is scaled to its primitive integer form, which has no
+denominator and never reduces to zero.  The ideal of the reductions spans no
+more in any degree than the ideal over Q, so the Hilbert function can only
+rise modulo p and the dimension with it; Krull's height theorem bounds the
+dimension over Q from below by nvars - r.  So when the basis mod p shows
+affine dimension nvars - r, both ideals are complete intersections with the
+Hilbert series prod(1 - t^d_i) / (1 - t)^nvars, and the summary mod p is the
+summary over Q (Cox, Little and O'Shea, *Ideals, Varieties, and
+Algorithms*, ch. 9; Traverso, "Hilbert functions and the Buchberger
+algorithm", J. Symbolic Comput. 22, 1996).  Its degree must then be the
+product of the generator degrees, which is checked.  Any other outcome, and
+any input that is not homogeneous, falls back to the basis over Q.
 """
 
 from __future__ import annotations
@@ -39,10 +54,10 @@ import heapq
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
-from math import gcd
+from math import gcd, lcm, prod
 from operator import or_
 
-from .fields import FieldMismatchError
+from .fields import GF, QQ, FieldMismatchError
 from .ffutil import OracleRefusal
 from .poly import Polynomial, grevlex_key, lex_key
 
@@ -58,6 +73,7 @@ __all__ = [
 
 _WIDTH = 44  # bits per exponent field, the top one a guard
 _HALF = _WIDTH // 2  # basis exponents and multipliers stay below 2^_HALF
+_CERTIFICATE_PRIME = 32003
 
 
 class ExponentOverflow(OracleRefusal):
@@ -104,9 +120,7 @@ class _Packing:
     def terms(self, poly: Polynomial, mod) -> dict:
         """{packed monomial: int} from a polynomial, denominators cleared."""
         if mod is None:
-            denom = 1
-            for c in poly.terms.values():
-                denom = denom * c.denominator // gcd(denom, c.denominator)
+            denom = lcm(*(c.denominator for c in poly.terms.values()))
             return {self.pack(m): int(c * denom)
                     for m, c in poly.terms.items()}
         return {self.pack(m): c.value for m, c in poly.terms.items()}
@@ -390,28 +404,62 @@ class IdealSummary:
     degree: int | None
 
 
-def ideal_dimension_and_degree(polys, key=grevlex_key) -> IdealSummary:
+def ideal_dimension_and_degree(polys) -> IdealSummary:
     """Dimension and degree of the projective scheme cut out by the ideal.
 
-    Generators should be homogeneous; one Groebner basis for ``key`` is
-    computed and its leading monomials give both numbers.
+    Over the rationals, homogeneous generators are first tried modulo
+    32003: when that basis shows a complete intersection, its summary is
+    the one over Q (see the module docstring).  Otherwise, and over a prime
+    field, one grevlex basis of the generators themselves gives both
+    numbers.
     """
     polys = list(polys)
     if not polys:
         raise ValueError("no generators")
     nvars = polys[0].nvars
-    lts = _minimalize_monos(
-        [g.leading_monomial(key) for g in groebner_basis(polys, key=key)])
+    live = [p for p in polys if not p.is_zero()]
+    if live and _common_ring(live)[1] == QQ and all(
+            p.is_homogeneous() for p in live):
+        field = GF(_CERTIFICATE_PRIME)
+        dim, degree = _hilbert_dimension_and_degree(
+            groebner_basis([_primitive_mod(p, field) for p in live]), nvars)
+        if dim == nvars - len(live):
+            if degree != prod(p.degree() for p in live):
+                raise ArithmeticError("a complete intersection modulo "
+                                      f"{_CERTIFICATE_PRIME} broke Bezout")
+            return _summary(dim, degree)
+    return _summary(*_hilbert_dimension_and_degree(groebner_basis(polys),
+                                                   nvars))
+
+
+def _primitive_mod(poly: Polynomial, field) -> Polynomial:
+    """The primitive integer multiple of a nonzero polynomial over Q, reduced
+    into ``field``.  Its coefficients have gcd 1, so it never vanishes."""
+    denom = lcm(*(c.denominator for c in poly.terms.values()))
+    ints = {m: int(c * denom) for m, c in poly.terms.items()}
+    content = gcd(*ints.values())
+    return Polynomial.from_terms({m: c // content for m, c in ints.items()},
+                                 poly.nvars, field)
+
+
+def _hilbert_dimension_and_degree(basis, nvars: int) -> tuple:
+    """(affine dimension, degree) of the ideal of a grevlex basis: the pole
+    order of its Hilbert series at t = 1 and the numerator left there.  The
+    unit ideal, whose series is 0, gives (-1, 0)."""
+    lts = _minimalize_monos([g.leading_monomial() for g in basis])
     if (0,) * nvars in lts:
-        return IdealSummary(-1, None)  # unit ideal
+        return -1, 0
     coeffs = _hilbert_numerator(tuple(sorted(lts)), nvars, {})
     affine_dim = nvars
     while sum(coeffs) == 0:  # N(1) = 0: N/(1-t) is the partial sums
         coeffs = tuple(accumulate(coeffs))[:-1]
         affine_dim -= 1
-    if affine_dim == 0:
-        return IdealSummary(-1, None)  # cone is just the origin
-    degree = sum(coeffs)
+    return affine_dim, sum(coeffs)
+
+
+def _summary(affine_dim: int, degree: int) -> IdealSummary:
+    if affine_dim <= 0:
+        return IdealSummary(-1, None)  # unit ideal, or the cone is the origin
     if degree <= 0:
         raise ArithmeticError("Hilbert computation produced a bad degree")
     return IdealSummary(affine_dim - 1, degree)

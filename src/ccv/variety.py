@@ -336,6 +336,17 @@ def _judge(name: str, inequality: str, conclusion: str, sides,
                      str(left), str(right), op, conclusion, notes)
 
 
+def singular_conic_count_formula(degrees) -> int:
+    """prod(d! * (d-1)!) over the degrees: the singular conics through two
+    general points of a smooth complete intersection on the boundary."""
+    value = 1
+    for d in degrees:
+        if d < 1:
+            raise ValueError("degrees must be positive")
+        value *= factorial(d) * factorial(d - 1)
+    return value
+
+
 def criteria_report(variety: VarietySpec) -> CriterionReport:
     """Evaluate every connectedness criterion on one variety.
 
@@ -444,11 +455,9 @@ def criteria_report(variety: VarietySpec) -> CriterionReport:
     if total == bound_a:
         n_g = dimension()
         if n_g is not None and n_g >= 0 and m == N - n_g:
-            count = 1
-            for d in degrees:
-                count *= factorial(d) * factorial(d - 1)
             notes_g = (f"for a smooth complete intersection this boundary "
-                       f"case carries exactly prod(d! (d-1)!) = {count} "
+                       f"case carries exactly prod(d! (d-1)!) = "
+                       f"{singular_conic_count_formula(degrees)} "
                        f"singular conics through two general points",)
         else:
             notes_g = ("expect finitely many singular conics through two "

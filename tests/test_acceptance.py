@@ -256,3 +256,17 @@ def test_criterion_9_quartic_count_over_fp(capsys):
     assert doc["count"]["matches_formula"] is True
     report(9, elapsed, 5.0,
            "quartic in P^7 over F_32003: degree 144 = 4!*3!")
+
+
+def test_criterion_10_quartic_count_over_q(capsys):
+    t0 = time.perf_counter()
+    doc = run_json(capsys, "conics", str(VARIETIES / "ci_4_p7.json"),
+                   "--x", "1,0,0,0,0,0,0,0", "--y", "0,0,0,0,0,0,0,1",
+                   "--count-only")
+    elapsed = time.perf_counter() - t0
+    assert doc["variety"]["field"] == "rational"
+    assert doc["count"]["system_dimension"] == 0
+    assert doc["count"]["ideal_degree"] == 144
+    assert doc["count"]["matches_formula"] is True
+    report(10, elapsed, 5.0,
+           "quartic in P^7 over Q: degree 144 = 4!*3!, certified mod 32003")

@@ -7,9 +7,10 @@ from itertools import combinations
 import pytest
 
 import ccv.groebner
-from ccv import (GF, QQ, OracleRefusal, Polynomial, groebner_basis,
-                 grevlex_key, ideal_dimension_and_degree, lex_key,
-                 normal_form, parse_polynomial, s_polynomial, verify_groebner)
+from ccv import (GF, QQ, IdealSummary, OracleRefusal, Polynomial,
+                 groebner_basis, grevlex_key, ideal_dimension_and_degree,
+                 lex_key, normal_form, parse_polynomial, s_polynomial,
+                 verify_groebner)
 from ccv.parser import MAX_EXPONENT
 
 
@@ -297,3 +298,89 @@ def test_exponents_past_the_packed_fields_are_refused():
 def test_other_orders_are_rejected():
     with pytest.raises(ValueError):
         groebner_basis(twisted_cubic(), key=lambda m: m)
+
+
+# the certificate over Q from one basis mod 32003
+
+def _fraction_free_summary(gens):
+    """The summary from the basis over Q, the route the certificate skips."""
+    return ccv.groebner._summary(*ccv.groebner._hilbert_dimension_and_degree(
+        groebner_basis(gens), gens[0].nvars))
+
+
+def _spy_fields(monkeypatch):
+    """Record the field of every basis that ideal_dimension_and_degree
+    computes."""
+    fields = []
+    basis = ccv.groebner.groebner_basis
+
+    def spy(polys, *args, **kwargs):
+        fields.append(polys[0].field)
+        return basis(polys, *args, **kwargs)
+
+    monkeypatch.setattr(ccv.groebner, "groebner_basis", spy)
+    return fields
+
+
+def _random_form(rng, nvars, degree):
+    terms = {}
+    for _ in range(rng.randint(2, 5)):
+        mono = [0] * nvars
+        for _ in range(degree):
+            mono[rng.randrange(nvars)] += 1
+        terms[tuple(mono)] = Fraction(rng.choice([-7, -3, -1, 1, 2, 5, 32003]),
+                                      rng.choice([1, 1, 2, 9]))
+    form = Polynomial.from_terms(terms, nvars)
+    return form or Polynomial.variable(0, nvars)
+
+
+def test_certificate_matches_the_fraction_free_summary(monkeypatch):
+    rng = random.Random(32003)
+    shapes = ("ci", "few", "shared", "repeated", "extra")
+    certified = fallen_back = 0
+    for trial in range(60):
+        nvars = rng.randint(2, 5)
+        shape = shapes[trial % len(shapes)]
+        count = {"few": rng.randint(1, nvars - 1), "extra": nvars + 1}
+        gens = [_random_form(rng, nvars, rng.randint(1, 3))
+                for _ in range(count.get(shape, nvars))]
+        if shape == "shared":
+            h = _random_form(rng, nvars, 1)
+            gens[0], gens[1] = gens[0] * h, gens[1] * h
+        elif shape == "repeated":
+            gens[0] = gens[0] * gens[0]
+        expected = _fraction_free_summary(gens)
+        fields = _spy_fields(monkeypatch)
+        assert ideal_dimension_and_degree(gens) == expected, (trial, gens)
+        monkeypatch.undo()
+        if fields == [GF(32003)]:
+            certified += 1
+        else:
+            assert fields == [GF(32003), QQ], trial
+            fallen_back += 1
+    assert certified >= 15 and fallen_back >= 15  # both routes ran
+
+
+def test_certificate_falls_back_when_the_prime_adds_a_component(monkeypatch):
+    # over Q only the origin; modulo 32003 the second form is x0^2, so the
+    # line x0 = 0 appears
+    gens = [P("x0*x1", 2), P("x0^2 + 32003*x1^2", 2)]
+    fields = _spy_fields(monkeypatch)
+    assert ideal_dimension_and_degree(gens) == IdealSummary(-1, None)
+    assert fields == [GF(32003), QQ]
+
+
+def test_certificate_uses_the_primitive_form(monkeypatch):
+    gens = [P("32003*x0^2 + 64006*x1*x2 - 96009*x2^2", 3),
+            P("x0", 3) * Fraction(1, 32003) + P("x1", 3)]
+    fields = _spy_fields(monkeypatch)
+    assert ideal_dimension_and_degree(gens) == IdealSummary(0, 2)
+    assert fields == [GF(32003)]
+
+
+def test_prime_field_and_inhomogeneous_input_skip_the_certificate(
+        monkeypatch):
+    fields = _spy_fields(monkeypatch)
+    ideal_dimension_and_degree([P("x0*x1", 2, GF(7))])
+    ideal_dimension_and_degree([P("x0^2 - x1", 2)])
+    assert fields == [GF(7), QQ]
