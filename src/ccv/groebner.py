@@ -54,7 +54,7 @@ import heapq
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import or_
 
 from .fields import GF, QQ, FieldMismatchError
@@ -120,7 +120,9 @@ class _Packing:
     def terms(self, poly: Polynomial, mod) -> dict:
         """{packed monomial: int} from a polynomial, denominators cleared."""
         if mod is None:
-            denom = lcm(*(c.denominator for c in poly.terms.values()))
+            denom = 1
+            for c in poly.terms.values():
+                denom = denom * c.denominator // gcd(denom, c.denominator)
             return {self.pack(m): int(c * denom)
                     for m, c in poly.terms.items()}
         return {self.pack(m): c.value for m, c in poly.terms.items()}
@@ -435,11 +437,10 @@ def ideal_dimension_and_degree(polys) -> IdealSummary:
 def _primitive_mod(poly: Polynomial, field) -> Polynomial:
     """The primitive integer multiple of a nonzero polynomial over Q, reduced
     into ``field``.  Its coefficients have gcd 1, so it never vanishes."""
-    denom = lcm(*(c.denominator for c in poly.terms.values()))
-    ints = {m: int(c * denom) for m, c in poly.terms.items()}
-    content = gcd(*ints.values())
-    return Polynomial.from_terms({m: c // content for m, c in ints.items()},
-                                 poly.nvars, field)
+    packing = _Packing(poly.nvars, graded=True)
+    ints = _normalize(packing.terms(poly, None), None)
+    return Polynomial.from_terms(
+        {packing.unpack(m): c for m, c in ints.items()}, poly.nvars, field)
 
 
 def _hilbert_dimension_and_degree(basis, nvars: int) -> tuple:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import count
 from math import gcd, lcm
 
 from .fields import FpElement, is_prime
@@ -23,8 +22,6 @@ from .poly import Polynomial, ProjectivePoint, lex_key
 from .groebner import groebner_basis
 
 __all__ = ["projective_rational_solutions", "rational_roots"]
-
-_SQUAREFREE_PRIME = 32003  # the square-free test tries odd primes downward
 
 
 def projective_rational_solutions(gens) -> list:
@@ -155,10 +152,7 @@ def _roots_mod(dense: list, p: int) -> list:
 
 
 def _primitive(f: list) -> list:
-    """f over its content, with a positive leading coefficient."""
     content = gcd(*f) or 1  # gcd() of the empty list is 0
-    if f and f[-1] < 0:
-        content = -content
     return [c // content for c in f]
 
 
@@ -181,38 +175,11 @@ def _pseudo_divmod(a: list, b: list) -> tuple:
 
 def _squarefree_part(f: list) -> list:
     """f / gcd(f, f') as a primitive integer polynomial: the roots of f,
-    each simple.
-
-    A repeated factor of f over Q would stay a common factor of f and f'
-    modulo any prime p not dividing lc(f), so when they are coprime mod p, f
-    is square-free and only its content goes.  Otherwise the gcd comes from
-    the primitive remainder sequence.
-    """
-    df = [e * c for e, c in enumerate(f)][1:]
-    p = next(q for q in count(_SQUAREFREE_PRIME, -2)
-             if f[-1] % q and is_prime(q))
-    if len(_gcd_mod(f, df, p)) == 1:
-        return _primitive(f)
-    a, b = f, df
+    each simple.  The gcd comes from the primitive remainder sequence."""
+    a, b = f, [e * c for e, c in enumerate(f)][1:]
     while b:
         a, b = b, _primitive(_pseudo_divmod(a, b)[1])
     return _primitive(_pseudo_divmod(f, a)[0])
-
-
-def _gcd_mod(a: list, b: list, p: int) -> list:
-    """A gcd of two dense integer polynomials modulo p, from pseudo-
-    remainders; [] when both vanish mod p."""
-    a, b = _trim_mod(a, p), _trim_mod(b, p)
-    while b:
-        a, b = b, _trim_mod(_pseudo_divmod(a, b)[1], p)
-    return a
-
-
-def _trim_mod(f: list, p: int) -> list:
-    f = [c % p for c in f]
-    while f and not f[-1]:
-        f.pop()
-    return f
 
 
 def _reconstruct(r: int, m: int, bound: int):

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from ccv import GF, QQ, parse_polynomial, projective_rational_solutions, rational_roots
-import ccv.solve as solve
 
 from conftest import qpt
 
@@ -86,30 +85,6 @@ def test_rational_roots_order_and_highly_divisible_content():
     assert rational_roots({2: 2 * c, 1: c, 0: -c}) == [
         Fraction(-1), Fraction(1, 2)]
     assert rational_roots({2: 4, 0: -1}) == [Fraction(1, 2), Fraction(-1, 2)]
-
-
-def test_squarefree_shortcut_agrees_with_the_remainder_sequence(
-        monkeypatch):
-    # products of random factors, some repeated, with 60-bit coefficients
-    rng = random.Random(96)
-    reference = []
-    gcd_mod = solve._gcd_mod
-    monkeypatch.setattr(solve, "_gcd_mod", lambda a, b, p: [])  # no shortcut
-    for _ in range(40):
-        f = [rng.choice((1, -1)) * rng.getrandbits(60) | 1]
-        for _ in range(rng.randint(1, 4)):
-            factor = [rng.randint(-2**60, 2**60)
-                      for _ in range(rng.randint(2, 6))]
-            factor[-1] = factor[-1] or 1
-            for _ in range(rng.choice((1, 1, 2, 3))):
-                f = _times(f, factor)
-        reference.append((f, solve._squarefree_part(f)))
-    monkeypatch.setattr(solve, "_gcd_mod", gcd_mod)
-    squarefree = 0
-    for f, expected in reference:
-        assert solve._squarefree_part(f) == expected
-        squarefree += expected == solve._primitive(f)
-    assert 10 <= squarefree < 40  # both branches ran
 
 
 def test_vertex_system_points():
