@@ -114,7 +114,11 @@ def _parse_point(text: str, variety) -> ProjectivePoint:
         raise ValueError(
             f"expected {variety.ambient_dim + 1} comma-separated "
             f"coordinates, got {len(parts)}")
-    return ProjectivePoint([variety.field(p) for p in parts], variety.field)
+    try:
+        coords = [variety.field(p) for p in parts]
+    except ZeroDivisionError:
+        raise ValueError(f"a denominator in {text!r} vanishes") from None
+    return ProjectivePoint(coords, variety.field)
 
 
 # the echoed run configuration, in the order of the text line; the keys
@@ -165,10 +169,10 @@ def _solution_lines(solutions) -> list:
     out = [f"solutions listed: {len(solutions)}"]
     for sol in solutions:
         kind = "degenerate" if sol.degenerate else "non-degenerate"
-        lx = ("(vertex equals x)" if sol.line_x is None
-              else _line_desc(sol.line_x))
-        ly = ("(vertex equals y)" if sol.line_y is None
-              else _line_desc(sol.line_y))
+        lx = ("(vertex equals x)" if sol.line_through_x is None
+              else _line_desc(sol.line_through_x))
+        ly = ("(vertex equals y)" if sol.line_through_y is None
+              else _line_desc(sol.line_through_y))
         out.append(f"  vertex {sol.vertex} ({kind}): "
                    f"line through x: {lx}; line through y: {ly}")
     return out
@@ -220,14 +224,12 @@ def _cmd_lines(args, cap: int) -> tuple:
     point = _parse_point(args.point, variety)
     locus = line_locus(variety, point)
     report = lines_dimension_report(locus, variety)
-    report_json = report.to_json()
-    report_json["generators"] = [str(g) for g in locus.ideal_generators]
-    payload = {"variety": variety.to_json(), "report": report_json}
+    payload = {"variety": variety.to_json(), "report": report.to_json()}
     lines = _variety_lines(variety)
     lines.append(f"base point: {report.base_point}")
     lines.append(f"locus ideal generators "
                  f"(degrees {list(report.generator_degrees)}):")
-    for gen in locus.ideal_generators:
+    for gen in report.generators:
         lines.append(f"  {gen} = 0")
     lines.append(f"locus dimension: {report.locus_dimension}, "
                  f"degree: {report.locus_degree}")

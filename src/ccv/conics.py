@@ -17,6 +17,7 @@ from functools import cached_property
 
 from .ffutil import (DEFAULT_POINT_CAP, check_point_budget,
                      require_line_safe, zero_set)
+from .fields import Record
 from .linalg import kernel_basis, matrix_rank
 from .poly import Polynomial, ProjectivePoint, expand_line_pencil
 from .groebner import IdealSummary, ideal_dimension_and_degree
@@ -39,7 +40,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ConicSystem:
+class ConicSystem(Record):
     """Conditions on a vertex p putting both lines <x,p> and <y,p> on X."""
 
     x: ProjectivePoint
@@ -47,20 +48,17 @@ class ConicSystem:
     generators: tuple
     shared_count: int
 
+    _json_extra = ("generator_degrees",)
+
+    @property
+    def generator_degrees(self) -> tuple:
+        return tuple(g.degree() for g in self.generators)
+
     @cached_property
     def summary(self) -> IdealSummary:
         """Dimension and degree of the system, from one grevlex basis
         computed on first use."""
         return ideal_dimension_and_degree(self.generators)
-
-    def to_json(self) -> dict:
-        return {
-            "x": str(self.x),
-            "y": str(self.y),
-            "generators": [str(g) for g in self.generators],
-            "generator_degrees": [g.degree() for g in self.generators],
-            "shared_count": self.shared_count,
-        }
 
 
 def conic_system(variety: VarietySpec, x: ProjectivePoint,
@@ -107,7 +105,7 @@ def line_equations(a: ProjectivePoint, b: ProjectivePoint):
 
 
 @dataclass(frozen=True)
-class ConicSolution:
+class ConicSolution(Record):
     """One vertex of a singular conic, with its two lines.
 
     ``degenerate`` is set when the vertex lies on the line through x and y
@@ -117,21 +115,9 @@ class ConicSolution:
     """
 
     vertex: ProjectivePoint
-    x: ProjectivePoint
-    y: ProjectivePoint
     degenerate: bool
-    line_x: tuple | None
-    line_y: tuple | None
-
-    def to_json(self) -> dict:
-        return {
-            "vertex": str(self.vertex),
-            "degenerate": self.degenerate,
-            "line_through_x": ([str(f) for f in self.line_x]
-                               if self.line_x is not None else None),
-            "line_through_y": ([str(f) for f in self.line_y]
-                               if self.line_y is not None else None),
-        }
+    line_through_x: tuple | None
+    line_through_y: tuple | None
 
 
 def solution_from_vertex(vertex: ProjectivePoint, x: ProjectivePoint,
@@ -141,16 +127,14 @@ def solution_from_vertex(vertex: ProjectivePoint, x: ProjectivePoint,
         [list(x.coords), list(y.coords), list(vertex.coords)], field.one)
     return ConicSolution(
         vertex=vertex,
-        x=x,
-        y=y,
         degenerate=rank <= 2,
-        line_x=None if vertex == x else line_equations(x, vertex),
-        line_y=None if vertex == y else line_equations(y, vertex),
+        line_through_x=None if vertex == x else line_equations(x, vertex),
+        line_through_y=None if vertex == y else line_equations(y, vertex),
     )
 
 
 @dataclass(frozen=True)
-class ConicSearchResult:
+class ConicSearchResult(Record):
     """Outcome of a vertex search.
 
     status "finite": ``solutions`` is the complete list of field-rational
@@ -166,16 +150,6 @@ class ConicSearchResult:
     degree: int | None
     solutions: tuple
     notes: tuple = ()
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "status": self.status,
-            "dimension": self.dimension,
-            "degree": self.degree,
-            "solutions": [s.to_json() for s in self.solutions],
-            "notes": list(self.notes),
-        }
 
 
 def find_singular_conics(variety: VarietySpec, x: ProjectivePoint,
@@ -230,7 +204,7 @@ def find_singular_conics(variety: VarietySpec, x: ProjectivePoint,
 
 
 @dataclass(frozen=True)
-class CountResult:
+class CountResult(Record):
     """Ideal degree of the conic system against the closed formula.
 
     ``formula_applicable`` needs a complete intersection (m == c);
@@ -247,17 +221,8 @@ class CountResult:
     matches_formula: bool | None
     notes: tuple = ()
 
-    def to_json(self) -> dict:
-        return {
-            "system_dimension": self.system_dimension,
-            "ideal_degree": self.ideal_degree,
-            "formula_value": self.formula_value,
-            "formula_applicable": self.formula_applicable,
-            "equality_case": self.equality_case,
-            "matches_formula": self.matches_formula,
-            "rational_solutions": None,  # kept so the output stays stable
-            "notes": list(self.notes),
-        }
+    rational_solutions = None  # kept so the output stays stable
+    _json_extra = ("rational_solutions",)
 
 
 def count_conics(variety: VarietySpec, x: ProjectivePoint,

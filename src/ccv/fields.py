@@ -5,10 +5,14 @@ reduced with a positive denominator.  Prime-field scalars are
 :class:`FpElement` residues.  Field descriptors (:data:`QQ`, :func:`GF`)
 coerce raw values into scalars and travel with polynomials, points, and
 variety specs so that mixed-field use fails early and loudly.
+
+Every result dataclass derives from :class:`Record`, whose ``to_json()``
+renders each field through :func:`_json`, the one JSON encoder.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,6 +23,7 @@ __all__ = [
     "RationalField",
     "PrimeField",
     "FieldMismatchError",
+    "Record",
     "field_from_spec",
     "is_prime",
 ]
@@ -249,5 +254,37 @@ def field_from_spec(spec):
     if spec == "rational":
         return QQ
     if isinstance(spec, dict) and set(spec) == {"prime"}:
-        return GF(spec["prime"])
+        p = spec["prime"]
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise ValueError(f"field prime must be an integer, got {p!r}")
+        return GF(p)
     raise ValueError(f"unrecognized field spec {spec!r}")
+
+
+class Record:
+    """Base of the result dataclasses; ``_json_extra`` names derived keys."""
+
+    _json_extra = ()
+
+    def to_json(self) -> dict:
+        names = [f.name for f in dataclasses.fields(self)]
+        return {name: _json(getattr(self, name))
+                for name in names + list(self._json_extra)}
+
+
+def _json(value):
+    """JSON form of a value: records and named tuples as objects, sequences
+    as lists, field descriptors by ``describe()``, other scalars by ``str``."""
+    if isinstance(value, Record):
+        return value.to_json()
+    if hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {key: _json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json(item) for item in value]
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if hasattr(value, "describe"):
+        return value.describe()
+    return str(value)

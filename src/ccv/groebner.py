@@ -314,16 +314,13 @@ def groebner_basis(polys, key=grevlex_key):
             kept.append(e)
     entries = kept
 
-    # inter-reduce tails until nothing changes
-    changed = True
-    while changed:
-        changed = False
-        for t in range(len(entries)):
-            others = entries[:t] + entries[t + 1 :]
-            r = _normalize(_reduce(entries[t][3], others, packing, mod), mod)
-            if r != entries[t][3]:
-                entries[t] = _entry(r, packing)
-                changed = True
+    # inter-reduce tails: no leading monomial divides another, so reduction
+    # never changes one, and one pass leaves every tail reduced
+    for t in range(len(entries)):
+        others = entries[:t] + entries[t + 1 :]
+        r = _normalize(_reduce(entries[t][3], others, packing, mod), mod)
+        if r != entries[t][3]:
+            entries[t] = _entry(r, packing)
 
     return [Polynomial.from_terms(
         {packing.unpack(m): field(c) / field(lc) for m, c in terms.items()},
@@ -482,13 +479,11 @@ def _hilbert_numerator(monos, nvars: int, cache: dict):
     shared variable v splits the ideal as N(I) = N(I + v) + t * N(I : v).
     Unwinding the recursion reproduces inclusion-exclusion over generator
     subsets, just with shared subproblems cached in ``cache``, which lives
-    for one top-level call.
+    for one top-level call.  ``monos`` is minimal and sorted.
     """
-    keyed = frozenset(monos)
-    hit = cache.get(keyed)
+    hit = cache.get(monos)
     if hit is not None:
         return hit
-    monos = _minimalize_monos(monos)
     if monos and sum(monos[0]) == 0:
         result = (0,)
     else:
@@ -507,7 +502,7 @@ def _hilbert_numerator(monos, nvars: int, cache: dict):
             right = _hilbert_numerator(
                 tuple(sorted(_minimalize_monos(colon))), nvars, cache)
             result = _poly_add(left, (0,) + tuple(right))
-    cache[keyed] = result
+    cache[monos] = result
     return result
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fields import Record
 from .poly import ProjectivePoint, expand_line_pencil
 from .groebner import IdealSummary, ideal_dimension_and_degree
 from .variety import (VarietySpec, ClassificationReport, classify_line_family,
@@ -49,8 +50,9 @@ def line_locus(variety: VarietySpec, point: ProjectivePoint) -> LineLocus:
 
 
 @dataclass(frozen=True)
-class LinesReport:
+class LinesReport(Record):
     base_point: str
+    generators: tuple
     generator_degrees: tuple
     locus_dimension: int
     locus_degree: int | None
@@ -61,22 +63,6 @@ class LinesReport:
     locus_bound_met: bool
     classification: ClassificationReport | None
     caveat: str
-
-    def to_json(self) -> dict:
-        return {
-            "base_point": self.base_point,
-            "generator_degrees": list(self.generator_degrees),
-            "locus_dimension": self.locus_dimension,
-            "locus_degree": self.locus_degree,
-            "a": self.a,
-            "family_bound": self.family_bound,
-            "locus_bound": self.locus_bound,
-            "family_bound_met": self.family_bound_met,
-            "locus_bound_met": self.locus_bound_met,
-            "classification": (self.classification.to_json()
-                               if self.classification else None),
-            "caveat": self.caveat,
-        }
 
 
 def lines_dimension_report(locus: LineLocus, variety: VarietySpec) -> LinesReport:
@@ -104,6 +90,7 @@ def lines_dimension_report(locus: LineLocus, variety: VarietySpec) -> LinesRepor
                 index=variety.fano_index)
     return LinesReport(
         base_point=str(locus.base_point),
+        generators=locus.ideal_generators,
         generator_degrees=tuple(g.degree() for g in locus.ideal_generators),
         locus_dimension=dim,
         locus_degree=locus.summary.degree,

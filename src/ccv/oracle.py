@@ -19,6 +19,7 @@ functions refuse smaller primes.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -27,6 +28,7 @@ from .conics import ConicSolution, solution_from_vertex
 from .ffutil import (DEFAULT_POINT_CAP, OracleRefusal, PointCapExceeded,
                      PrimeTooSmall, check_point_budget, compile_mod_evaluator,
                      enumerate_points, require_line_safe, zero_set)
+from .fields import Record
 from .poly import ProjectivePoint
 from .variety import VarietySpec, point_on_variety
 
@@ -204,8 +206,12 @@ class Lcg64:
         return self.next_raw() % n
 
 
+# a census histogram entry: the pairs with this many non-degenerate vertices
+Bucket = namedtuple("Bucket", "vertices pairs")
+
+
 @dataclass(frozen=True)
-class OracleStats:
+class OracleStats(Record):
     """Census of sampled point pairs on a variety over F_p.
 
     A pair counts as connected when at least one vertex exists (a vertex
@@ -223,20 +229,6 @@ class OracleStats:
     connected_fraction: Fraction
     nondegenerate_fraction: Fraction
     notes: tuple = ()
-
-    def to_json(self) -> dict:
-        return {
-            "prime": self.prime,
-            "point_count": self.point_count,
-            "pairs_tested": self.pairs_tested,
-            "pairs_connected": self.pairs_connected,
-            "pairs_with_nondegenerate": self.pairs_with_nondegenerate,
-            "histogram": [{"vertices": k, "pairs": v}
-                          for k, v in self.histogram],
-            "connected_fraction": str(self.connected_fraction),
-            "nondegenerate_fraction": str(self.nondegenerate_fraction),
-            "notes": list(self.notes),
-        }
 
 
 def cc_census(variety: VarietySpec, sample: int, seed: int = 0,
@@ -286,7 +278,7 @@ def cc_census(variety: VarietySpec, sample: int, seed: int = 0,
         pairs_tested=sample,
         pairs_connected=connected,
         pairs_with_nondegenerate=with_nondeg,
-        histogram=tuple(sorted(histogram.items())),
+        histogram=tuple(Bucket(*item) for item in sorted(histogram.items())),
         connected_fraction=Fraction(connected, sample),
         nondegenerate_fraction=Fraction(with_nondeg, sample),
         notes=("finite-field statistics; statements over the rationals "

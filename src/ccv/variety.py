@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import factorial
 from pathlib import Path
 
-from .fields import QQ, GF, field_from_spec
+from .fields import QQ, GF, Record, field_from_spec
 from .parser import parse_polynomial
 from .poly import Polynomial, ProjectivePoint
 from .groebner import ideal_dimension_and_degree
@@ -48,7 +48,7 @@ __all__ = [
 # variety specs --------------------------------------------------------------
 
 @dataclass(frozen=True)
-class VarietySpec:
+class VarietySpec(Record):
     """A projective variety cut out by homogeneous equations in P^N.
 
     Equations are stored in decreasing degree order.  The flags are taken on
@@ -75,20 +75,6 @@ class VarietySpec:
     def degrees(self) -> tuple:
         return tuple(eq.degree() for eq in self.equations)
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "ambient_dim": self.ambient_dim,
-            "field": self.field.describe(),
-            "equations": [str(eq) for eq in self.equations],
-            "claimed_dim": self.claimed_dim,
-            "scheme_theoretic": self.scheme_theoretic,
-            "smooth": self.smooth,
-            "secant_defect": self.secant_defect,
-            "fano_index": self.fano_index,
-            "notes": list(self.notes),
-        }
-
 
 _SPEC_KEYS = {
     "name", "ambient_dim", "field", "equations", "claimed_dim",
@@ -104,6 +90,8 @@ def build_variety(data: dict) -> VarietySpec:
     degree <= 1 equations only draw a warning note since they make the
     variety degenerate, not the computation wrong.
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"a variety spec must be a JSON object, got {data!r}")
     unknown = set(data) - _SPEC_KEYS
     if unknown:
         raise ValueError(f"unknown keys in variety spec: {sorted(unknown)}")
@@ -250,7 +238,7 @@ def over_prime(variety: VarietySpec, p: int, *points) -> tuple:
 # numerical criteria ----------------------------------------------------------
 
 @dataclass(frozen=True)
-class Criterion:
+class Criterion(Record):
     """One numerical test.
 
     ``name`` is a stable semantic key, ``inequality`` the general comparison
@@ -268,28 +256,17 @@ class Criterion:
     conclusion: str = ""
     notes: tuple = ()
 
+    _json_extra = ("comparison",)
+
     @property
     def comparison(self) -> str | None:
         if self.left is None or self.right is None:
             return None
         return f"{self.left} {self.op} {self.right}"
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "inequality": self.inequality,
-            "left": self.left,
-            "right": self.right,
-            "op": self.op,
-            "comparison": self.comparison,
-            "verdict": self.verdict,
-            "conclusion": self.conclusion,
-            "notes": list(self.notes),
-        }
-
 
 @dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(Record):
     variety: str
     ambient_dim: int
     num_equations: int
@@ -299,19 +276,6 @@ class CriterionReport:
     codimension: int | None
     criteria: tuple
     caveat: str
-
-    def to_json(self) -> dict:
-        return {
-            "variety": self.variety,
-            "ambient_dim": self.ambient_dim,
-            "num_equations": self.num_equations,
-            "degrees": list(self.degrees),
-            "dimension": self.dimension,
-            "dimension_source": self.dimension_source,
-            "codimension": self.codimension,
-            "criteria": [c.to_json() for c in self.criteria],
-            "caveat": self.caveat,
-        }
 
 
 _CAVEAT = ("verdicts use only the stated numbers and flags; the geometric "
@@ -504,39 +468,25 @@ def criteria_report(variety: VarietySpec) -> CriterionReport:
 # classification of line families ---------------------------------------------
 
 @dataclass(frozen=True)
-class Finding:
+class Finding(Record):
     key: str
     status: str   # "info" | "warning" | "inconsistent"
     detail: str
 
-    def to_json(self) -> dict:
-        return {"key": self.key, "status": self.status, "detail": self.detail}
-
 
 @dataclass(frozen=True)
-class Candidate:
+class Candidate(Record):
     key: str
     name: str
     detail: str
 
-    def to_json(self) -> dict:
-        return {"key": self.key, "name": self.name, "detail": self.detail}
-
 
 @dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Record):
     inputs: dict
     findings: tuple
     candidates: tuple
     consistent: bool
-
-    def to_json(self) -> dict:
-        return {
-            "inputs": self.inputs,
-            "findings": [f.to_json() for f in self.findings],
-            "candidates": [c.to_json() for c in self.candidates],
-            "consistent": self.consistent,
-        }
 
 
 # the two varieties that close both the dual-defective and the high-index

@@ -192,7 +192,14 @@ def test_classify_json(capsys):
     assert doc["report"]["consistent"] is True
 
 
-def test_invalid_inputs_exit_2(capsys):
+def test_invalid_inputs_exit_2(capsys, tmp_path):
+    specs = {"over_f5": {"ambient_dim": 3, "field": {"prime": 5},
+                         "equations": ["x0*x3 - x1*x2"]},
+             "number": 3, "null": None,
+             "list_prime": {"ambient_dim": 3, "field": {"prime": [5]},
+                            "equations": ["x0*x3 - x1*x2"]}}
+    for name, data in specs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
     cases = [
         ("check", str(VARIETIES / "no_such_file.json")),
         ("lines", QUADRIC, "--point", "1,0,0"),
@@ -202,6 +209,12 @@ def test_invalid_inputs_exit_2(capsys):
         ("conics", QUADRIC, "--x", "1,1,1,0", "--y", "0,0,0,1"),
         ("classify", "--n", "0", "--c", "1", "--a", "0"),
         ("oracle", QUADRIC, "--prime", "6"),
+        ("lines", QUADRIC, "--point", "1/0,0,0,0"),
+        ("conics", str(tmp_path / "over_f5.json"),
+         "--x", "1/5,0,0,0", "--y", "0,0,0,1"),
+        ("check", str(tmp_path / "number.json")),
+        ("check", str(tmp_path / "null.json")),
+        ("check", str(tmp_path / "list_prime.json")),
     ]
     for argv in cases:
         code, out, err = run_cli(capsys, *argv)

@@ -57,14 +57,14 @@ def test_solution_from_vertex_flags():
     x, y = qpt(1, 0, 0, 0), qpt(0, 0, 0, 1)
     off_line = solution_from_vertex(qpt(0, 1, 0, 0), x, y)
     assert not off_line.degenerate
-    assert [str(f) for f in off_line.line_x] == ["x2", "x3"]
-    assert [str(f) for f in off_line.line_y] == ["x0", "x2"]
+    assert [str(f) for f in off_line.line_through_x] == ["x2", "x3"]
+    assert [str(f) for f in off_line.line_through_y] == ["x0", "x2"]
     on_line = solution_from_vertex(qpt(1, 0, 0, 1), x, y)
     assert on_line.degenerate
     at_base = solution_from_vertex(x, x, y)
     assert at_base.degenerate
-    assert at_base.line_x is None
-    assert at_base.line_y is not None
+    assert at_base.line_through_x is None
+    assert at_base.line_through_y is not None
 
 
 def test_quadric_search_finds_the_two_ruling_vertices(quadric):

@@ -141,6 +141,9 @@ def test_field_from_spec():
         field_from_spec("complex")
     with pytest.raises(ValueError):
         field_from_spec({"prime": 5, "extra": 1})
+    for prime in ([5], True, 5.0):
+        with pytest.raises(ValueError, match="integer"):
+            field_from_spec({"prime": prime})
 
 
 def test_describe_round_trips_through_spec():

@@ -118,8 +118,8 @@ def test_brute_conics_flag_degenerate_vertices(quadric5):
     solutions = brute_singular_conics(quadric5, (1, 0, 0, 0), (0, 1, 0, 0))
     assert len(solutions) == 6
     assert all(s.degenerate for s in solutions)
-    assert solutions[0].line_x is None       # vertex == x
-    assert solutions[-1].line_y is None      # vertex == y
+    assert solutions[0].line_through_x is None  # vertex == x
+    assert solutions[-1].line_through_y is None  # vertex == y
     with pytest.raises(ValueError, match="two distinct points"):
         brute_singular_conics(quadric5, (1, 0, 0, 0), (2, 0, 0, 0))
 

@@ -46,3 +46,14 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(f"ccv.{mod}"), fn,
                                 None))]
     assert not missing, f"perfbench/spans.py wraps missing functions: {missing}"
+
+
+def test_only_the_record_base_writes_to_json():
+    # every result renders through fields.Record and its one encoder; a
+    # class with its own to_json would decide its JSON shape a second way
+    owners = sorted(
+        f"{name}.{attr}" for name in MODULES
+        for attr, cls in vars(importlib.import_module(name)).items()
+        if isinstance(cls, type) and cls.__module__ == name
+        and "to_json" in vars(cls))
+    assert owners == ["ccv.fields.Record"]

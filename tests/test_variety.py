@@ -45,6 +45,9 @@ def test_rejects_malformed_specs():
         ({**good, "secant_defect": -1}, "nonnegative"),
         ({**good, "fano_index": False}, "nonnegative"),
         ({**good, "name": ""}, "name"),
+        (3, "JSON object"),
+        (None, "JSON object"),
+        ({**good, "field": {"prime": [5]}}, "integer"),
     ]
     for data, fragment in bad:
         with pytest.raises(ValueError, match=fragment):
