@@ -20,11 +20,10 @@ from .variety import (Candidate, ClassificationReport, Criterion,
                       classify_line_family, criteria_report, load_variety,
                       over_prime, point_on_variety, reduce_point_mod,
                       reduce_variety_mod, variety_dimension)
-from .linelocus import (LineLocus, LinesReport, line_locus,
-                        lines_dimension_report)
 from .conics import (ConicSearchResult, ConicSolution, ConicSystem,
-                     CountResult, conic_system, count_conics,
+                     CountResult, LinesReport, conic_system, count_conics,
                      find_singular_conics, line_equations,
+                     lines_dimension_report, pencil_conditions,
                      singular_conic_count_formula, solution_from_vertex)
 from .oracle import (Lcg64, OracleRefusal, OracleStats, PointCapExceeded,
                      PrimeTooSmall, brute_line_locus, brute_singular_conics,
@@ -47,7 +46,7 @@ __all__ = [
     "criteria_report", "load_variety", "over_prime",
     "point_on_variety", "reduce_point_mod", "reduce_variety_mod",
     "variety_dimension",
-    "LineLocus", "LinesReport", "line_locus", "lines_dimension_report",
+    "LinesReport", "lines_dimension_report", "pencil_conditions",
     "ConicSearchResult", "ConicSolution", "ConicSystem", "CountResult",
     "conic_system", "count_conics", "find_singular_conics",
     "line_equations", "singular_conic_count_formula",

@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
-from .conics import (conic_system, count_conics, find_singular_conics)
+from .conics import (conic_system, count_conics, find_singular_conics,
+                     lines_dimension_report)
 from .fields import FieldMismatchError
 from .ffutil import DEFAULT_POINT_CAP, OracleRefusal
 from .oracle import cc_census
-from .linelocus import line_locus, lines_dimension_report
 from .parser import ParseError
 from .poly import ProjectivePoint
 from .variety import (classify_line_family, criteria_report, load_variety,
@@ -108,12 +109,21 @@ def _point_cap() -> int:
     return value
 
 
+# a signed integer, fraction or plain decimal; Fraction would also take an
+# exponent, and expand 1e9999999 into a ten-million-digit integer
+_COORDINATE = re.compile(r"[+-]?(\d+(/\d+|\.\d*)?|\.\d+)")
+
+
 def _parse_point(text: str, variety) -> ProjectivePoint:
     parts = [piece.strip() for piece in text.split(",")]
     if len(parts) != variety.ambient_dim + 1:
         raise ValueError(
             f"expected {variety.ambient_dim + 1} comma-separated "
             f"coordinates, got {len(parts)}")
+    for part in parts:
+        if not _COORDINATE.fullmatch(part):
+            raise ValueError(f"coordinate {part!r} is not an integer, "
+                             f"a fraction or a plain decimal")
     try:
         coords = [variety.field(p) for p in parts]
     except ZeroDivisionError:
@@ -221,9 +231,8 @@ def _cmd_check(args, cap: int) -> tuple:
 
 def _cmd_lines(args, cap: int) -> tuple:
     variety = load_variety(args.variety)
-    point = _parse_point(args.point, variety)
-    locus = line_locus(variety, point)
-    report = lines_dimension_report(locus, variety)
+    report = lines_dimension_report(variety,
+                                    _parse_point(args.point, variety))
     payload = {"variety": variety.to_json(), "report": report.to_json()}
     lines = _variety_lines(variety)
     lines.append(f"base point: {report.base_point}")

@@ -1,13 +1,16 @@
-"""Singular conics through two points: system construction, solving,
-and the closed-form count.
+"""The cone of lines through a point, the singular conics through two
+points, and the closed-form count.
+
+Restricting an equation G of degree d to the pencil of lines through a
+point x of X gives conditions of degrees 1..d on the moving point, the
+last being G itself.  They cut out the cone of lines on X through x; its
+dimension minus one is the dimension a of the family of lines through x.
 
 A singular conic through x and y on X is a pair of lines <x,p> and <y,p>
-inside X meeting at a vertex p.  Restricting each defining equation to the
-two pencils of lines gives polynomial conditions on p: degrees 1..d_i from
-the pencil at x and 1..d_i-1 from the pencil at y (the degree-d_i condition
-is the equation itself and is shared), so at most 2*sum(d) - m generators.
-For a smooth complete intersection in the boundary case 2*sum(d) - c = N
-the number of solutions is exactly prod(d_i! * (d_i - 1)!).
+inside X, so its vertex p lies on both cones: the conic system is the
+union of the pencil conditions at x and at y, at most 2*sum(d) - m of
+them.  For a smooth complete intersection in the boundary case
+2*sum(d) - c = N the number of solutions is exactly prod(d_i! * (d_i - 1)!).
 """
 
 from __future__ import annotations
@@ -22,10 +25,14 @@ from .linalg import kernel_basis, matrix_rank
 from .poly import Polynomial, ProjectivePoint, expand_line_pencil
 from .groebner import IdealSummary, ideal_dimension_and_degree
 from .solve import projective_rational_solutions
-from .variety import (VarietySpec, over_prime, point_on_variety,
+from .variety import (VarietySpec, ClassificationReport, classify_line_family,
+                      over_prime, point_on_variety,
                       singular_conic_count_formula, variety_dimension)
 
 __all__ = [
+    "pencil_conditions",
+    "LinesReport",
+    "lines_dimension_report",
     "ConicSystem",
     "conic_system",
     "ConicSolution",
@@ -37,6 +44,74 @@ __all__ = [
     "count_conics",
     "singular_conic_count_formula",
 ]
+
+
+def pencil_conditions(variety: VarietySpec, point: ProjectivePoint) -> tuple:
+    """The pencil conditions of every equation at a point of X.
+
+    Zero conditions are dropped and duplicates kept once; neither changes
+    the ideal, which cuts out the cone of lines on X through the point.
+    """
+    return tuple(dict.fromkeys(c for eq in variety.equations
+                               for c in expand_line_pencil(eq, point) if c))
+
+
+@dataclass(frozen=True)
+class LinesReport(Record):
+    base_point: str
+    generators: tuple
+    generator_degrees: tuple
+    locus_dimension: int
+    locus_degree: int | None
+    a: int
+    family_bound: int
+    locus_bound: int
+    family_bound_met: bool
+    locus_bound_met: bool
+    classification: ClassificationReport | None
+    caveat: str = ("a is defined at a general point; at a special point the "
+                   "observed family can be larger or smaller than the "
+                   "general value")
+
+
+def lines_dimension_report(variety: VarietySpec,
+                           point: ProjectivePoint) -> LinesReport:
+    """Compare the observed line-family dimension with its lower bounds.
+
+    a = dim(cone) - 1; a = -1 means no line through this point lies on
+    the variety.  The guaranteed lower bounds are N - 1 - sum(d) for the
+    family and N - sum(d) for the cone.  When the variety's dimension is
+    known and a line family exists, the invariants (n, c, a) are fed to
+    the classifier.
+    """
+    if not point_on_variety(variety, point):
+        raise ValueError(f"{point} does not lie on {variety.name}")
+    gens = pencil_conditions(variety, point)
+    summary = ideal_dimension_and_degree(gens)
+    N, total = variety.ambient_dim, sum(variety.degrees)
+    dim = summary.projective_dimension
+    a = dim - 1
+    classification = None
+    if a >= 0:
+        n, _src = variety_dimension(variety)
+        if n is not None and n >= 1 and N - n >= 1:
+            classification = classify_line_family(
+                n, N - n, a,
+                delta=variety.secant_defect,
+                index=variety.fano_index)
+    return LinesReport(
+        base_point=str(point),
+        generators=gens,
+        generator_degrees=tuple(g.degree() for g in gens),
+        locus_dimension=dim,
+        locus_degree=summary.degree,
+        a=a,
+        family_bound=N - 1 - total,
+        locus_bound=N - total,
+        family_bound_met=a >= N - 1 - total,
+        locus_bound_met=dim >= N - total,
+        classification=classification,
+    )
 
 
 @dataclass(frozen=True)
@@ -63,21 +138,18 @@ class ConicSystem(Record):
 
 def conic_system(variety: VarietySpec, x: ProjectivePoint,
                  y: ProjectivePoint) -> ConicSystem:
-    """Merge the pencil conditions at x and at y.
+    """The pencil conditions at x followed by those at y, each kept once.
 
-    Each equation appears exactly once (as the top condition of its pencil
-    at x; the copy from the pencil at y is dropped), and zero or duplicate
-    conditions are dropped, so there are at most 2*sum(d) - m generators.
+    Every equation is the top condition of both pencils and appears once,
+    so there are at most 2*sum(d) - m generators.
     """
     if x == y:
         raise ValueError("need two distinct points")
     for label, pt in (("x", x), ("y", y)):
         if not point_on_variety(variety, pt):
             raise ValueError(f"{label} = {pt} does not lie on {variety.name}")
-    at_x = [c for eq in variety.equations for c in expand_line_pencil(eq, x)]
-    at_y = [c for eq in variety.equations
-            for c in expand_line_pencil(eq, y)[:-1]]
-    gens = tuple(dict.fromkeys(c for c in at_x + at_y if c))
+    gens = tuple(dict.fromkeys(pencil_conditions(variety, x)
+                               + pencil_conditions(variety, y)))
     return ConicSystem(x, y, gens, len(variety.equations))
 
 
@@ -154,7 +226,7 @@ class ConicSearchResult(Record):
 
 def find_singular_conics(variety: VarietySpec, x: ProjectivePoint,
                          y: ProjectivePoint, prime: int | None = None,
-                         cap: int | None = DEFAULT_POINT_CAP,
+                         cap: int = DEFAULT_POINT_CAP,
                          system: ConicSystem | None = None) -> ConicSearchResult:
     """Find all vertices of singular conics through x and y.
 

@@ -22,6 +22,7 @@ __all__ = [
     "check_point_budget",
     "require_line_safe",
     "enumerate_points",
+    "enumeration_key",
     "compile_mod_evaluator",
     "zero_set",
 ]
@@ -46,9 +47,9 @@ def projective_point_count(n: int, p: int) -> int:
     return (p ** (n + 1) - 1) // (p - 1)
 
 
-def check_point_budget(n: int, p: int, cap) -> int:
+def check_point_budget(n: int, p: int, cap: int) -> int:
     total = projective_point_count(n, p)
-    if cap is not None and total > cap:
+    if total > cap:
         raise PointCapExceeded(
             f"P^{n}(F_{p}) has {total} points, over the cap of {cap}")
     return total
@@ -71,6 +72,11 @@ def enumerate_points(n: int, p: int):
         head = (0,) * j + (1,)
         for tail in product(range(p), repeat=n - j):
             yield head + tail
+
+
+def enumeration_key(q: tuple) -> tuple:
+    """Sort key putting canonical points in the order of enumerate_points."""
+    return q.index(1), q
 
 
 def compile_mod_evaluator(poly, p: int):
@@ -99,7 +105,7 @@ def compile_mod_evaluator(poly, p: int):
                 {"__builtins__": {}, "_pow": pow})
 
 
-def zero_set(polys, n: int, p: int, cap) -> tuple:
+def zero_set(polys, n: int, p: int, cap: int) -> tuple:
     """Points of P^n(F_p) where every polynomial vanishes, in enumeration
     order, found by evaluating the polynomials at every point."""
     check_point_budget(n, p, cap)

@@ -27,7 +27,8 @@ from functools import cache
 from .conics import ConicSolution, solution_from_vertex
 from .ffutil import (DEFAULT_POINT_CAP, OracleRefusal, PointCapExceeded,
                      PrimeTooSmall, check_point_budget, compile_mod_evaluator,
-                     enumerate_points, require_line_safe, zero_set)
+                     enumerate_points, enumeration_key, require_line_safe,
+                     zero_set)
 from .fields import Record
 from .poly import ProjectivePoint
 from .variety import VarietySpec, point_on_variety
@@ -118,10 +119,6 @@ def _cone(evaluators, p: int, xt: tuple, n: int) -> set:
     return cone
 
 
-def _in_enumeration_order(points) -> tuple:
-    return tuple(sorted(points, key=lambda q: (q.index(1), q)))
-
-
 def _base_point(variety: VarietySpec, point, label: str) -> tuple:
     """Canonical tuple of a point checked to lie on the variety."""
     pt = _as_tuple(point, variety.field)
@@ -132,7 +129,7 @@ def _base_point(variety: VarietySpec, point, label: str) -> tuple:
 
 
 def brute_line_locus(variety: VarietySpec, point,
-                     cap: int | None = DEFAULT_POINT_CAP) -> tuple:
+                     cap: int = DEFAULT_POINT_CAP) -> tuple:
     """All q such that the line through ``point`` and q lies on the variety.
 
     The base point itself is included, matching the zero set of the
@@ -143,12 +140,12 @@ def brute_line_locus(variety: VarietySpec, point,
     require_line_safe(variety.degrees, p)
     xt = _base_point(variety, point, "base point")
     check_point_budget(variety.ambient_dim, p, cap)
-    return _in_enumeration_order(
-        _cone(_compiled(variety, p), p, xt, variety.ambient_dim))
+    return tuple(sorted(_cone(_compiled(variety, p), p, xt,
+                              variety.ambient_dim), key=enumeration_key))
 
 
 def brute_singular_conics(variety: VarietySpec, x, y,
-                          cap: int | None = DEFAULT_POINT_CAP) -> tuple:
+                          cap: int = DEFAULT_POINT_CAP) -> tuple:
     """Vertices q with both lines <x,q> and <y,q> on the variety.
 
     The conditions read (q == x or line <x,q> on X) and (q == y or line
@@ -169,12 +166,12 @@ def brute_singular_conics(variety: VarietySpec, x, y,
     xp, yp = (ProjectivePoint(t, field) for t in (xt, yt))
     return tuple(
         solution_from_vertex(ProjectivePoint(q, field), xp, yp)
-        for q in _in_enumeration_order(_cone(evaluators, p, xt, N)
-                                       & _cone(evaluators, p, yt, N)))
+        for q in sorted(_cone(evaluators, p, xt, N)
+                        & _cone(evaluators, p, yt, N), key=enumeration_key))
 
 
 def variety_points(variety: VarietySpec,
-                   cap: int | None = DEFAULT_POINT_CAP) -> tuple:
+                   cap: int = DEFAULT_POINT_CAP) -> tuple:
     """All F_p points of the variety, in enumeration order."""
     return zero_set(variety.equations, variety.ambient_dim,
                     _field_prime(variety), cap)
@@ -232,7 +229,7 @@ class OracleStats(Record):
 
 
 def cc_census(variety: VarietySpec, sample: int, seed: int = 0,
-              cap: int | None = DEFAULT_POINT_CAP) -> OracleStats:
+              cap: int = DEFAULT_POINT_CAP) -> OracleStats:
     """Sample point pairs and count their singular-conic vertices.
 
     Pairs are drawn with replacement from the F_p points of the variety

@@ -17,7 +17,6 @@ import json
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from pathlib import Path
 
@@ -166,17 +165,13 @@ def load_variety(source) -> VarietySpec:
     return build_variety(json.loads(source))
 
 
-@lru_cache(maxsize=64)
-def _computed_summary(variety: VarietySpec):
-    return ideal_dimension_and_degree(variety.equations)
-
-
 def variety_dimension(variety: VarietySpec):
     """(dimension, source): the claimed dimension if given, else the
     projective dimension of the defining ideal."""
     if variety.claimed_dim is not None:
         return variety.claimed_dim, "claimed"
-    return _computed_summary(variety).projective_dimension, "computed"
+    return (ideal_dimension_and_degree(variety.equations).projective_dimension,
+            "computed")
 
 
 def point_on_variety(variety: VarietySpec, point: ProjectivePoint) -> bool:

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from ccv import (Polynomial, classify_line_family, conic_system,
                  criteria_report, count_conics, groebner_basis, lex_key,
-                 line_locus, lines_dimension_report, load_variety,
-                 normal_form, reduce_point_mod, reduce_variety_mod,
+                 lines_dimension_report, load_variety, normal_form,
+                 pencil_conditions, reduce_point_mod, reduce_variety_mod,
                  variety_points, brute_line_locus, brute_singular_conics,
                  verify_groebner)
 from ccv.cli import entry
@@ -156,8 +156,7 @@ def test_criterion_6_oracle_symbolic_equivalence(quadric):
 
         for pt in points:
             proj = qpt(*pt, field=field)
-            locus = line_locus(reduced, proj)
-            assert zero_set(locus.ideal_generators) == \
+            assert zero_set(pencil_conditions(reduced, proj)) == \
                 brute_line_locus(reduced, pt)
         for i, xt in enumerate(points):
             for yt in points[i + 1:]:
@@ -178,9 +177,8 @@ def test_criterion_6_oracle_symbolic_equivalence(quadric):
 
 def test_criterion_7_line_family_dimensions(quadric3, g14):
     t0 = time.perf_counter()
-    locus_q = line_locus(quadric3, qpt(1, 0, 0, 0, 0))
-    rep_q = lines_dimension_report(locus_q, quadric3)
-    assert locus_q.summary.projective_dimension == 2
+    rep_q = lines_dimension_report(quadric3, qpt(1, 0, 0, 0, 0))
+    assert rep_q.locus_dimension == 2
     assert rep_q.a == 1
     assert rep_q.family_bound == 1                  # N - 1 - sum(d) = 1
     assert rep_q.a == rep_q.family_bound            # met at equality
@@ -188,15 +186,14 @@ def test_criterion_7_line_family_dimensions(quadric3, g14):
     # cross-check the cone over F_5 against brute force
     red = reduce_variety_mod(quadric3, 5)
     base5 = reduce_point_mod(qpt(1, 0, 0, 0, 0), 5)
-    gens5 = line_locus(red, base5).ideal_generators
+    gens5 = pencil_conditions(red, base5)
     evaluators = [compile_mod_evaluator(g, 5) for g in gens5]
     symbolic = tuple(pt for pt in enumerate_points(4, 5)
                      if all(ev(pt) == 0 for ev in evaluators))
     brute = brute_line_locus(red, (1, 0, 0, 0, 0))
     assert symbolic == brute and len(brute) == 31
 
-    locus_g = line_locus(g14, qpt(1, 0, 0, 0, 0, 0, 0, 0, 0, 0))
-    rep_g = lines_dimension_report(locus_g, g14)
+    rep_g = lines_dimension_report(g14, qpt(1, 0, 0, 0, 0, 0, 0, 0, 0, 0))
     assert rep_g.a == 3                             # the border value
     elapsed = time.perf_counter() - t0
     report(7, elapsed, 60.0,

@@ -215,6 +215,9 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
         ("check", str(tmp_path / "number.json")),
         ("check", str(tmp_path / "null.json")),
         ("check", str(tmp_path / "list_prime.json")),
+        # an exponent would expand into a huge integer before any check
+        ("lines", QUADRIC, "--point", "1,0,0,1e99999999"),
+        ("lines", QUADRIC, "--point", "0e99999999,1,0,0"),
     ]
     for argv in cases:
         code, out, err = run_cli(capsys, *argv)

@@ -2,12 +2,14 @@
 
 import pytest
 
-from ccv import (GF, conic_system, count_conics, find_singular_conics,
-                 line_equations, parse_polynomial, reduce_variety_mod,
+from ccv import (GF, conic_system, count_conics, expand_line_pencil,
+                 find_singular_conics, line_equations, load_variety,
+                 parse_polynomial, pencil_conditions, reduce_variety_mod,
                  singular_conic_count_formula, solution_from_vertex)
 from ccv.ffutil import PrimeTooSmall
 
 from conftest import qpt
+from test_golden import CASES, ROOT
 
 
 def test_quadric_system_generators(quadric):
@@ -15,6 +17,30 @@ def test_quadric_system_generators(quadric):
     assert [str(g) for g in system.generators] == [
         "x3", "-x1*x2 + x0*x3", "x0"]
     assert system.shared_count == 1
+
+
+# (spec, points) of every golden lines and conics case that runs
+GOLDEN_POINTS = sorted({
+    (argv[1], tuple(argv[i + 1] for i, opt in enumerate(argv)
+                    if opt in ("--point", "--x", "--y")))
+    for name, (argv, _cap) in CASES.items()
+    if argv[0] in ("lines", "conics") and not name.startswith("refuse-")})
+
+
+@pytest.mark.parametrize("spec, points", GOLDEN_POINTS, ids=[
+    " ".join((spec.split("/")[-1],) + pts) for spec, pts in GOLDEN_POINTS])
+def test_system_is_the_union_of_the_two_pencils(spec, points):
+    # the top pencil condition is the equation itself, so the pencil at x
+    # already holds every equation the pencil at y ends with
+    variety = load_variety(ROOT / spec)
+    pts = [qpt(*(c.strip() for c in text.split(","))) for text in points]
+    for pt in pts:
+        for eq in variety.equations:
+            assert expand_line_pencil(eq, pt)[-1] == eq
+    if len(pts) == 2:
+        x, y = pts
+        assert conic_system(variety, x, y).generators == tuple(dict.fromkeys(
+            pencil_conditions(variety, x) + pencil_conditions(variety, y)))
 
 
 def test_system_rejects_bad_points(quadric):

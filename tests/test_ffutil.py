@@ -1,5 +1,6 @@
 """Finite-field enumeration and compiled modular evaluation."""
 
+import random
 from fractions import Fraction
 from itertools import islice
 
@@ -7,7 +8,8 @@ import pytest
 
 from ccv import GF, QQ, PointCapExceeded, Polynomial, parse_polynomial
 from ccv.ffutil import (check_point_budget, compile_mod_evaluator,
-                        enumerate_points, projective_point_count)
+                        enumerate_points, enumeration_key,
+                        projective_point_count)
 
 
 def test_projective_point_counts():
@@ -29,10 +31,15 @@ def test_enumeration_matches_count_and_is_canonical():
 
 def test_enumeration_order_is_pinned():
     assert list(enumerate_points(1, 3)) == [(1, 0), (1, 1), (1, 2), (0, 1)]
+    points = list(enumerate_points(3, 5))
+    shuffled = points[:]
+    random.Random(0).shuffle(shuffled)
+    assert sorted(shuffled, key=enumeration_key) == points
 
 
 def test_point_budget():
-    assert check_point_budget(3, 5, None) == 156
+    with pytest.raises(TypeError):  # there is no unbounded sweep
+        check_point_budget(3, 5, None)
     assert check_point_budget(3, 5, 156) == 156
     with pytest.raises(PointCapExceeded):
         check_point_budget(3, 5, 155)

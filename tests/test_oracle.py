@@ -74,9 +74,9 @@ def test_brute_locus_matches_the_conic_of_rulings(quadric5):
 
 
 def test_brute_locus_equals_symbolic_zero_set(quadric5):
-    from ccv import line_locus
+    from ccv import pencil_conditions
     base = reduce_point_mod(qpt(1, 0, 0, 0), 5)
-    gens = line_locus(quadric5, base).ideal_generators
+    gens = pencil_conditions(quadric5, base)
     evaluators = [compile_mod_evaluator(g, 5) for g in gens]
     symbolic = tuple(pt for pt in enumerate_points(3, 5)
                      if all(ev(pt) == 0 for ev in evaluators))

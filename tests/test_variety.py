@@ -10,7 +10,7 @@ from ccv import (GF, QQ, ProjectivePoint, build_variety, classify_line_family,
                  criteria_report, load_variety,
                  over_prime, parse_polynomial, point_on_variety,
                  reduce_point_mod, reduce_variety_mod, variety_dimension)
-from ccv.variety import VarietySpec, _computed_summary
+from ccv.variety import VarietySpec
 
 from conftest import VARIETIES, qpt
 
@@ -81,16 +81,6 @@ def test_dimension_claimed_versus_computed(quadric):
     cubic_curve = build_variety({"ambient_dim": 3, "equations": [
         "x0*x2 - x1^2", "x0*x3 - x1*x2", "x1*x3 - x2^2"]})
     assert variety_dimension(cubic_curve) == (1, "computed")
-
-
-def test_computed_dimension_cache_is_bounded():
-    bound = _computed_summary.cache_info().maxsize
-    assert bound is not None
-    for k in range(bound + 8):
-        conic = build_variety({"ambient_dim": 2,
-                               "equations": [f"x0^2 + {k + 1}*x1*x2"]})
-        assert variety_dimension(conic) == (1, "computed")
-    assert _computed_summary.cache_info().currsize <= bound
 
 
 def test_point_membership(quadric):
@@ -244,7 +234,6 @@ def test_dimension_of_a_large_quadric_is_computed_quickly():
     equation = " + ".join(f"x{2 * i}*x{2 * i + 1}" for i in range(14))
     spec = build_variety({"ambient_dim": 27, "equations": [equation],
                           "smooth": True, "scheme_theoretic": True})
-    _computed_summary.cache_clear()
     t0 = time.perf_counter()
     report = criteria_report(spec)
     elapsed = time.perf_counter() - t0
