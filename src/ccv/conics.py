@@ -17,10 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .ffutil import (DEFAULT_POINT_CAP, check_point_budget,
-                     require_line_safe, zero_set)
-from .fields import Record
+                     compile_mod_evaluator, enumerate_points, enumeration_key,
+                     require_line_safe)
+from .fields import GF, Record
 from .linalg import kernel_basis, matrix_rank
 from .poly import Polynomial, ProjectivePoint, expand_line_pencil
 from .groebner import IdealSummary, ideal_dimension_and_degree
@@ -224,6 +226,28 @@ class ConicSearchResult(Record):
     notes: tuple = ()
 
 
+def _zeros_on_span(polys, n: int, p: int) -> tuple:
+    """Points of P^n(F_p) where every polynomial vanishes, in enumeration
+    order, found by evaluating the nonlinear ones on the kernel of the
+    linear ones (all of F_p^(n+1) when there is no linear form)."""
+    field = GF(p)
+    units = [tuple(int(i == j) for i in range(n + 1)) for j in range(n + 1)]
+    rows = [[field(f.terms.get(e, 0)) for e in units]
+            for f in polys if f.degree() == 1] or [[field.zero] * (n + 1)]
+    basis = kernel_basis(rows, field.one, field.zero)
+    columns = [[c.value for c in col] for col in zip(*basis)]
+    evaluators = [compile_mod_evaluator(f, p)
+                  for f in polys if f.degree() != 1]
+    hits = []
+    for t in enumerate_points(len(basis) - 1, p):
+        v = [sum(map(mul, t, col)) % p for col in columns]
+        inv = pow(next(c for c in v if c), -1, p)
+        q = tuple(c * inv % p for c in v)
+        if not any(ev(q) for ev in evaluators):
+            hits.append(q)
+    return tuple(sorted(hits, key=enumeration_key))
+
+
 def find_singular_conics(variety: VarietySpec, x: ProjectivePoint,
                          y: ProjectivePoint, prime: int | None = None,
                          cap: int = DEFAULT_POINT_CAP,
@@ -233,10 +257,13 @@ def find_singular_conics(variety: VarietySpec, x: ProjectivePoint,
     Symbolic mode (prime None) works over the variety's own field through
     Groebner bases: it reports the system's dimension and degree, and when
     zero-dimensional enumerates every field-rational vertex.  Finite-field
-    mode works over F_p (see :func:`over_prime`) and evaluates the symbolic
-    system at every point of P^N(F_p); it never touches Groebner machinery,
-    so the two modes check each other.  ``system`` is a conic_system
-    already built for the variety and points of the chosen mode.
+    mode works over F_p (see :func:`over_prime`): a vertex lies in the
+    meet of the tangent spaces T_xX and T_yX, the kernel of the system's
+    degree-1 conditions, so it evaluates the nonlinear conditions at every
+    F_p point of that kernel and not of all of P^N(F_p).  It never touches Groebner machinery, so
+    the two modes check each other.  ``cap`` is still measured against
+    |P^N(F_p)|.  ``system`` is a conic_system already built for the
+    variety and points of the chosen mode.
     """
     if prime is None:
         system = system or conic_system(variety, x, y)
@@ -266,9 +293,10 @@ def find_singular_conics(variety: VarietySpec, x: ProjectivePoint,
     require_line_safe(variety.degrees, prime)
     system = system or conic_system(variety, x, y)
     N = variety.ambient_dim
+    check_point_budget(N, prime, cap)
     solutions = tuple(
         solution_from_vertex(ProjectivePoint(pt, variety.field), x, y)
-        for pt in zero_set(system.generators, N, prime, cap))
+        for pt in _zeros_on_span(system.generators, N, prime))
     return ConicSearchResult(
         "finite-field", "finite", None, None, solutions,
         notes=(f"exhaustive scan of P^{N}(F_{prime}); the list is the "

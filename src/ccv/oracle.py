@@ -27,8 +27,7 @@ from functools import cache
 from .conics import ConicSolution, solution_from_vertex
 from .ffutil import (DEFAULT_POINT_CAP, OracleRefusal, PointCapExceeded,
                      PrimeTooSmall, check_point_budget, compile_mod_evaluator,
-                     enumerate_points, enumeration_key, require_line_safe,
-                     zero_set)
+                     enumerate_points, enumeration_key, require_line_safe)
 from .fields import Record
 from .poly import ProjectivePoint
 from .variety import VarietySpec, point_on_variety
@@ -173,8 +172,11 @@ def brute_singular_conics(variety: VarietySpec, x, y,
 def variety_points(variety: VarietySpec,
                    cap: int = DEFAULT_POINT_CAP) -> tuple:
     """All F_p points of the variety, in enumeration order."""
-    return zero_set(variety.equations, variety.ambient_dim,
-                    _field_prime(variety), cap)
+    p = _field_prime(variety)
+    check_point_budget(variety.ambient_dim, p, cap)
+    evaluators = _compiled(variety, p)
+    return tuple(q for q in enumerate_points(variety.ambient_dim, p)
+                 if not any(ev(q) for ev in evaluators))
 
 
 class Lcg64:

@@ -1,12 +1,19 @@
 """Singular-conic systems: construction, search, and the count formula."""
 
+import random
+
 import pytest
 
-from ccv import (GF, conic_system, count_conics, expand_line_pencil,
+from ccv import (GF, brute_singular_conics, build_variety,
+                 conic_system, count_conics, expand_line_pencil,
                  find_singular_conics, line_equations, load_variety,
-                 parse_polynomial, pencil_conditions, reduce_variety_mod,
-                 singular_conic_count_formula, solution_from_vertex)
-from ccv.ffutil import PrimeTooSmall
+                 over_prime, parse_polynomial, pencil_conditions,
+                 reduce_variety_mod, singular_conic_count_formula,
+                 solution_from_vertex)
+from ccv.conics import _zeros_on_span
+from ccv.ffutil import (PointCapExceeded, PrimeTooSmall,
+                        compile_mod_evaluator, enumerate_points,
+                        projective_point_count)
 
 from conftest import qpt
 from test_golden import CASES, ROOT
@@ -173,6 +180,138 @@ def test_finite_field_mode_prime_mismatch(quadric):
     assert find_singular_conics(red, x, y, prime=5).status == "finite"
     with pytest.raises(ValueError, match="F_5, not F_7"):
         find_singular_conics(red, x, y, prime=7)
+
+
+def _full_scan(polys, n, p):
+    """Every point of P^n(F_p) where all the polynomials vanish."""
+    evaluators = [compile_mod_evaluator(f, p) for f in polys]
+    return tuple(q for q in enumerate_points(n, p)
+                 if not any(ev(q) for ev in evaluators))
+
+
+def _vertices(solutions):
+    return tuple(tuple(c.value for c in s.vertex.coords) for s in solutions)
+
+
+def _random_pair(variety, p, seed):
+    """Two distinct F_p points of the variety, drawn by rejection."""
+    rng = random.Random(seed)
+    evaluators = [compile_mod_evaluator(eq, p) for eq in variety.equations]
+    points = []
+    while len(points) < 2:
+        q = [rng.randrange(p) for _ in range(variety.ambient_dim + 1)]
+        if any(q) and not any(ev(q) for ev in evaluators):
+            pt = qpt(*q, field=GF(p))
+            if pt not in points:
+                points.append(pt)
+    return points
+
+
+# Every golden pair, and two seeded random pairs of F_p points on each of
+# three shipped specs.  The full-scan reference visits all of P^N(F_p), so
+# a pair is checked at a prime only while that space is small enough.
+SPAN_PAIRS = ([(spec, pts) for spec, pts in GOLDEN_POINTS if len(pts) == 2]
+              + [(f"varieties/{name}.json", seed)
+                 for name in ("two_quadrics_p6", "fermat_cubic_p5",
+                              "quadric3_p4")
+                 for seed in (1, 2)])
+SPAN_PRIMES = (5, 7, 11)
+FULL_SCAN_POINTS = 200_000
+SPAN_CASES = [
+    (spec, p, pair) for p in SPAN_PRIMES for spec, pair in SPAN_PAIRS
+    if projective_point_count(load_variety(ROOT / spec).ambient_dim, p)
+    <= FULL_SCAN_POINTS]
+
+
+@pytest.mark.parametrize("spec, p, pair", SPAN_CASES, ids=[
+    f"{spec.split('/')[-1]}-p{p}-"
+    + (f"seed{pair}" if isinstance(pair, int) else "golden")
+    for spec, p, pair in SPAN_CASES])
+def test_span_scan_equals_the_full_scan(spec, p, pair):
+    variety = load_variety(ROOT / spec)
+    if isinstance(pair, int):
+        red = reduce_variety_mod(variety, p)
+        x, y = _random_pair(red, p, 1000 * p + pair)
+    else:
+        red, x, y = over_prime(variety, p, *(
+            qpt(*(c.strip() for c in text.split(","))) for text in pair))
+    found = _vertices(find_singular_conics(red, x, y, p).solutions)
+    full = _full_scan(conic_system(red, x, y).generators,
+                      red.ambient_dim, p)
+    assert found == full
+    assert found == _vertices(brute_singular_conics(red, x, y))
+
+
+def _cone(equation, p):
+    """A quadric cone in P^3 over F_p."""
+    return reduce_variety_mod(
+        build_variety({"ambient_dim": 3, "equations": [equation]}), p)
+
+
+@pytest.mark.parametrize("p", SPAN_PRIMES)
+def test_span_scan_with_no_linear_condition(p):
+    # the vertex of the cone is singular: its pencil has no degree-1
+    # condition, so the kernel is all of F_p^4
+    cone = _cone("x0*x1 - x2^2", p)
+    gens = pencil_conditions(cone, qpt(0, 0, 0, 1, field=GF(p)))
+    assert [g.degree() for g in gens] == [2]
+    assert _zeros_on_span(gens, 3, p) == _full_scan(gens, 3, p)
+    assert len(_zeros_on_span(gens, 3, p)) == 1 + p * (p + 1)
+
+
+@pytest.mark.parametrize("p", SPAN_PRIMES)
+def test_span_scan_with_rank_deficient_linear_conditions(p):
+    # two points on one ruling of a cone with vertex e_0 share a tangent
+    # plane, and their conditions x2 and 2*x2 are both kept
+    cone = _cone("x1*x2 - x3^2", p)
+    x, y = (qpt(1, k, 0, 0, field=GF(p)) for k in (1, 2))
+    system = conic_system(cone, x, y)
+    assert [str(g) for g in system.generators if g.degree() == 1] == [
+        "x2", "2*x2"]
+    found = _vertices(find_singular_conics(cone, x, y, p).solutions)
+    assert found == _full_scan(system.generators, 3, p)
+    assert found == _vertices(brute_singular_conics(cone, x, y))
+    assert len(found) == p + 1  # the ruling through x and y
+
+
+def test_span_scan_with_a_zero_kernel():
+    # four independent linear forms in P^3 leave no projective point
+    forms = [parse_polynomial(text, 4, GF(7))
+             for text in ("x0", "x0 + x1", "x1 + 2*x2", "x2 - x3",
+                          "x0*x1 + x2*x3")]
+    assert _zeros_on_span(forms[:4], 3, 7) == ()
+    assert _zeros_on_span(forms, 3, 7) == ()
+
+
+def test_span_scan_keeps_the_point_cap_on_the_whole_space(two_quadrics):
+    # the kernel is a P^2 of 31 points, P^6(F_5) has 19531
+    x, y = qpt(1, 0, 0, 0, 0, 0, 0), qpt(0, 0, 0, 0, 0, 0, 1)
+    assert len(find_singular_conics(two_quadrics, x, y, 5,
+                                    cap=19531).solutions) == 1
+    with pytest.raises(PointCapExceeded, match="19531 points"):
+        find_singular_conics(two_quadrics, x, y, 5, cap=1000)
+
+
+def test_span_scan_stays_on_the_span(two_quadrics, monkeypatch):
+    # P^6(F_23) has about 1.6e8 points, too many to visit here; the kernel
+    # of the degree-1 conditions at e_0 and e_6 is a P^2 of 553 points
+    visited = []
+
+    def counted(n, p):
+        for q in enumerate_points(n, p):
+            visited.append(q)
+            assert len(visited) <= projective_point_count(2, 23)
+            yield q
+
+    monkeypatch.setattr("ccv.conics.enumerate_points", counted)
+    x, y = qpt(1, 0, 0, 0, 0, 0, 0), qpt(0, 0, 0, 0, 0, 0, 1)
+    red, xq, yq = over_prime(two_quadrics, 23, x, y)
+    found = find_singular_conics(two_quadrics, x, y, 23, cap=10**10)
+    symbolic = find_singular_conics(red, xq, yq)
+    assert symbolic.mode == "symbolic"
+    assert _vertices(found.solutions) == _vertices(symbolic.solutions)
+    assert found.solutions
+    assert len(visited) == projective_point_count(2, 23)
 
 
 def test_count_formula_values():
