@@ -75,6 +75,9 @@ CASES.update({
     "oracle-two_quadrics_p6": (("oracle", _spec("two_quadrics_p6"),
                                 "--prime", "5", "--pairs", "16", "--json"),
                                None),
+    "oracle-two_quadrics_p6-F7": (("oracle", _spec("two_quadrics_p6"),
+                                   "--prime", "7", "--pairs", "16",
+                                   "--seed", "3", "--json"), None),
     "refuse-oracle-prime-too-small": (("oracle", _spec("fermat_cubic_p4"),
                                        "--prime", "2", "--json"), None),
     "refuse-conics-prime-too-small": (("conics", _spec("fermat_cubic_p4"),
