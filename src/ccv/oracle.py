@@ -1,14 +1,14 @@
 """Brute-force finite-field checks that bypass all symbolic machinery.
 
-Everything here works by direct evaluation over F_p: lines are verified
-point by point.  The cone of lines through a point x is found by testing
-every line through x once, one for each point of the hyperplane x_k = 0
-(k the first nonzero coordinate of x), that is, each point of
-P^(N-1)(F_p); singular-conic vertices through x and y are the points
-common to the cones at x and at y.  Results are exact statements about
-F_p and serve as an independent cross-check of the Groebner route;
-conclusions over the rationals or their closure still belong to the
-symbolic side.
+Everything here works by direct evaluation over F_p.  A line through x
+on X meets the hyperplane x_k = 0 (k the first nonzero coordinate of x)
+in one point d of X, so the cone of lines through x comes from testing
+<x, d> for each F_p point d of X on that hyperplane; a census takes these
+from the F_p points of X it has already listed.  Singular-conic vertices
+through x and y are the points common to the cones at x and at y.
+Results are exact statements about F_p and serve as an independent
+cross-check of the Groebner route; conclusions over the rationals or
+their closure still belong to the symbolic side.
 
 Line containment is decided by evaluating each equation at the p + 1
 points of the line.  A nonzero binary form of degree d has at most d
@@ -77,10 +77,8 @@ def _canonical(vals, p: int) -> tuple:
 
 def _line_points(a: tuple, b: tuple, p: int):
     """The p + 1 canonical points of the line through distinct a, b."""
-    pts = [_canonical([(ai + t * bi) % p for ai, bi in zip(a, b)], p)
-           for t in range(p)]
-    pts.append(b)
-    return pts
+    return [_canonical([(ai + t * bi) % p for ai, bi in zip(a, b)], p)
+            for t in range(p)] + [b]
 
 
 def _line_on(evaluators, p: int, a: tuple, b: tuple) -> bool:
@@ -102,20 +100,28 @@ def line_in_variety(variety: VarietySpec, a, b) -> bool:
     return _line_on(_compiled(variety, p), p, at, bt)
 
 
-def _cone(evaluators, p: int, xt: tuple, n: int) -> set:
+def _cone(evaluators, p: int, xt: tuple, directions) -> set:
     """x and every point on a line through x that lies on the variety.
 
-    Each line through x meets the hyperplane x_k = 0 (k the first nonzero
-    coordinate of x) in exactly one point, so scanning that copy of
-    P^(n-1) tests every line once.
+    ``directions`` are the variety's points d on x_k = 0 (k the first
+    nonzero coordinate of x), one per line through x worth testing.  As x
+    and d lie on the variety, only the other p - 1 points of <x, d>,
+    d + t*x for t = 1..p-1, are evaluated.
     """
-    k = xt.index(1)
     cone = {xt}
-    for tail in enumerate_points(n - 1, p):
-        d = tail[:k] + (0,) + tail[k:]
-        if _line_on(evaluators, p, xt, d):
+    for d in directions:
+        line = (tuple((di + t * xi) % p for di, xi in zip(d, xt))
+                for t in range(1, p))
+        if not any(ev(pt) for pt in line for ev in evaluators):
             cone.update(_line_points(xt, d, p))
     return cone
+
+
+def _hyperplane_points(evaluators, p: int, n: int):
+    """A cached map k -> the F_p points of the variety on x_k = 0."""
+    return cache(lambda k: [
+        d for d in (t[:k] + (0,) + t[k:] for t in enumerate_points(n - 1, p))
+        if not any(ev(d) for ev in evaluators)])
 
 
 def _base_point(variety: VarietySpec, point, label: str) -> tuple:
@@ -139,8 +145,10 @@ def brute_line_locus(variety: VarietySpec, point,
     require_line_safe(variety.degrees, p)
     xt = _base_point(variety, point, "base point")
     check_point_budget(variety.ambient_dim, p, cap)
-    return tuple(sorted(_cone(_compiled(variety, p), p, xt,
-                              variety.ambient_dim), key=enumeration_key))
+    evaluators = _compiled(variety, p)
+    directions = _hyperplane_points(evaluators, p, variety.ambient_dim)
+    return tuple(sorted(_cone(evaluators, p, xt, directions(xt.index(1))),
+                        key=enumeration_key))
 
 
 def brute_singular_conics(variety: VarietySpec, x, y,
@@ -161,12 +169,13 @@ def brute_singular_conics(variety: VarietySpec, x, y,
         raise ValueError("need two distinct points")
     check_point_budget(variety.ambient_dim, p, cap)
     evaluators = _compiled(variety, p)
-    N = variety.ambient_dim
+    directions = _hyperplane_points(evaluators, p, variety.ambient_dim)
+    xc, yc = (_cone(evaluators, p, t, directions(t.index(1)))
+              for t in (xt, yt))
     xp, yp = (ProjectivePoint(t, field) for t in (xt, yt))
     return tuple(
         solution_from_vertex(ProjectivePoint(q, field), xp, yp)
-        for q in sorted(_cone(evaluators, p, xt, N)
-                        & _cone(evaluators, p, yt, N), key=enumeration_key))
+        for q in sorted(xc & yc, key=enumeration_key))
 
 
 def variety_points(variety: VarietySpec,
@@ -249,10 +258,11 @@ def cc_census(variety: VarietySpec, sample: int, seed: int = 0,
             f"{variety.name} has {len(points)} point(s) over F_{p}; "
             f"a census needs at least two")
     evaluators = _compiled(variety, p)
+    directions = cache(lambda k: [q for q in points if not q[k]])
 
     @cache  # one cone per sampled point, for this census only
     def cone(pt):
-        return _cone(evaluators, p, pt, variety.ambient_dim)
+        return _cone(evaluators, p, pt, directions(pt.index(1)))
 
     rng = Lcg64(seed)
     connected = 0

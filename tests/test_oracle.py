@@ -1,14 +1,18 @@
 """Brute-force finite-field checks and the sampling census."""
 
+from collections import Counter
+
 import pytest
 
+import ccv.oracle
 from ccv import (Lcg64, OracleRefusal, PointCapExceeded, PrimeTooSmall,
                  brute_line_locus, brute_singular_conics, build_variety,
-                 cc_census, conic_system, line_in_variety, reduce_point_mod,
-                 reduce_variety_mod, variety_points)
-from ccv.ffutil import compile_mod_evaluator, enumerate_points
+                 cc_census, conic_system, line_in_variety, load_variety,
+                 reduce_point_mod, reduce_variety_mod, variety_points)
+from ccv.ffutil import (compile_mod_evaluator, enumerate_points,
+                        projective_point_count)
 
-from conftest import qpt
+from conftest import VARIETIES, qpt
 
 
 @pytest.fixture
@@ -160,3 +164,145 @@ def test_census_refusals(quadric5):
     assert len(variety_points(lonely)) == 1
     with pytest.raises(OracleRefusal, match="needs at least two"):
         cc_census(lonely, 10)
+
+
+# Reference oracle: cones straight from the definition, through
+# line_in_variety only, and the census replayed from the Lcg64 draws.
+
+def _canon(vals, p):
+    inv = pow(next(v for v in vals if v), p - 2, p)
+    return tuple(v * inv % p for v in vals)
+
+
+def _line(x, y, p):
+    """The p + 1 points of the line through x and y."""
+    return {_canon([(s * a + t * b) % p for a, b in zip(x, y)], p)
+            for s in range(p) for t in range(p) if s or t}
+
+
+def _reduced(name, p):
+    return reduce_variety_mod(load_variety(VARIETIES / f"{name}.json"), p)
+
+
+def _points(variety, p):
+    evaluators = [compile_mod_evaluator(eq, p) for eq in variety.equations]
+    return [q for q in enumerate_points(variety.ambient_dim, p)
+            if not any(ev(q) for ev in evaluators)]
+
+
+def _reference_cones(variety, points):
+    """x -> {q : q == x or line_in_variety(x, q)}.  A point off the variety
+    lies on no line of it, so q runs over ``points`` only."""
+    lines = {}
+
+    def on(x, q):
+        key = frozenset((x, q))
+        if key not in lines:
+            lines[key] = line_in_variety(variety, x, q)
+        return lines[key]
+
+    cones = {}
+
+    def cone(x):
+        if x not in cones:
+            cones[x] = {q for q in points if q == x or on(x, q)}
+        return cones[x]
+    return cone
+
+
+def _draws(points, pairs, seed):
+    rng = Lcg64(seed)
+    for _ in range(pairs):
+        i = rng.draw(len(points))
+        j = rng.draw(len(points) - 1)
+        yield points[i], points[j + (j >= i)]
+
+
+# p equal to the top degree leaves no spare point on a tested line
+@pytest.mark.parametrize("name, p", [("quadric3_p4", 5), ("quadric3_p4", 2),
+                                     ("fermat_cubic_p4", 7),
+                                     ("fermat_cubic_p4", 3)])
+def test_census_equals_the_reference_census(name, p):
+    variety = _reduced(name, p)
+    points = _points(variety, p)
+    cone = _reference_cones(variety, points)
+    for seed in range(10):
+        histogram = Counter()
+        connected = with_nondeg = 0
+        for x, y in _draws(points, 3, seed):
+            vertices = cone(x) & cone(y)
+            nondeg = len(vertices - _line(x, y, p))
+            connected += bool(vertices)
+            with_nondeg += bool(nondeg)
+            histogram[nondeg] += 1
+        stats = cc_census(variety, 3, seed=seed)
+        assert stats.point_count == len(points)
+        assert (stats.pairs_connected, stats.pairs_with_nondegenerate,
+                stats.histogram) == (connected, with_nondeg,
+                                     tuple(sorted(histogram.items())))
+
+
+@pytest.mark.parametrize("p", [5, 2])
+def test_brute_locus_equals_the_reference_at_every_point(p):
+    variety = _reduced("quadric3_p4", p)
+    points = _points(variety, p)
+    cone = _reference_cones(variety, points)
+    # every point of X, so every hyperplane x_k = 0 the scan can use
+    # (x0 = x1 = 0 forces x2 = 0 on x0*x4 - x1*x3 + x2^2)
+    assert {x.index(1) for x in points} == {0, 1, 3, 4}
+    for x in points:
+        assert brute_line_locus(variety, x) == tuple(
+            q for q in points if q in cone(x))
+
+
+def _count_evaluations(monkeypatch):
+    """Log every evaluator call the oracle makes, and for each cone its
+    base point with the calls made while building it."""
+    calls, cones = [], []
+    compile_real, cone_real = ccv.oracle.compile_mod_evaluator, \
+        ccv.oracle._cone
+
+    def compile_counted(poly, p):
+        ev = compile_real(poly, p)
+        return lambda v: calls.append(v) or ev(v)
+
+    def cone_logged(evaluators, p, xt, directions):
+        start = len(calls)
+        cone = cone_real(evaluators, p, xt, directions)
+        cones.append((xt, calls[start:]))
+        return cone
+
+    monkeypatch.setattr(ccv.oracle, "compile_mod_evaluator", compile_counted)
+    monkeypatch.setattr(ccv.oracle, "_cone", cone_logged)
+    return calls, cones
+
+
+def test_cones_never_evaluate_their_base_point(monkeypatch):
+    variety = _reduced("quadric3_p4", 5)
+    points = _points(variety, 5)
+    calls, cones = _count_evaluations(monkeypatch)
+    for x in points[::7]:
+        del calls[:]
+        brute_line_locus(variety, x)
+        assert calls and all(_canon(v, 5) != x for v in calls)
+        # one evaluation per hyperplane point, p - 1 per direction on X
+        directions = sum(1 for q in points if not q[x.index(1)])
+        assert len(calls) <= projective_point_count(3, 5) + directions * 4
+    cc_census(variety, 20, seed=2)
+    assert len(cones) > len(points[::7])
+    for x, made in cones:
+        assert made and all(_canon(v, 5) != x for v in made)
+
+
+def test_census_evaluation_budget(monkeypatch):
+    p, pairs, seed = 5, 8, 1
+    variety = _reduced("two_quadrics_p6", p)
+    points = _points(variety, p)
+    calls, _ = _count_evaluations(monkeypatch)
+    cc_census(variety, pairs, seed=seed)
+    sampled = {q for pair in _draws(points, pairs, seed) for q in pair}
+    directions = sum(sum(1 for q in points if not q[x.index(1)])
+                     for x in sampled)
+    assert len(variety.equations) == 2
+    assert len(calls) <= 2 * (projective_point_count(6, p)
+                              + directions * (p - 1))
