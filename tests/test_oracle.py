@@ -1,6 +1,7 @@
 """Brute-force finite-field checks and the sampling census."""
 
 from collections import Counter
+from functools import cache
 
 import pytest
 
@@ -185,6 +186,7 @@ def _reduced(name, p):
 
 
 def _points(variety, p):
+    """The F_p points of the variety, listed without the oracle."""
     evaluators = [compile_mod_evaluator(eq, p) for eq in variety.equations]
     return [q for q in enumerate_points(variety.ambient_dim, p)
             if not any(ev(q) for ev in evaluators)]
@@ -193,21 +195,9 @@ def _points(variety, p):
 def _reference_cones(variety, points):
     """x -> {q : q == x or line_in_variety(x, q)}.  A point off the variety
     lies on no line of it, so q runs over ``points`` only."""
-    lines = {}
-
-    def on(x, q):
-        key = frozenset((x, q))
-        if key not in lines:
-            lines[key] = line_in_variety(variety, x, q)
-        return lines[key]
-
-    cones = {}
-
-    def cone(x):
-        if x not in cones:
-            cones[x] = {q for q in points if q == x or on(x, q)}
-        return cones[x]
-    return cone
+    on = cache(lambda line: line_in_variety(variety, *line))
+    return cache(lambda x: {q for q in points
+                            if q == x or on(frozenset((x, q)))})
 
 
 def _draws(points, pairs, seed):
@@ -281,15 +271,18 @@ def test_cones_never_evaluate_their_base_point(monkeypatch):
     variety = _reduced("quadric3_p4", 5)
     points = _points(variety, 5)
     calls, cones = _count_evaluations(monkeypatch)
-    for x in points[::7]:
+    bases = points[::5]
+    assert {x.index(1) for x in bases} == {0, 1, 3, 4}
+    for x in bases:
         del calls[:]
         brute_line_locus(variety, x)
         assert calls and all(_canon(v, 5) != x for v in calls)
         # one evaluation per hyperplane point, p - 1 per direction on X
         directions = sum(1 for q in points if not q[x.index(1)])
         assert len(calls) <= projective_point_count(3, 5) + directions * 4
+    del cones[:]
     cc_census(variety, 20, seed=2)
-    assert len(cones) > len(points[::7])
+    assert cones
     for x, made in cones:
         assert made and all(_canon(v, 5) != x for v in made)
 
@@ -303,6 +296,5 @@ def test_census_evaluation_budget(monkeypatch):
     sampled = {q for pair in _draws(points, pairs, seed) for q in pair}
     directions = sum(sum(1 for q in points if not q[x.index(1)])
                      for x in sampled)
-    assert len(variety.equations) == 2
-    assert len(calls) <= 2 * (projective_point_count(6, p)
-                              + directions * (p - 1))
+    assert len(calls) <= len(variety.equations) * (
+        projective_point_count(6, p) + directions * (p - 1))
