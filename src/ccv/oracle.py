@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from .conics import ConicSolution, solution_from_vertex
 from .ffutil import (DEFAULT_POINT_CAP, OracleRefusal, PointCapExceeded,
@@ -65,6 +65,11 @@ def _compiled(variety: VarietySpec, p: int):
     return [compile_mod_evaluator(eq, p) for eq in variety.equations]
 
 
+# line_in_variety is called in loops, once per line; the sweeps below
+# compile once per call
+_line_evaluators = lru_cache(maxsize=8)(_compiled)
+
+
 def _canonical(vals, p: int) -> tuple:
     """A nonzero residue vector scaled so its first nonzero entry is 1; in
     plain ints, since the census canonicalizes every point of every cone
@@ -97,7 +102,7 @@ def line_in_variety(variety: VarietySpec, a, b) -> bool:
     bt = _as_tuple(b, variety.field)
     if at == bt:
         raise ValueError("two coincident points do not span a line")
-    return _line_on(_compiled(variety, p), p, at, bt)
+    return _line_on(_line_evaluators(variety, p), p, at, bt)
 
 
 def _cone(evaluators, p: int, xt: tuple, directions) -> set:

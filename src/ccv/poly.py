@@ -253,14 +253,16 @@ class Polynomial:
 
     def specialize(self, assignments) -> "Polynomial":
         """Fix some variables to scalars: {index: value}.  Ring unchanged."""
+        values = [(i, self.field(v)) for i, v in assignments.items()]
         terms = {}
         for mono, coeff in self._terms.items():
-            for i, value in assignments.items():
-                e = mono[i]
-                if e:
-                    coeff = coeff * self.field(value) ** e
-                    mono = tuple(0 if j == i else ee
-                                 for j, ee in enumerate(mono))
+            if any(mono[i] for i, _ in values):
+                mono = list(mono)
+                for i, value in values:
+                    e, mono[i] = mono[i], 0
+                    if e:
+                        coeff = coeff * value ** e
+                mono = tuple(mono)
             if coeff:
                 acc = terms.get(mono)
                 if acc is None:

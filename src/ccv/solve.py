@@ -1,10 +1,20 @@
 """Enumerate the points of a zero-dimensional projective system exactly.
 
 Projective space is split into the disjoint cells x0 = ... = x_{j-1} = 0,
-x_j = 1; each cell gives an affine system solved by lex Groebner basis and
-back-substitution from the last variable.  Univariate roots over a prime
-field come from evaluating at every residue.  Over the rationals they come
-from p-adic lifting (Loos, SIAM J. Comput. 12, 1983): the roots of the
+x_j = 1.  Each cell gives an affine system with a grevlex Groebner basis G.
+The minimal polynomial of its last live variable x, the monic generator of
+I and k[x], comes from the normal forms of 1, x, x^2, ... against G: an
+incremental echelon stops at the first linear dependency, which must come
+within as many powers as G has standard monomials (FGLM restricted to one
+variable: Faugere, Gianni, Lazard and Mora, J. Symbolic Comput. 16, 1993).
+Each of its roots r is put into G and the smaller system solved the same
+way.  The generator is the univariate element of the lex basis, so points
+come out in the order a lex solve gives.
+
+Univariate roots over a prime field are the residues where the polynomial
+vanishes; gcd(f, t^p - t) counts them first, so a scan that can find none
+never starts and the others stop at the last one.  Over the rationals they
+come from p-adic lifting (Loos, SIAM J. Comput. 12, 1983): the roots of the
 square-free part modulo a small prime at which they are all simple are
 lifted by Newton's method past the size bound on a/b, recovered by rational
 reconstruction and kept only when exact evaluation gives zero.  So for a
@@ -15,13 +25,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 from math import gcd, lcm
 
 from .fields import FpElement, is_prime
-from .poly import Polynomial, ProjectivePoint, lex_key
-from .groebner import groebner_basis
+from .poly import Polynomial, ProjectivePoint
+from .groebner import groebner_basis, normal_form
 
 __all__ = ["projective_rational_solutions", "rational_roots"]
+
+# First prime tried by the modular square-free test; one this large rarely
+# divides disc(f), so a square-free f nearly always skips the remainders.
+_SQUAREFREE_PRIME = 32003
 
 
 def projective_rational_solutions(gens) -> list:
@@ -58,13 +73,11 @@ def _affine_points(gens, live, field):
         return [{}] if not gens else []
     if not gens:
         raise ValueError("system is not zero-dimensional")
-    basis = groebner_basis(gens, key=lex_key)
-    if basis and basis[0].is_constant():
+    basis = groebner_basis(gens)
+    if basis[0].is_constant():
         return []  # unit ideal
     last = live[-1]
-    uni = next((g for g in basis if g.support() <= {last}), None)
-    if uni is None:
-        raise ValueError("system is not zero-dimensional")
+    uni = _minimal_polynomial(basis, live, last)
     out = []
     rest = live[:-1]
     for root in _univariate_roots(uni, last, field):
@@ -79,6 +92,77 @@ def _affine_points(gens, live, field):
             sol[last] = root
             out.append(sol)
     return out
+
+
+def _minimal_polynomial(basis, live, var) -> Polynomial:
+    """The monic generator of I and k[var], for the ideal I of a reduced
+    grevlex basis in the variables ``live`` (not the unit ideal).
+
+    Every normal form lies in the span of the standard monomials, so the
+    normal forms of 1, var, var^2, ... turn dependent within that many
+    powers.  Each is var times the previous one, reduced through the normal
+    forms of var * s for standard s, which are computed once each.
+    """
+    leads = [g.leading_monomial() for g in basis]
+    if not all(any(lm[v] and lm[v] == sum(lm) for lm in leads)
+               for v in live):
+        raise ValueError("system is not zero-dimensional")
+    nvars, field = basis[0].nvars, basis[0].field
+    one = (0,) * nvars
+    step = tuple(int(i == var) for i in range(nvars))
+    times_var = {}  # standard s -> terms of the normal form of var*s
+    rows = []  # (pivot, reduced vector, its combination of powers of var)
+    power = {one: field.one}  # normal form of var^k
+    for k in range(_standard_count(leads, live, one) + 1):
+        vec, combo = dict(power), {k: field.one}
+        for pivot, row, row_combo in rows:
+            c = vec.get(pivot)
+            if c:
+                _axpy(vec, -c, row)
+                _axpy(combo, -c, row_combo)
+        if not vec:  # a dependency: sum(combo[e] * var^e) lies in I
+            return Polynomial(nvars, field, {
+                tuple(e * s for s in step): c for e, c in combo.items()})
+        pivot = next(iter(vec))
+        inv = field.inv(vec[pivot])
+        rows.append((pivot, {m: c * inv for m, c in vec.items()},
+                     {e: c * inv for e, c in combo.items()}))
+        nxt = {}
+        for s, c in power.items():
+            if s not in times_var:
+                mono = tuple(a + b for a, b in zip(s, step))
+                times_var[s] = normal_form(
+                    Polynomial(nvars, field, {mono: field.one}), basis).terms
+            _axpy(nxt, c, times_var[s])
+        power = nxt
+    raise ArithmeticError("no dependency among the normal forms of the "
+                          "powers of the last variable")
+
+
+def _standard_count(leads, live, one) -> int:
+    """Monomials in ``live`` that no leading monomial divides (finite when
+    every live variable has a pure power among the leads)."""
+    seen, stack = {one}, [one]
+    while stack:
+        m = stack.pop()
+        for v in live:
+            up = m[:v] + (m[v] + 1,) + m[v + 1:]
+            if up not in seen and not any(
+                    all(a <= b for a, b in zip(lm, up)) for lm in leads):
+                seen.add(up)
+                stack.append(up)
+    return len(seen)
+
+
+def _axpy(acc: dict, c, terms) -> None:
+    """acc += c * terms, dropping the entries that cancel."""
+    for m, d in terms.items():
+        v = acc.get(m)
+        v = c * d if v is None else v + c * d
+        if v:
+            acc[m] = v
+        else:
+            acc.pop(m, None)
 
 
 def _univariate_roots(poly: Polynomial, var: int, field):
@@ -147,8 +231,59 @@ def _eval_mod(dense: list, t: int, m: int) -> int:
 
 
 def _roots_mod(dense: list, p: int) -> list:
-    """Residues t in [0, p), ascending, where the polynomial vanishes mod p."""
-    return [t for t in range(p) if not _eval_mod(dense, t, p)]
+    """Residues t in [0, p), ascending, where the polynomial vanishes mod p.
+
+    gcd(f, t^p - t) is, up to a unit, the product of t - r over the
+    distinct roots r, so its degree says how many residues the scan must
+    find before it stops.
+    """
+    f = _trim([c % p for c in dense])
+    if not f:
+        return list(range(p))  # the zero polynomial
+    h = _x_to_the_p(f, p) + [0, 0]
+    h[1] -= 1  # t^p - t modulo f
+    count = len(_gcd_mod(f, _trim([c % p for c in h]), p)) - 1
+    return list(islice((t for t in range(p) if not _eval_mod(f, t, p)),
+                       count))
+
+
+def _trim(f: list) -> list:
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _rem_mod(a: list, b: list, p: int) -> list:
+    """Remainder of a on division by b (nonzero, trimmed), mod p."""
+    a, inv = list(a), pow(b[-1], -1, p)
+    for k in range(len(a) - len(b), -1, -1):
+        q = a[k + len(b) - 1] * inv % p
+        if q:
+            for i, bi in enumerate(b):
+                a[k + i] = (a[k + i] - q * bi) % p
+    return _trim(a[:len(b) - 1])
+
+
+def _x_to_the_p(f: list, p: int) -> list:
+    """t^p modulo f and p, by repeated squaring."""
+    r = _rem_mod([1], f, p)
+    for bit in bin(p)[2:]:
+        sq = [0] * max(2 * len(r) - 1, 0)
+        for i, x in enumerate(r):
+            if x:  # r is one term until the power passes deg f
+                for j, y in enumerate(r):
+                    sq[i + j] += x * y
+        r = _rem_mod(sq, f, p)
+        if bit == "1":
+            r = _rem_mod([0] + r, f, p)
+    return r
+
+
+def _gcd_mod(a: list, b: list, p: int) -> list:
+    """A gcd of two trimmed polynomials mod p, not both zero."""
+    while b:
+        a, b = b, _rem_mod(a, b, p)
+    return a
 
 
 def _primitive(f: list) -> list:
@@ -175,7 +310,24 @@ def _pseudo_divmod(a: list, b: list) -> tuple:
 
 def _squarefree_part(f: list) -> list:
     """f / gcd(f, f') as a primitive integer polynomial: the roots of f,
-    each simple.  The gcd comes from the primitive remainder sequence."""
+    each simple.
+
+    If f and f' are coprime modulo a prime that does not divide lc(f),
+    disc(f) is not zero and f is its own square-free part.  Otherwise the
+    gcd comes from the primitive remainder sequence.
+    """
+    df = [e * c for e, c in enumerate(f)][1:]
+    p = _SQUAREFREE_PRIME
+    while not (f[-1] % p and is_prime(p)):
+        p += 1
+    if len(_gcd_mod(_trim([c % p for c in f]), _trim([c % p for c in df]),
+                    p)) == 1:
+        return _primitive(f)
+    return _remainder_squarefree_part(f)
+
+
+def _remainder_squarefree_part(f: list) -> list:
+    """f / gcd(f, f'), the gcd from the primitive remainder sequence."""
     a, b = f, [e * c for e, c in enumerate(f)][1:]
     while b:
         a, b = b, _primitive(_pseudo_divmod(a, b)[1])

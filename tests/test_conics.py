@@ -1,6 +1,7 @@
 """Singular-conic systems: construction, search, and the count formula."""
 
 import random
+import time
 
 import pytest
 
@@ -8,14 +9,14 @@ from ccv import (GF, brute_singular_conics, build_variety,
                  conic_system, count_conics, expand_line_pencil,
                  find_singular_conics, line_equations, load_variety,
                  over_prime, parse_polynomial, pencil_conditions,
-                 reduce_variety_mod, singular_conic_count_formula,
+                 point_on_variety, reduce_point_mod, reduce_variety_mod, singular_conic_count_formula,
                  solution_from_vertex)
 from ccv.conics import _zeros_on_span
 from ccv.ffutil import (PointCapExceeded, PrimeTooSmall,
                         compile_mod_evaluator, enumerate_points,
                         projective_point_count)
 
-from conftest import qpt
+from conftest import VARIETIES, qpt
 from test_golden import CASES, ROOT
 
 
@@ -312,6 +313,27 @@ def test_span_scan_stays_on_the_span(two_quadrics, monkeypatch):
     assert _vertices(found.solutions) == _vertices(symbolic.solutions)
     assert found.solutions
     assert len(visited) == projective_point_count(2, 23)
+
+
+def test_full_enumeration_on_the_cubic_quadric_rung_over_q():
+    # degree 24: a lex solve of the first cell ran past 300 s
+    variety = load_variety(VARIETIES / "ci_3_2_p8.json")
+    x, y = qpt(1, *[0] * 8), qpt(*[0] * 8, 1)
+    start = time.perf_counter()
+    result = find_singular_conics(variety, x, y)
+    assert time.perf_counter() - start < 30
+    assert (result.status, result.dimension, result.degree) == (
+        "finite", 0, 24)
+    for p in (11, 13):  # both have F_p-rational vertices
+        scan = _vertices(find_singular_conics(variety, x, y, p,
+                                              cap=10**10).solutions)
+        assert scan
+        assert all(reduce_point_mod(s.vertex, p).coords in {
+            tuple(map(GF(p), q)) for q in scan} for s in result.solutions)
+        red, xp, yp = over_prime(variety, p, x, y)
+        assert set(_vertices(find_singular_conics(red, xp, yp).solutions)) \
+            == set(scan)
+    assert all(point_on_variety(variety, s.vertex) for s in result.solutions)
 
 
 def test_count_formula_values():

@@ -1,13 +1,21 @@
 """Exact point enumeration for zero-dimensional systems and rational roots."""
 
 import random
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from ccv import GF, QQ, parse_polynomial, projective_rational_solutions, rational_roots
+from ccv import (GF, QQ, Polynomial, conic_system, groebner_basis, lex_key,
+                 load_variety, normal_form, over_prime, parse_polynomial,
+                 projective_rational_solutions, rational_roots)
+from ccv import solve
+from ccv.solve import (_eval_mod, _minimal_polynomial,
+                       _remainder_squarefree_part, _roots_mod,
+                       _squarefree_part, _univariate_roots)
 
-from conftest import qpt
+from conftest import VARIETIES, qpt
 
 
 def P(text, nvars, field=QQ):
@@ -120,3 +128,166 @@ def test_denominators_in_solutions():
     pts = projective_rational_solutions([P("2*x1 - 3*x0", 3), P("x2", 3)])
     assert pts == [qpt(1, Fraction(3, 2), 0)]
     assert pts == [qpt(2, 3, 0)]
+
+
+# The lex route the grevlex cells replaced, kept as the reference: a lex
+# basis, its univariate element in the last live variable, and the same
+# back-substitution.
+
+def _lex_affine_points(gens, live, field):
+    if not live:
+        return [{}] if not gens else []
+    if not gens:
+        raise ValueError("system is not zero-dimensional")
+    basis = groebner_basis(gens, key=lex_key)
+    if basis and basis[0].is_constant():
+        return []
+    last = live[-1]
+    uni = next((g for g in basis if g.support() <= {last}), None)
+    if uni is None:
+        raise ValueError("system is not zero-dimensional")
+    out = []
+    rest = live[:-1]
+    for root in _univariate_roots(uni, last, field):
+        sub = [g.specialize({last: root}) for g in basis]
+        sub = [g for g in sub if not g.is_zero()]
+        if any(g.is_constant() for g in sub):
+            continue
+        if not rest:
+            out.append({last: root})
+            continue
+        for sol in _lex_affine_points(sub, rest, field):
+            sol[last] = root
+            out.append(sol)
+    return out
+
+
+def _grid_cell(rng, field, nvars):
+    """An affine system in x1..x_{nvars-1} (the cell x0 = 1) with known
+    rational zeros, and those zeros.
+
+    Generator v is a product of factors l_v - a, some repeated, and
+    (l_v - a)^2 - 2, which has no root over Q or F_101, in the form
+    l_v = x_v + sum(r_w * x_w for w < v).  The rational zeros solve
+    l_v = a for one root a of each generator, in order of v.
+    """
+    live = list(range(1, nvars))
+    x = [Polynomial.variable(i, nvars, field) for i in range(nvars)]
+    gens, points = [], [{}]
+    for v in live:
+        mix = {w: rng.randint(-2, 2) for w in live if w < v}
+        form = x[v]
+        for w, r in mix.items():
+            form = form + r * x[w]
+        f, roots = Polynomial.constant(1, nvars, field), set()
+        for _ in range(rng.randint(1, 4 - len(live))):
+            a = rng.randint(-3, 3)
+            if rng.random() < 0.25:
+                f = f * ((form - a) ** 2 - 2)
+            else:
+                f = f * (form - a) ** rng.choice((1, 1, 2))
+                roots.add(a)
+        gens.append(f)
+        points = [{**pt, v: field(a) - sum((r * pt[w] for w, r in mix.items()),
+                                           field.zero)}
+                  for pt in points for a in roots]
+    return gens, live, points
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "F101"])
+def test_minimal_polynomial_is_the_lex_univariate(field):
+    rng = random.Random(f"ccv-fglm:{field!r}")
+    for _ in range(30):
+        gens, live, planted = _grid_cell(rng, field, rng.choice((3, 4)))
+        basis = groebner_basis(gens)
+        last = live[-1]
+        lex = groebner_basis(gens, key=lex_key)
+        got = _minimal_polynomial(basis, live, last)
+        assert got == next(g for g in lex if g.support() <= {last})
+        assert normal_form(got, basis).is_zero()
+        points = solve._affine_points(gens, live, field)
+        assert points == _lex_affine_points(gens, live, field)
+        assert len(points) == len(planted)
+        assert ({frozenset(pt.items()) for pt in points}
+                == {frozenset(pt.items()) for pt in planted})
+
+
+def test_minimal_polynomial_refuses_a_free_variable():
+    # x1*x2 - 1 and x3 in the cell: x1 has no pure power among the leads
+    gens = [P("x1*x2 - 1", 4), P("x3", 4)]
+    with pytest.raises(ValueError, match="not zero-dimensional"):
+        _minimal_polynomial(groebner_basis(gens), [1, 2, 3], 3)
+
+
+@pytest.mark.parametrize("name, n, prime", [
+    ("quadric_p3", 3, None), ("two_quadrics_p6", 6, None),
+    ("ci_2_2_p6", 6, None), ("ci_3_p5", 5, None),
+    ("two_quadrics_p6", 6, 101), ("ci_3_p5", 5, 101)])
+def test_vertices_match_the_lex_route(name, n, prime, monkeypatch):
+    variety = load_variety(VARIETIES / f"{name}.json")
+    x, y = qpt(1, *[0] * n), qpt(*[0] * n, 1)
+    if prime is not None:
+        variety, x, y = over_prime(variety, prime, x, y)
+    gens = conic_system(variety, x, y).generators
+    got = projective_rational_solutions(gens)
+    monkeypatch.setattr(solve, "_affine_points", _lex_affine_points)
+    assert got == projective_rational_solutions(gens)
+
+
+def _scan(dense, p):
+    return [t for t in range(p) if not _eval_mod(dense, t, p)]
+
+
+def _times_mod(f, g, p):
+    return [c % p for c in _times(f, g)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 32003])
+def test_roots_mod_equals_the_residue_scan(p):
+    rng = random.Random(f"ccv-roots-mod:{p}")
+    cases = [[0], [0, 0], [7], [p + 3], [0, 1], [0] * 5 + [1],
+             [1, 0, 1], [-4, 0, 1]]
+    if p < 1000:  # t^p - t: every residue is a root
+        cases.append([0, -1] + [0] * (p - 2) + [1])
+    for _ in range(40 if p < 1000 else 6):
+        f = [rng.randrange(p) or 1]
+        for _ in range(rng.randint(0, 5)):  # planted roots, some repeated
+            r = rng.randrange(p)
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                f = _times_mod(f, [-r, 1], p)
+        for _ in range(rng.randint(0, 2)):  # a random factor, maybe rootless
+            f = _times_mod(f, [rng.randrange(p) for _ in range(3)] + [1], p)
+        cases.append([c + p * rng.randint(-2, 2) for c in f])
+    for f in cases:
+        assert _roots_mod(f, p) == _scan(f, p), f
+
+
+def _random_dense(rng, degree, bits):
+    return [rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1)
+            for _ in range(degree + 1)]
+
+
+def _up_to_sign(f):
+    return f if f[-1] > 0 else [-c for c in f]
+
+
+def test_squarefree_shortcut_equals_the_remainder_sequence():
+    rng = random.Random(20113)
+    cases = [_random_dense(rng, d, 10) for d in (1, 2, 5, 24, 48, 96)]
+    for _ in range(8):
+        g = _random_dense(rng, rng.randint(1, 6), 8)
+        h = _random_dense(rng, rng.randint(0, 6), 8)
+        cases.append(_times(_times(g, g), h))  # g^2 * h: not square-free
+    cases.append(_times(_times(cases[3], cases[3]), cases[4]))  # degree 96
+    for f in cases:
+        assert (_up_to_sign(_squarefree_part(f))
+                == _up_to_sign(_remainder_squarefree_part(f)))
+
+
+def test_squarefree_shortcut_skips_the_remainders_at_degree_96():
+    # the remainder sequence takes seconds on this dense 100-bit input
+    f = _random_dense(random.Random(96), 96, 100)
+    start = time.perf_counter()
+    part = _squarefree_part(f)
+    assert time.perf_counter() - start < 1.0
+    assert part == [c // gcd(*f) for c in f]
