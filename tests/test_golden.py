@@ -97,6 +97,12 @@ CASES.update({
                                None),
     "conics-ci_4_p7-count-fp": (_boundary("ci_4_p7", 7, "--count-only",
                                           "--prime", "32003"), None),
+    "conics-ci_3_3_p10-count-fp": (_boundary("ci_3_3_p10", 10,
+                                             "--count-only", "--prime",
+                                             "32003"), None),
+    "conics-ci_4_2_p10-count-fp": (_boundary("ci_4_2_p10", 10,
+                                             "--count-only", "--prime",
+                                             "32003"), None),
     # the README examples, as text
     "readme-check": (("check", _spec("quadric_p3")), None),
     "readme-lines": (("lines", _spec("quadric3_p4"), "--point",
