@@ -25,12 +25,33 @@ separate textbook implementation over tuple monomials and field scalars, so
 a basis produced by the packed engine can be checked by code that shares
 none of its internals.
 
+Homogeneous input in grevlex skips every S-pair that the Hilbert function
+proves reduces to zero (Traverso, "Hilbert functions and the Buchberger
+algorithm", J. Symbolic Comput. 22, 1996).  When the r nonzero generators
+are forms with r <= nvars, dim I_d <= ci_d, the degree-d dimension of a
+complete intersection of the generators' degrees d_i, whose series is
+prod(1 - t^d_i) / (1-t)^nvars (Froberg, "An inequality for Hilbert series
+of graded algebras", Math. Scand. 56, 1985).  The bound holds in every
+characteristic: I_d is the image of sum_i R_(d-d_i) under the generators,
+a rank that is lower semicontinuous in their coefficients and so at most
+its generic value, and that value is ci_d because x_1^d_1, ..., x_r^d_r is
+a regular sequence.  Normal strategy takes such pairs in non-decreasing
+lcm degree, so when it reaches degree d the leading monomials so far span
+lt(I) below d, and each new basis element adds exactly one degree-d
+monomial to <lt G>.  Once <lt G> has ci_d of them it is all of lt(I)_d,
+and every remaining pair of degree d reduces to zero and is skipped.  Only
+zero reductions are skipped, so the reduced basis, which is unique, does
+not change.
+
 Dimension and degree of a homogeneous ideal both come from the Hilbert
-series N(t)/(1-t)^nvars of its leading-term ideal, whose numerator is found
-by a variable-pivot recursion on the monomial ideal.  The pole order at t = 1
-is the affine dimension: N is divided by 1-t while N(1) = 0, and what is
-left, evaluated at 1, is the degree (Bayer and Stillman, "Computation of
-Hilbert functions", J. Symbolic Comput. 14, 1992).
+series N(t)/(1-t)^nvars of its leading-term ideal.  N is a sparse
+{degree: coefficient} map found by a pivot recursion on the monomial ideal
+that splits on the smallest positive power of a shared variable, so
+exponents near the field limit cost no more than small ones.  N vanishes
+at t = 1 to the codimension m, the first order with a nonzero N^(m)(1) /
+m! = sum_k c_k C(k, m), and (-1)^m times that sum is the degree (Bayer and
+Stillman, "Computation of Hilbert functions", J. Symbolic Comput. 14,
+1992).
 
 Over the rationals that basis is first taken modulo p = 32003, which skips
 the coefficient swell of the fraction-free engine.  Each of the r nonzero
@@ -42,8 +63,7 @@ dimension over Q from below by nvars - r.  So when the basis mod p shows
 affine dimension nvars - r, both ideals are complete intersections with the
 Hilbert series prod(1 - t^d_i) / (1 - t)^nvars, and the summary mod p is the
 summary over Q (Cox, Little and O'Shea, *Ideals, Varieties, and
-Algorithms*, ch. 9; Traverso, "Hilbert functions and the Buchberger
-algorithm", J. Symbolic Comput. 22, 1996).  Its degree must then be the
+Algorithms*, ch. 9; Traverso, cited above).  Its degree must then be the
 product of the generator degrees, which is checked.  Any other outcome, and
 any input that is not homogeneous, falls back to the basis over Q.
 """
@@ -53,9 +73,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
-from math import gcd, prod
-from operator import or_
+from math import comb, gcd, prod
+from operator import le, or_
 
 from .fields import GF, QQ, FieldMismatchError
 from .ffutil import OracleRefusal
@@ -87,7 +106,7 @@ def _overflow(what):
 
 
 def _divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 # packed-integer engine -----------------------------------------------------
@@ -281,6 +300,15 @@ def groebner_basis(polys, key=grevlex_key):
     for k in range(len(entries)):
         push_pairs(k)
 
+    # Hilbert-driven skip (module docstring): ``room`` is how many more
+    # degree-d leading monomials the complete-intersection bound allows
+    bound = None
+    if packing.graded and len(polys) <= nvars and all(
+            p.is_homogeneous() for p in polys):
+        bound = _one_minus_powers(p.degree() for p in polys)
+    degree = room = None
+    cache = {}  # Hilbert subproblems, shared across degrees
+
     while heap:
         _, i, j, lcm = heapq.heappop(heap)
         pending.discard((i, j))
@@ -297,6 +325,16 @@ def groebner_basis(polys, key=grevlex_key):
                 break
         if skip:
             continue
+        if bound is not None:
+            d = -(lcm >> packing.top)
+            if d != degree:
+                lts = _hilbert_numerator(
+                    tuple(sorted(_minimalize_monos(exps))), nvars, cache)
+                degree = d
+                room = (_hilbert_function(lts, nvars, d)
+                        - _hilbert_function(bound, nvars, d))
+            if not room:
+                continue  # every degree-d element of I has its lm in <lt G>
         r = _normalize(_reduce(_spair(entries[i], entries[j], lcm, mod),
                                entries, packing, mod), mod)
         if not r:
@@ -306,6 +344,8 @@ def groebner_basis(polys, key=grevlex_key):
         entries.append(_entry(r, packing))
         exps.append(packing.unpack(entries[-1][0]))
         push_pairs(len(entries) - 1)
+        if bound is not None:
+            room -= 1
 
     # minimalize: keep only minimal leading monomials, in ascending order
     kept = []
@@ -447,12 +487,13 @@ def _hilbert_dimension_and_degree(basis, nvars: int) -> tuple:
     lts = _minimalize_monos([g.leading_monomial() for g in basis])
     if (0,) * nvars in lts:
         return -1, 0
-    coeffs = _hilbert_numerator(tuple(sorted(lts)), nvars, {})
-    affine_dim = nvars
-    while sum(coeffs) == 0:  # N(1) = 0: N/(1-t) is the partial sums
-        coeffs = tuple(accumulate(coeffs))[:-1]
-        affine_dim -= 1
-    return affine_dim, sum(coeffs)
+    numerator = _hilbert_numerator(tuple(sorted(lts)), nvars, {})
+    # N = (1 - t)^m Q with Q(1) != 0, so N^(j)(1) = 0 for j < m and
+    # N^(m)(1) / m! = (-1)^m Q(1), the degree
+    m = 0
+    while not (value := sum(c * comb(k, m) for k, c in numerator.items())):
+        m += 1
+    return nvars - m, (-1) ** m * value
 
 
 def _summary(affine_dim: int, degree: int) -> IdealSummary:
@@ -472,36 +513,38 @@ def _minimalize_monos(monos):
     return out
 
 
-def _hilbert_numerator(monos, nvars: int, cache: dict):
-    """Numerator of the Hilbert series of R/(monomial ideal) over (1-t)^nvars.
+def _hilbert_numerator(monos, nvars: int, cache: dict) -> dict:
+    """Numerator of the Hilbert series of R/(monomial ideal) over (1-t)^nvars,
+    as a sparse {degree: nonzero coefficient} map.
 
     Pairwise-coprime generators give the closed form prod(1 - t^deg); any
-    shared variable v splits the ideal as N(I) = N(I + v) + t * N(I : v).
-    Unwinding the recursion reproduces inclusion-exclusion over generator
-    subsets, just with shared subproblems cached in ``cache``, which lives
-    for one top-level call.  ``monos`` is minimal and sorted.
+    shared variable v splits the ideal on x_v^k, k the smallest positive
+    exponent of v, as N(I) = N(I + x_v^k) + t^k * N(I : x_v^k).  Unwinding
+    the recursion reproduces inclusion-exclusion over generator subsets,
+    just with shared subproblems cached in ``cache``, which the caller
+    keeps for as long as it likes.  ``monos`` is minimal and sorted.
     """
     hit = cache.get(monos)
     if hit is not None:
         return hit
     if monos and sum(monos[0]) == 0:
-        result = (0,)
+        result = {}
     else:
         pivot = _shared_variable(monos, nvars)
         if pivot is None:
-            result = (1,)
-            for m in monos:
-                result = _poly_mul(result, _one_minus_power(sum(m)))
+            result = _one_minus_powers(sum(m) for m in monos)
         else:
-            plus = [tuple(1 if i == pivot else 0 for i in range(nvars))]
+            k = min(m[pivot] for m in monos if m[pivot])
+            plus = [tuple(k if i == pivot else 0 for i in range(nvars))]
             plus += [m for m in monos if not m[pivot]]
-            colon = [tuple(e - 1 if i == pivot and e else e
+            colon = [tuple(max(e - k, 0) if i == pivot else e
                            for i, e in enumerate(m)) for m in monos]
-            left = _hilbert_numerator(
-                tuple(sorted(_minimalize_monos(plus))), nvars, cache)
+            result = dict(_hilbert_numerator(tuple(sorted(plus)), nvars,
+                                             cache))
             right = _hilbert_numerator(
                 tuple(sorted(_minimalize_monos(colon))), nvars, cache)
-            result = _poly_add(left, (0,) + tuple(right))
+            for e, c in right.items():
+                _add_term(result, e + k, c)
     cache[monos] = result
     return result
 
@@ -520,22 +563,27 @@ def _shared_variable(monos, nvars: int):
     return best
 
 
-def _one_minus_power(d: int):
-    return (1,) + (0,) * (d - 1) + (-1,)
+def _one_minus_powers(degrees) -> dict:
+    """prod(1 - t^d) over the degrees, as a sparse {degree: coeff} map."""
+    result = {0: 1}
+    for d in degrees:
+        out = dict(result)
+        for e, c in result.items():
+            _add_term(out, e + d, -c)
+        result = out
+    return result
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
+def _add_term(poly: dict, degree: int, coeff: int) -> None:
+    """Add coeff * t^degree to a sparse polynomial, dropping a zero."""
+    total = poly.get(degree, 0) + coeff
+    if total:
+        poly[degree] = total
+    else:
+        poly.pop(degree, None)
 
 
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    return tuple(x + y for x, y in zip(a, b))
+def _hilbert_function(numerator: dict, nvars: int, d: int) -> int:
+    """Coefficient of t^d in numerator / (1 - t)^nvars."""
+    return sum(c * comb(d - k + nvars - 1, nvars - 1)
+               for k, c in numerator.items() if k <= d)

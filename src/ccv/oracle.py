@@ -56,7 +56,12 @@ def _field_prime(variety: VarietySpec) -> int:
 
 def _as_tuple(point, field) -> tuple:
     """Canonical residue tuple (first nonzero entry 1) of a point given as
-    a ProjectivePoint or by its coordinates."""
+    a ProjectivePoint or by its coordinates.  A tuple of ints that already
+    is one comes back as it is, since canonicalizing would not change it."""
+    if (type(point) is tuple and len(point) > 1
+            and all(type(c) is int and 0 <= c < field.p for c in point)
+            and next(filter(None, point), 0) == 1):
+        return point
     coords = point.coords if isinstance(point, ProjectivePoint) else point
     return tuple(c.value for c in ProjectivePoint(coords, field).coords)
 

@@ -336,6 +336,20 @@ def test_full_enumeration_on_the_cubic_quadric_rung_over_q():
     assert all(point_on_variety(variety, s.vertex) for s in result.solutions)
 
 
+def test_quartic_and_quadric_count_over_fp_within_budget():
+    # [4,2] in P^10, degree 288 = 4!*3! * 2!*1!; its grevlex basis took
+    # about 10 s while it reduced every S-pair the Hilbert bound skips
+    variety = load_variety(VARIETIES / "ci_4_2_p10.json")
+    variety, x, y = over_prime(variety, 32003, qpt(1, *[0] * 10),
+                               qpt(*[0] * 10, 1))
+    start = time.perf_counter()
+    result = count_conics(variety, x, y)
+    assert time.perf_counter() - start < 6
+    assert (result.system_dimension, result.ideal_degree,
+            result.formula_value, result.matches_formula) == (0, 288, 288,
+                                                              True)
+
+
 def test_count_formula_values():
     assert singular_conic_count_formula([2]) == 2
     assert singular_conic_count_formula([2, 2]) == 4

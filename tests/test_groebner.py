@@ -1,17 +1,24 @@
 """Buchberger kernel: bases, normal forms, dimension, degree."""
 
+import importlib.util
 import random
+import time
 from fractions import Fraction
-from itertools import combinations
+from math import comb
+from itertools import combinations, combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
 import ccv.groebner
 from ccv import (GF, QQ, IdealSummary, OracleRefusal, Polynomial,
-                 groebner_basis, grevlex_key, ideal_dimension_and_degree,
-                 lex_key, normal_form, parse_polynomial, s_polynomial,
+                 ProjectivePoint, build_variety, conic_system, groebner_basis,
+                 grevlex_key, ideal_dimension_and_degree, lex_key,
+                 normal_form, over_prime, parse_polynomial, s_polynomial,
                  verify_groebner)
 from ccv.parser import MAX_EXPONENT
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def P(text, nvars, field=QQ):
@@ -163,7 +170,8 @@ def _reference_dimension(monomials, nvars):
     return -1, 0
 
 
-def test_dimension_matches_a_subset_search_on_monomial_ideals():
+def _monomial_ideal_cases():
+    """(nvars, generators) of 153 seeded monomial ideals."""
     rng = random.Random(4021)
     cases = [(3, [(0, 0, 0)]),                       # unit ideal
              (4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
@@ -176,7 +184,11 @@ def test_dimension_matches_a_subset_search_on_monomial_ideals():
             tuple(rng.randint(0, top) if rng.random() < 0.4 else 0
                   for _ in range(nvars))
             for _ in range(rng.randint(1, 5))]))
-    for nvars, monomials in cases:
+    return cases
+
+
+def test_dimension_matches_a_subset_search_on_monomial_ideals():
+    for nvars, monomials in _monomial_ideal_cases():
         gens = [Polynomial.from_terms({m: 1}, nvars) for m in monomials]
         summary = ideal_dimension_and_degree(
             gens or [Polynomial.zero(nvars)])
@@ -187,6 +199,166 @@ def test_dimension_matches_a_subset_search_on_monomial_ideals():
         elif all(e <= 1 for m in monomials for e in m):
             # a squarefree ideal is reduced: one per top component
             assert summary.degree == components, monomials
+
+
+# the dense Hilbert numerator that the sparse one replaced, kept as the
+# reference: coefficient tuples, split on one power of a shared variable
+
+def _dense_numerator(monos, nvars):
+    monos = ccv.groebner._minimalize_monos(monos)
+    if monos and sum(monos[0]) == 0:
+        return (0,)
+    counts = [sum(1 for m in monos if m[i]) for i in range(nvars)]
+    pivot = max(range(nvars), key=counts.__getitem__, default=None)
+    if pivot is None or counts[pivot] < 2:
+        result = (1,)
+        for m in monos:
+            result = _dense_mul(result, (1,) + (0,) * (sum(m) - 1) + (-1,))
+        return result
+    plus = [tuple(1 if i == pivot else 0 for i in range(nvars))]
+    plus += [m for m in monos if not m[pivot]]
+    colon = [tuple(e - 1 if i == pivot and e else e for i, e in enumerate(m))
+             for m in monos]
+    return _dense_add(_dense_numerator(plus, nvars),
+                      (0,) + _dense_numerator(colon, nvars))
+
+
+def _dense_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _dense_add(a, b):
+    n = max(len(a), len(b))
+    return tuple(x + y for x, y in zip(a + (0,) * (n - len(a)),
+                                       b + (0,) * (n - len(b))))
+
+
+def test_sparse_numerator_equals_the_dense_reference():
+    for nvars, monomials in _monomial_ideal_cases():
+        monos = tuple(sorted(ccv.groebner._minimalize_monos(monomials)))
+        sparse = ccv.groebner._hilbert_numerator(monos, nvars, {})
+        dense = _dense_numerator(monomials, nvars)
+        assert sparse == {k: c for k, c in enumerate(dense) if c}, monomials
+
+
+def test_exponents_near_the_field_limit_summarize_quickly():
+    # x0 x1 (x0^(a-1), x1^(b-1)) + (x2^c) in P^3: the lines x0 = x2^c = 0
+    # and x1 = x2^c = 0, each of multiplicity c; a split on x0 alone would
+    # recurse about 2^21 times
+    a, b, c = 2**21 - 1, 2**21 - 5, 2**21 - 9
+    gens = [Polynomial.from_terms({m: 1}, 4)
+            for m in ((a, 1, 0, 0), (1, b, 0, 0), (0, 0, c, 0))]
+    start = time.perf_counter()
+    summary = ideal_dimension_and_degree(gens)
+    assert time.perf_counter() - start < 1
+    assert summary == IdealSummary(1, 2 * c)
+
+
+# the Hilbert-driven skip: every basis stays a reduced Groebner basis of the
+# ideal, and the ideal never outgrows the complete-intersection bound
+
+def _degree_part(leads, nvars, d):
+    """Number of degree-d monomials divisible by one of ``leads``."""
+    count = 0
+    for combo in combinations_with_replacement(range(nvars), d):
+        mono = [0] * nvars
+        for i in combo:
+            mono[i] += 1
+        count += any(all(a <= b for a, b in zip(m, mono)) for m in leads)
+    return count
+
+
+def _hilbert_corpus(rng, field):
+    """Seeded homogeneous ideals, one shape after another: complete
+    intersections, fewer generators than variables, two generators with a
+    shared factor, a repeated generator, nvars forms all vanishing at e_0
+    (a positive-dimensional zero set) and nvars + 1 forms, where the bound
+    does not apply."""
+    shapes = ("ci", "few", "shared", "repeated", "cone", "extra")
+    for trial in range(72):
+        nvars = rng.randint(2, 4)
+        shape = shapes[trial % len(shapes)]
+        count = {"few": rng.randint(1, nvars - 1), "extra": nvars + 1}
+        gens = []
+        for _ in range(count.get(shape, nvars)):
+            degree = rng.randint(1, 3)
+            terms = {}
+            for _ in range(rng.randint(2, 6)):
+                mono = [0] * nvars
+                for _ in range(degree):
+                    mono[rng.randrange(nvars)] += 1
+                if shape == "cone" and mono[0] == degree:
+                    mono[0], mono[-1] = degree - 1, 1
+                terms[tuple(mono)] = field(rng.choice([-3, -2, -1, 1, 2, 3]))
+            form = Polynomial.from_terms(terms, nvars, field)
+            gens.append(form or Polynomial.variable(nvars - 1, nvars, field))
+        if shape == "shared":
+            h = Polynomial.variable(rng.randrange(nvars), nvars, field)
+            gens[0], gens[1] = gens[0] * h, gens[1] * h
+        elif shape == "repeated":
+            gens[-1] = gens[0] * field(2)
+        yield shape, gens
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "F101"])
+def test_hilbert_skip_keeps_the_basis_and_the_bound(field):
+    rng = random.Random(f"hilbert-skip:{field}")
+    for trial, (shape, gens) in enumerate(_hilbert_corpus(rng, field)):
+        nvars = gens[0].nvars
+        basis = groebner_basis(gens)
+        assert verify_groebner(basis, generators=gens), (trial, shape)
+        lex = groebner_basis(gens, key=lex_key)
+        assert all(normal_form(g, lex, lex_key).is_zero() for g in basis)
+        assert all(normal_form(g, basis).is_zero() for g in lex)
+        if shape == "extra":
+            continue
+        # the leading monomials of the basis, and x_i^(d_i) for the
+        # complete intersection, counted degree by degree and read off
+        # the sparse series the skip uses
+        leads = [g.leading_monomial() for g in basis]
+        ci_leads = [tuple(g.degree() if j == i else 0 for j in range(nvars))
+                    for i, g in enumerate(gens)]
+        series = [(ccv.groebner._hilbert_numerator(
+                      tuple(sorted(ccv.groebner._minimalize_monos(m))),
+                      nvars, {}), m) for m in (leads, ci_leads)]
+        assert series[1][0] == ccv.groebner._one_minus_powers(
+            g.degree() for g in gens)
+        for d in range(max(sum(m) for m in leads) + 2):
+            parts = [_degree_part(m, nvars, d) for _, m in series]
+            assert parts[0] <= parts[1], (trial, shape, d)
+            for (numerator, _), part in zip(series, parts):
+                assert (ccv.groebner._hilbert_function(numerator, nvars, d)
+                        == comb(d + nvars - 1, nvars - 1) - part)
+
+
+def test_no_zero_reduction_on_the_count_ladder(monkeypatch):
+    """On the eight count-fp rungs of the benchmark (generator seed 1,
+    modulo 32003) every S-pair that reduces to zero is skipped."""
+    loader = importlib.util.spec_from_file_location(
+        "perfbench_specs", ROOT / "perfbench" / "specs.py")
+    specs = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(specs)
+    results = []
+    reduce_ = ccv.groebner._reduce
+
+    def spy(f, entries, packing, mod):
+        results.append(reduce_(f, entries, packing, mod))
+        return results[-1]
+
+    monkeypatch.setattr(ccv.groebner, "_reduce", spy)
+    for degrees in ((2, 2), (3,), (2, 2, 2), (2, 2, 2, 2), (3, 2),
+                    (2, 2, 2, 2, 2), (3, 2, 2), (4,)):
+        variety = build_variety(specs.boundary_spec(1, degrees))
+        x, y = (ProjectivePoint(p) for p in specs.base_points(degrees))
+        system = conic_system(*over_prime(variety, 32003, x, y))
+        results.clear()
+        summary = system.summary
+        assert summary.degree == specs.formula_value(degrees)
+        assert results and all(results), degrees
 
 
 def _random_ideal(rng, nvars, field=QQ, homogeneous=False):

@@ -57,6 +57,23 @@ def test_line_membership_invariances(quadric5):
         line_in_variety(quadric5, a, (2, 0, 0, 0))
 
 
+def test_canonical_residue_tuples_pass_straight_through(quadric5):
+    field = quadric5.field
+    for point in ((1, 0, 0, 0), (0, 1, 4, 2), (0, 0, 0, 1)):
+        assert ccv.oracle._as_tuple(point, field) is point
+    # anything else is canonicalized, or refused, as before
+    for point, canonical in (((2, 0, 0, 0), (1, 0, 0, 0)),
+                             ((1, 5, 0, 6), (1, 0, 0, 1)),
+                             ([1, 0, 0, 0], (1, 0, 0, 0)),
+                             (qpt(1, 2, 3, 4, field=field), (1, 2, 3, 4))):
+        assert ccv.oracle._as_tuple(point, field) == canonical
+    for point, error in (((0, 0, 0, 0), ValueError), ((1,), ValueError),
+                         ((True, 0, 0, 0), TypeError)):
+        with pytest.raises(error):
+            line_in_variety(quadric5, point, (0, 1, 0, 0))
+    assert line_in_variety(quadric5, (6, 0, 0, 0), (0, 1, 0, 0))
+
+
 def test_brute_checks_refuse_unsound_inputs(quadric, quadric5, fermat4):
     with pytest.raises(OracleRefusal, match="prime field"):
         line_in_variety(quadric, (1, 0, 0, 0), (0, 1, 0, 0))
