@@ -4,8 +4,8 @@ import importlib.util
 import random
 import time
 from fractions import Fraction
-from math import comb
 from itertools import combinations, combinations_with_replacement
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -202,11 +202,13 @@ def test_dimension_matches_a_subset_search_on_monomial_ideals():
 
 
 # the dense Hilbert numerator that the sparse one replaced, kept as the
-# reference: coefficient tuples, split on one power of a shared variable
+# reference: coefficient tuples, split on the first power of a shared
+# variable
 
 def _dense_numerator(monos, nvars):
-    monos = ccv.groebner._minimalize_monos(monos)
-    if monos and sum(monos[0]) == 0:
+    monos = [m for m in set(monos) if not any(
+        b != m and all(x <= y for x, y in zip(b, m)) for b in monos)]
+    if (0,) * nvars in monos:
         return (0,)
     counts = [sum(1 for m in monos if m[i]) for i in range(nvars)]
     pivot = max(range(nvars), key=counts.__getitem__, default=None)
@@ -273,11 +275,10 @@ def _degree_part(leads, nvars, d):
 
 
 def _hilbert_corpus(rng, field):
-    """Seeded homogeneous ideals, one shape after another: complete
-    intersections, fewer generators than variables, two generators with a
-    shared factor, a repeated generator, nvars forms all vanishing at e_0
-    (a positive-dimensional zero set) and nvars + 1 forms, where the bound
-    does not apply."""
+    """Seeded homogeneous ideals, one shape after another: nvars random
+    forms, fewer forms than variables, two forms with a shared factor, a
+    repeated form, nvars forms all vanishing at e_0 (a positive-dimensional
+    zero set) and nvars + 1 forms, where the bound does not apply."""
     shapes = ("ci", "few", "shared", "repeated", "cone", "extra")
     for trial in range(72):
         nvars = rng.randint(2, 4)
