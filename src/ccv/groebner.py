@@ -179,12 +179,12 @@ def _normalize(terms, mod):
 
 
 def _entry(terms, packing):
-    """(lm, lc, tail, terms) of a new basis element."""
+    """(lm, lc, tail) of a new basis element."""
     if reduce(or_, terms) & packing.overflow:
         _overflow("a basis element")
     items = iter(terms.items())
     lm, lc = next(items)
-    return (lm, lc, list(items), terms)
+    return (lm, lc, list(items))
 
 
 def _reduce(f, entries, packing, mod):
@@ -209,7 +209,7 @@ def _reduce(f, entries, packing, mod):
             coeff %= mod
         if not coeff:
             continue
-        for lm, lc, tail, _ in entries:
+        for lm, lc, tail in entries:
             shift = mono - lm
             if not shift & guards:
                 break
@@ -244,8 +244,8 @@ def _spair(ei, ej, lcm, mod):
     """S-polynomial of two entries as an integer term dict.  The leading
     terms cancel and are left out; zero and unreduced coefficients are left
     for :func:`_reduce`."""
-    lmi, lci, taili, _ = ei
-    lmj, lcj, tailj, _ = ej
+    lmi, lci, taili = ei
+    lmj, lcj, tailj = ej
     if mod is None:
         g = gcd(lci, lcj)
         ci, cj = lcj // g, lci // g
@@ -357,14 +357,17 @@ def groebner_basis(polys, key=grevlex_key):
     # inter-reduce tails: no leading monomial divides another, so reduction
     # never changes one, and one pass leaves every tail reduced
     for t in range(len(entries)):
-        others = entries[:t] + entries[t + 1 :]
-        r = _normalize(_reduce(entries[t][3], others, packing, mod), mod)
-        if r != entries[t][3]:
-            entries[t] = _entry(r, packing)
+        lm, lc, tail = entries.pop(t)
+        entries.insert(t, _entry(_normalize(_reduce(
+            [(lm, lc), *tail], entries, packing, mod), mod), packing))
 
-    return [Polynomial.from_terms(
-        {packing.unpack(m): field(c) / field(lc) for m, c in terms.items()},
-        nvars, field) for _, lc, _, terms in entries]
+    basis = []
+    while entries:  # free each entry as its polynomial is built
+        lm, lc, tail = entries.pop()
+        inv = field.inv(lc)
+        basis.append(Polynomial(nvars, field, {
+            packing.unpack(m): field(c) * inv for m, c in [(lm, lc), *tail]}))
+    return basis[::-1]
 
 
 # field-scalar checking layer ----------------------------------------------

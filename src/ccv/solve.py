@@ -4,12 +4,15 @@ Projective space is split into the disjoint cells x0 = ... = x_{j-1} = 0,
 x_j = 1.  Each cell gives an affine system with a grevlex Groebner basis G.
 The minimal polynomial of its last live variable x, the monic generator of
 I and k[x], comes from the normal forms of 1, x, x^2, ... against G: an
-incremental echelon stops at the first linear dependency, which must come
-within as many powers as G has standard monomials (FGLM restricted to one
-variable: Faugere, Gianni, Lazard and Mora, J. Symbolic Comput. 16, 1993).
-Each of its roots r is put into G and the smaller system solved the same
-way.  The generator is the univariate element of the lex basis, so points
-come out in the order a lex solve gives.
+incremental echelon stops at the first linear dependency (FGLM restricted
+to one variable: Faugere, Gianni, Lazard and Mora, J. Symbolic Comput. 16,
+1993).  It must come within as many powers as G has standard monomials,
+the degree read off the Hilbert series of the leading monomials (Bayer and
+Stillman, J. Symbolic Comput. 14, 1992).  The cell's fixed variables are
+free there, so the same series refuses a cell whose affine dimension is
+more than their number.  Each root r is put into G and the smaller system
+solved the same way.  The generator is the univariate element of the lex
+basis, so points come out in the order a lex solve gives.
 
 Univariate roots over a prime field are the residues where the polynomial
 vanishes; gcd(f, t^p - t) counts them first, so a scan that can find none
@@ -30,7 +33,8 @@ from math import gcd, lcm
 
 from .fields import FpElement, is_prime
 from .poly import Polynomial, ProjectivePoint
-from .groebner import groebner_basis, normal_form
+from .groebner import (_hilbert_dimension_and_degree, groebner_basis,
+                       normal_form)
 
 __all__ = ["projective_rational_solutions", "rational_roots"]
 
@@ -49,15 +53,11 @@ def projective_rational_solutions(gens) -> list:
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("empty system is not zero-dimensional")
-    nvars = gens[0].nvars
-    field = gens[0].field
+    nvars, field = gens[0].nvars, gens[0].field
     points = []
     for j in range(nvars):
-        assignments = {i: 0 for i in range(j)}
-        assignments[j] = 1
-        cell = [g.specialize(assignments) for g in gens]
-        cell = [g for g in cell if not g.is_zero()]
-        if any(g.is_constant() for g in cell):
+        cell = _restrict(gens, {i: int(i == j) for i in range(j + 1)})
+        if cell is None:
             continue  # a nonzero constant rules the whole cell out
         live = list(range(j + 1, nvars))
         for sol in _affine_points(cell, live, field):
@@ -79,41 +79,40 @@ def _affine_points(gens, live, field):
     last = live[-1]
     uni = _minimal_polynomial(basis, live, last)
     out = []
-    rest = live[:-1]
     for root in _univariate_roots(uni, last, field):
-        sub = [g.specialize({last: root}) for g in basis]
-        sub = [g for g in sub if not g.is_zero()]
-        if any(g.is_constant() for g in sub):
+        if (sub := _restrict(basis, {last: root})) is None:
             continue
-        if not rest:
-            out.append({last: root})
-            continue
-        for sol in _affine_points(sub, rest, field):
+        for sol in _affine_points(sub, live[:-1], field):
             sol[last] = root
             out.append(sol)
     return out
+
+
+def _restrict(polys, assignments):
+    """The nonzero polynomials left when the assigned variables are fixed,
+    or None when one of them is a nonzero constant and so has no zero."""
+    out = [g for g in (f.specialize(assignments) for f in polys) if g]
+    return None if any(g.is_constant() for g in out) else out
 
 
 def _minimal_polynomial(basis, live, var) -> Polynomial:
     """The monic generator of I and k[var], for the ideal I of a reduced
     grevlex basis in the variables ``live`` (not the unit ideal).
 
-    Every normal form lies in the span of the standard monomials, so the
-    normal forms of 1, var, var^2, ... turn dependent within that many
-    powers.  Each is var times the previous one, reduced through the normal
-    forms of var * s for standard s, which are computed once each.
+    Every normal form lies in the span of the standard monomials, as many
+    as the degree of I, so the normal forms of 1, var, var^2, ... turn
+    dependent within that many powers.  Each is var times the previous one,
+    reduced through the normal forms of var * s for standard s.
     """
-    leads = [g.leading_monomial() for g in basis]
-    if not all(any(lm[v] and lm[v] == sum(lm) for lm in leads)
-               for v in live):
-        raise ValueError("system is not zero-dimensional")
     nvars, field = basis[0].nvars, basis[0].field
-    one = (0,) * nvars
+    dim, standard = _hilbert_dimension_and_degree(basis, nvars)
+    if dim != nvars - len(live):  # the fixed variables are free
+        raise ValueError("system is not zero-dimensional")
     step = tuple(int(i == var) for i in range(nvars))
     times_var = {}  # standard s -> terms of the normal form of var*s
     rows = []  # (pivot, reduced vector, its combination of powers of var)
-    power = {one: field.one}  # normal form of var^k
-    for k in range(_standard_count(leads, live, one) + 1):
+    power = {(0,) * nvars: field.one}  # normal form of var^k
+    for k in range(standard + 1):
         vec, combo = dict(power), {k: field.one}
         for pivot, row, row_combo in rows:
             c = vec.get(pivot)
@@ -137,21 +136,6 @@ def _minimal_polynomial(basis, live, var) -> Polynomial:
         power = nxt
     raise ArithmeticError("no dependency among the normal forms of the "
                           "powers of the last variable")
-
-
-def _standard_count(leads, live, one) -> int:
-    """Monomials in ``live`` that no leading monomial divides (finite when
-    every live variable has a pure power among the leads)."""
-    seen, stack = {one}, [one]
-    while stack:
-        m = stack.pop()
-        for v in live:
-            up = m[:v] + (m[v] + 1,) + m[v + 1:]
-            if up not in seen and not any(
-                    all(a <= b for a, b in zip(lm, up)) for lm in leads):
-                seen.add(up)
-                stack.append(up)
-    return len(seen)
 
 
 def _axpy(acc: dict, c, terms) -> None:
@@ -302,10 +286,7 @@ def _pseudo_divmod(a: list, b: list) -> tuple:
         q[k] = c
         for i, bi in enumerate(b):
             a[k + i] -= c * bi
-    rem = a[:len(b) - 1]
-    while rem and not rem[-1]:
-        rem.pop()
-    return q, rem
+    return q, _trim(a[:len(b) - 1])
 
 
 def _squarefree_part(f: list) -> list:

@@ -11,6 +11,7 @@ from ccv import (GF, QQ, Polynomial, conic_system, groebner_basis, lex_key,
                  load_variety, normal_form, over_prime, parse_polynomial,
                  projective_rational_solutions, rational_roots)
 from ccv import solve
+from ccv.groebner import _hilbert_dimension_and_degree
 from ccv.solve import (_eval_mod, _minimal_polynomial,
                        _remainder_squarefree_part, _roots_mod,
                        _squarefree_part, _univariate_roots)
@@ -232,6 +233,77 @@ def test_vertices_match_the_lex_route(name, n, prime, monkeypatch):
     got = projective_rational_solutions(gens)
     monkeypatch.setattr(solve, "_affine_points", _lex_affine_points)
     assert got == projective_rational_solutions(gens)
+
+
+# The staircase walk and the pure-power test the Hilbert series replaced,
+# kept as the reference for the size and the zero-dimensionality of a cell.
+
+def _standard_count(leads, live, one) -> int:
+    """Monomials in ``live`` that no leading monomial divides (finite when
+    every live variable has a pure power among the leads)."""
+    seen, stack = {one}, [one]
+    while stack:
+        m = stack.pop()
+        for v in live:
+            up = m[:v] + (m[v] + 1,) + m[v + 1:]
+            if up not in seen and not any(
+                    all(a <= b for a, b in zip(lm, up)) for lm in leads):
+                seen.add(up)
+                stack.append(up)
+    return len(seen)
+
+
+def _check_the_hilbert_count(basis, live):
+    """The Hilbert series of a cell basis, and of the leads left when one
+    element is dropped, against the reference; returns how many of them
+    were zero-dimensional."""
+    nvars = basis[0].nvars
+    zero_dimensional = 0
+    for leads in [basis] + [basis[:k] + basis[k + 1:]
+                            for k in range(len(basis))]:
+        monos = [g.leading_monomial() for g in leads]
+        pure = all(any(lm[v] and lm[v] == sum(lm) for lm in monos)
+                   for v in live)
+        dim, degree = _hilbert_dimension_and_degree(leads, nvars)
+        assert (dim == nvars - len(live)) == pure, monos
+        if pure:
+            assert degree == _standard_count(monos, live, (0,) * nvars)
+            zero_dimensional += 1
+    return zero_dimensional
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "F101"])
+def test_hilbert_degree_is_the_staircase_of_the_grid_cells(field):
+    rng = random.Random(f"ccv-fglm:{field!r}")
+    seen = 0
+    for _ in range(30):
+        gens, live, _ = _grid_cell(rng, field, rng.choice((3, 4)))
+        seen += _check_the_hilbert_count(groebner_basis(gens), live)
+    assert seen > 30  # some dropped elements keep the cell finite
+
+
+def test_hilbert_degree_is_the_staircase_of_the_conic_cells(monkeypatch):
+    cells = []
+    minimal_polynomial = solve._minimal_polynomial
+
+    def spy(basis, live, var):
+        cells.append((basis, live))
+        return minimal_polynomial(basis, live, var)
+
+    monkeypatch.setattr(solve, "_minimal_polynomial", spy)
+    # the systems of test_vertices_match_the_lex_route
+    for name, n, prime in [("quadric_p3", 3, None),
+                           ("two_quadrics_p6", 6, None),
+                           ("ci_2_2_p6", 6, None), ("ci_3_p5", 5, None),
+                           ("two_quadrics_p6", 6, 101), ("ci_3_p5", 5, 101)]:
+        variety = load_variety(VARIETIES / f"{name}.json")
+        x, y = qpt(1, *[0] * n), qpt(*[0] * n, 1)
+        if prime is not None:
+            variety, x, y = over_prime(variety, prime, x, y)
+        projective_rational_solutions(conic_system(variety, x, y).generators)
+    assert cells
+    for basis, live in cells:
+        assert _check_the_hilbert_count(basis, live)
 
 
 def _scan(dense, p):
