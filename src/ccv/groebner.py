@@ -3,8 +3,9 @@
 The Buchberger engine keeps integer coefficients internally: content-free
 with positive leading coefficient over the rationals (no Fraction churn),
 monic residues modulo p.  Pair selection is normal strategy (smallest lcm
-first, ties by pair index) with the coprime-lm and chain criteria.  Public
-results are monic polynomials sorted by ascending leading monomial.
+first, by degree first except in lex over Q, ties by pair index) with the
+coprime-lm and chain criteria.  Public results are monic polynomials sorted
+by ascending leading monomial.
 
 Inside :func:`groebner_basis` a monomial is one Python int with a
 fixed-width field per exponent, whose top bit is a guard.  Grevlex lays out
@@ -12,13 +13,25 @@ x_N ... x_0 from the top field down and subtracts the total degree above
 them, so a smaller int is a larger monomial; lex lays out x_0 ... x_N, so a
 larger int is larger.  A product is ``+``, a quotient ``-``, and b divides a
 exactly when ``(a - b) & guards`` is 0 (a field that borrows sets its guard
-bit).  Division pops monomials off a heap (Monagan and Pearce, "Sparse
-polynomial division using a heap", J. Symbolic Comput. 46, 2011): each
-monomial is pushed once, cancelled terms are skipped when popped, and the
-divisor's leading term, which always cancels, is never formed.  Basis
-exponents and reduction multipliers must stay below 2^_HALF, half the
-field, which keeps every sum below the guard bits; anything larger raises
-:class:`ExponentOverflow` rather than risk a wrong basis.
+bit).  Basis exponents and reduction multipliers must stay below 2^_HALF,
+half the field, which keeps every sum below the guard bits; anything larger
+raises :class:`ExponentOverflow` rather than risk a wrong basis.
+
+Over the rationals division pops monomials off a heap (Monagan and Pearce,
+"Sparse polynomial division using a heap", J. Symbolic Comput. 46, 2011):
+each monomial is pushed once, cancelled terms are skipped when popped, and
+the divisor's leading term, which always cancels, is never formed.  Modulo
+p the S-pairs of one lcm degree are reduced as one sparse matrix (Faugere,
+"A new efficient algorithm for computing Groebner bases (F4)", J. Pure
+Appl. Algebra 139, 1999).  Symbolic preprocessing adds a reducer m*g for
+every column that a leading monomial divides, until no column is new; a
+reducer keeps only its column indices and shares g's tail coefficients
+(Faugere and Lachartre, PASCO 2010).  The rows are eliminated together in
+column order: a column is one int with a slot per row, so a step on every
+row is one multiply-add, and a residue is reduced mod p only when read.  A
+nonzero result becomes a monic basis element and a pivot for the rows
+after it.  The same kernel echelons the generators and inter-reduces the
+final basis, one leading degree at a time.
 
 :func:`normal_form`, :func:`s_polynomial`, and :func:`verify_groebner` are a
 separate textbook implementation over tuple monomials and field scalars, so
@@ -39,9 +52,9 @@ a regular sequence.  Normal strategy takes such pairs in non-decreasing
 lcm degree, so when it reaches degree d the leading monomials so far span
 lt(I) below d, and each new basis element adds exactly one degree-d
 monomial to <lt G>.  Once <lt G> has ci_d of them it is all of lt(I)_d,
-and every remaining pair of degree d reduces to zero and is skipped.  Only
-zero reductions are skipped, so the reduced basis, which is unique, does
-not change.
+and every remaining pair of degree d reduces to zero and is skipped (mod
+p, a matrix takes at most as many).  Only zero reductions are skipped, so
+the reduced basis, which is unique, does not change.
 
 Dimension and degree of a homogeneous ideal both come from the Hilbert
 series N(t)/(1-t)^nvars of its leading-term ideal.  N is a sparse
@@ -51,7 +64,8 @@ exponents near the field limit cost no more than small ones.  N vanishes
 at t = 1 to the codimension m, the first order with a nonzero N^(m)(1) /
 m! = sum_k c_k C(k, m), and (-1)^m times that sum is the degree (Bayer and
 Stillman, "Computation of Hilbert functions", J. Symbolic Comput. 14,
-1992).
+1992).  Only the leading monomials of a minimal basis are needed, so the
+summary neither inter-reduces the tails nor builds polynomials.
 
 Over the rationals that basis is first taken modulo p = 32003, which skips
 the coefficient swell of the fraction-free engine.  Each of the r nonzero
@@ -73,6 +87,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import reduce
+from itertools import groupby
 from math import comb, gcd, prod
 from operator import le, or_
 
@@ -158,23 +173,16 @@ def _common_ring(polys):
     return nvars, field
 
 
-def _normalize(terms, mod):
-    """Content 1 and positive leading coefficient (mod None), or monic.
-    The terms run from the leading monomial down, as :func:`_reduce` makes
-    them."""
+def _normalize(terms):
+    """Content 1 and positive leading coefficient, for integer terms that
+    run from the leading monomial down, as :func:`_reduce` makes them."""
     if not terms:
         return terms
-    lead = terms[next(iter(terms))]
-    if mod is None:
-        content = gcd(*terms.values())
-        if lead < 0:
-            content = -content
-        if content != 1:
-            terms = {m: c // content for m, c in terms.items()}
-        return terms
-    if lead != 1:
-        inv = pow(lead, mod - 2, mod)
-        terms = {m: c * inv % mod for m, c in terms.items()}
+    content = gcd(*terms.values())
+    if terms[next(iter(terms))] < 0:
+        content = -content
+    if content != 1:
+        terms = {m: c // content for m, c in terms.items()}
     return terms
 
 
@@ -187,15 +195,11 @@ def _entry(terms, packing):
     return (lm, lc, list(items))
 
 
-def _reduce(f, entries, packing, mod):
-    """Remainder of f on division by the entries, never leaving the integers.
-
-    Over the rationals the whole partial result is rescaled whenever a
-    reduction step needs it (fraction-free division); mod p the divisors are
-    monic, so no rescaling happens and residues are only reduced when their
-    monomial comes off the heap.  The remainder runs from its leading
-    monomial down and is not normalized here.
-    """
+def _reduce(f, entries, packing):
+    """Remainder of f on division by the entries over the rationals, never
+    leaving the integers: the whole partial result is rescaled whenever a
+    step needs it (fraction-free division).  It runs from its leading
+    monomial down and is not normalized here."""
     down, guards = packing.down, packing.guards
     work = dict(f)
     heap = [down * m for m in work]
@@ -205,8 +209,6 @@ def _reduce(f, entries, packing, mod):
     while heap:
         mono = down * pop(heap)
         coeff = work.pop(mono)
-        if mod is not None:
-            coeff %= mod
         if not coeff:
             continue
         for lm, lc, tail in entries:
@@ -218,17 +220,14 @@ def _reduce(f, entries, packing, mod):
             continue
         if shift & packing.overflow:
             _overflow("a reduction multiplier")
-        if mod is None:
-            g = gcd(coeff, lc)
-            mult = lc // g
-            q = -(coeff // g)
-            if mult != 1:
-                for m in work:
-                    work[m] *= mult
-                for m in rem:
-                    rem[m] *= mult
-        else:
-            q = mod - coeff  # divisor is monic
+        g = gcd(coeff, lc)
+        mult = lc // g
+        q = -(coeff // g)
+        if mult != 1:
+            for m in work:
+                work[m] *= mult
+            for m in rem:
+                rem[m] *= mult
         for m2, c2 in tail:
             m = m2 + shift
             c = work.get(m)
@@ -240,10 +239,73 @@ def _reduce(f, entries, packing, mod):
     return rem
 
 
+def _echelon(rows, entries, packing, mod, own=()):
+    """The term dicts reduced modulo p by the entries, and each by the rows
+    before it, as one sparse matrix (F4, module docstring): the nonzero
+    results as monic entries, in row order.  A monomial in ``own`` leads
+    one of the rows, its pivot, so no reducer is sought for it."""
+    guards, overflow = packing.guards, packing.overflow
+    cols = set().union(*rows)
+    todo, multiples = list(cols), {}  # id(g) -> (g, [(m*lm(g), m)])
+    while todo:  # symbolic preprocessing
+        m = todo.pop()
+        if m in own:
+            continue
+        for e in entries:
+            shift = m - e[0]
+            if not shift & guards:
+                break
+        else:
+            continue
+        if shift & overflow:
+            _overflow("a reduction multiplier")
+        multiples.setdefault(id(e), (e, []))[1].append((m, shift))
+        for t, _ in e[2]:
+            if (t := t + shift) not in cols:
+                cols.add(t)
+                todo.append(t)
+    order = sorted(cols, reverse=packing.down < 0)  # largest monomial first
+    index = {m: k for k, m in enumerate(order)}
+    pivots = {}  # column -> (columns, coefficients) of its reducer
+    for e, products in multiples.values():
+        coeffs = [c for _, c in e[2]]  # shared by every multiple of g
+        for m, shift in products:
+            pivots[index[m]] = [index[t + shift] for t, _ in e[2]], coeffs
+    # elimination: a slot of ``width`` bits holds n products of residues
+    width = 2 * mod.bit_length() + len(order).bit_length() + 1
+    mask, shifts = (1 << width) - 1, range(0, width * len(rows), width)
+    packed = [0] * len(order)
+    for s, row in zip(shifts, rows):
+        for m, c in row.items():
+            packed[index[m]] += c % mod << s
+    leads = {}  # row -> (its leading column, the inverse of its lead)
+    for k, v in enumerate(packed):
+        cs = [(v >> s & mask) % mod for s in shifts]
+        if k in pivots:  # every row takes away its multiple of the reducer
+            if q := sum(mod - c << s for c, s in zip(cs, shifts) if c):
+                packed[k] += q
+                for j, a in zip(*pivots[k]):
+                    packed[j] += a * q
+            continue
+        # no reducer: the first row still without a lead takes the column
+        r = next((r for r, c in enumerate(cs) if c and r not in leads), None)
+        if r is None:
+            continue
+        leads[r] = k, pow(cs[r], -1, mod)
+        q = sum(c * (mod - leads[r][1]) % mod << s
+                for c, s in zip(cs[r + 1:], shifts[r + 1:]))
+        for j in range(k, len(order)) if q else ():
+            if a := (packed[j] >> shifts[r] & mask) % mod:
+                packed[j] += a * q
+    return [_entry({order[j]: c * inv % mod for j in range(k, len(order))
+                    if (c := (packed[j] >> shifts[r] & mask) % mod)}, packing)
+            for r, (k, inv) in sorted(leads.items())]
+
+
 def _spair(ei, ej, lcm, mod):
     """S-polynomial of two entries as an integer term dict.  The leading
     terms cancel and are left out; zero and unreduced coefficients are left
-    for :func:`_reduce`."""
+    for the reduction."""
     lmi, lci, taili = ei
     lmj, lcj, tailj = ej
     if mod is None:
@@ -259,6 +321,99 @@ def _spair(ei, ej, lcm, mod):
     return s
 
 
+def _minimal_basis(polys, key=grevlex_key):
+    """(packing, entries) of the minimal Groebner basis of nonzero
+    polynomials, ascending, tails not inter-reduced; 1 for the unit ideal."""
+    if not polys:
+        return None, []
+    nvars, field = _common_ring(polys)
+    mod = field.p if field.is_prime_field else None
+    packing = _Packing(nvars, key is grevlex_key)
+    down, guards = packing.down, packing.guards
+    entries, exps = [], []  # exps: exponents of each leading monomial
+    # pairs (lcm degree, priority, i, j, lcm), by degree so that a matrix
+    # takes one; not for lex over Q, where that made a basis 400x slower
+    by_degree = packing.graded or mod is not None
+    heap, pending = [], set()
+
+    def echelon(rows):  # the rows reduced by the entries and each other
+        if mod is not None:
+            return _echelon(rows, entries, packing, mod)
+        new = []
+        for f in rows:
+            if r := _normalize(_reduce(f, entries + new, packing)):
+                new.append(_entry(r, packing))
+        return new
+
+    def add(new):
+        """Append new entries and their pairs; False on the unit ideal."""
+        for e in new:
+            if not e[0]:
+                return False
+            k = len(entries)
+            entries.append(e)
+            exps.append(packing.unpack(e[0]))
+            for t in range(k):
+                lcm = tuple(map(max, exps[t], exps[k]))
+                packed = packing.pack(lcm)
+                heapq.heappush(heap, (sum(lcm) if by_degree else 0,
+                                      -down * packed, t, k, packed))
+                pending.add((t, k))
+        return True
+
+    # one matrix per leading degree, ascending
+    for _, group in groupby(sorted(
+            ((q.leading_monomial(key), q) for q in polys),
+            key=lambda t: key(t[0])), key=lambda t: sum(t[0])):
+        if not add(echelon([packing.terms(p, mod) for _, p in group])):
+            return packing, [(0, 1, [])]
+
+    # Hilbert-driven skip (module docstring): ``room`` is how many more
+    # degree-d leading monomials the complete-intersection bound allows
+    bound = None
+    if packing.graded and len(polys) <= nvars and all(
+            p.is_homogeneous() for p in polys):
+        bound = _one_minus_powers(p.degree() for p in polys)
+    degree = room = None
+    cache = {}  # Hilbert subproblems, shared across degrees
+
+    while heap:
+        d = heap[0][0]
+        if bound is not None and d != degree:
+            lts = _hilbert_numerator(
+                tuple(sorted(_minimalize_monos(exps))), nvars, cache)
+            degree = d
+            room = (_hilbert_function(lts, nvars, d)
+                    - _hilbert_function(bound, nvars, d))
+        # over Q one pair at a time, mod p a matrix of at most room pairs
+        cap = (room or len(heap)) if mod is not None else 1
+        rows = []
+        while heap and heap[0][0] == d and len(rows) < cap:
+            _, _, i, j, lcm = heapq.heappop(heap)
+            pending.discard((i, j))
+            if room == 0 or lcm == entries[i][0] + entries[j][0]:
+                continue  # no room left, or coprime leading monomials
+            if any(t != i and t != j and not (lcm - entries[t][0]) & guards
+                   and (min(i, t), max(i, t)) not in pending
+                   and (min(j, t), max(j, t)) not in pending
+                   for t in range(len(entries))):
+                continue  # both companion pairs already handled
+            rows.append(_spair(entries[i], entries[j], lcm, mod))
+        if rows:
+            new = echelon(rows)
+            if not add(new):
+                return packing, [(0, 1, [])]
+            if bound is not None:
+                room -= len(new)
+
+    # minimalize: keep only minimal leading monomials, in ascending order
+    kept = []
+    for e in sorted(entries, key=lambda e: -down * e[0]):
+        if all((e[0] - k[0]) & guards for k in kept):
+            kept.append(e)
+    return packing, kept
+
+
 def groebner_basis(polys, key=grevlex_key):
     """Reduced Groebner basis (monic, ascending leading monomials).
 
@@ -272,94 +427,23 @@ def groebner_basis(polys, key=grevlex_key):
     if not polys:
         return []
     nvars, field = _common_ring(polys)
-    mod = field.p if field.is_prime_field else None
-    one = [Polynomial.constant(1, nvars, field)]
-    packing = _Packing(nvars, key is grevlex_key)
-    down, guards = packing.down, packing.guards
-
-    entries = []
-    exps = []  # exponent tuple of each entry's leading monomial
-    for p in sorted(polys, key=lambda q: key(q.leading_monomial(key))):
-        r = _normalize(_reduce(packing.terms(p, mod), entries, packing, mod),
-                       mod)
-        if not r:
-            continue
-        if len(r) == 1 and 0 in r:
-            return one
-        entries.append(_entry(r, packing))
-        exps.append(packing.unpack(entries[-1][0]))
-
-    def push_pairs(k):
-        for t in range(k):
-            lcm = packing.pack(tuple(map(max, exps[t], exps[k])))
-            heapq.heappush(heap, (-down * lcm, t, k, lcm))
-            pending.add((t, k))
-
-    heap = []
-    pending = set()
-    for k in range(len(entries)):
-        push_pairs(k)
-
-    # Hilbert-driven skip (module docstring): ``room`` is how many more
-    # degree-d leading monomials the complete-intersection bound allows
-    bound = None
-    if packing.graded and len(polys) <= nvars and all(
-            p.is_homogeneous() for p in polys):
-        bound = _one_minus_powers(p.degree() for p in polys)
-    degree = room = None
-    cache = {}  # Hilbert subproblems, shared across degrees
-
-    while heap:
-        _, i, j, lcm = heapq.heappop(heap)
-        pending.discard((i, j))
-        if lcm == entries[i][0] + entries[j][0]:
-            continue  # coprime leading monomials
-        skip = False
-        for t in range(len(entries)):
-            if t in (i, j) or (lcm - entries[t][0]) & guards:
-                continue
-            a = (min(i, t), max(i, t))
-            b = (min(j, t), max(j, t))
-            if a not in pending and b not in pending:
-                skip = True  # both companion pairs already handled
-                break
-        if skip:
-            continue
-        if bound is not None:
-            d = -(lcm >> packing.top)
-            if d != degree:
-                lts = _hilbert_numerator(
-                    tuple(sorted(_minimalize_monos(exps))), nvars, cache)
-                degree = d
-                room = (_hilbert_function(lts, nvars, d)
-                        - _hilbert_function(bound, nvars, d))
-            if not room:
-                continue  # every degree-d element of I has its lm in <lt G>
-        r = _normalize(_reduce(_spair(entries[i], entries[j], lcm, mod),
-                               entries, packing, mod), mod)
-        if not r:
-            continue
-        if len(r) == 1 and 0 in r:
-            return one
-        entries.append(_entry(r, packing))
-        exps.append(packing.unpack(entries[-1][0]))
-        push_pairs(len(entries) - 1)
-        if bound is not None:
-            room -= 1
-
-    # minimalize: keep only minimal leading monomials, in ascending order
-    kept = []
-    for e in sorted(entries, key=lambda e: -down * e[0]):
-        if all((e[0] - k[0]) & guards for k in kept):
-            kept.append(e)
-    entries = kept
+    packing, entries = _minimal_basis(polys, key)
 
     # inter-reduce tails: no leading monomial divides another, so reduction
     # never changes one, and one pass leaves every tail reduced
-    for t in range(len(entries)):
-        lm, lc, tail = entries.pop(t)
-        entries.insert(t, _entry(_normalize(_reduce(
-            [(lm, lc), *tail], entries, packing, mod), mod), packing))
+    if not field.is_prime_field:
+        for t in range(len(entries)):
+            lm, lc, tail = entries.pop(t)
+            entries.insert(t, _entry(_normalize(_reduce(
+                [(lm, lc), *tail], entries, packing)), packing))
+    else:  # one matrix per leading degree, written back in place
+        start = 0
+        for _, run in groupby([sum(packing.unpack(e[0])) for e in entries]):
+            stop = start + len(list(run))
+            rows = [dict([e[:2], *e[2]]) for e in entries[start:stop]]
+            entries[start:stop] = _echelon(rows, entries, packing, field.p,
+                                           {next(iter(r)) for r in rows})
+            start = stop
 
     basis = []
     while entries:  # free each entry as its polynomial is built
@@ -463,22 +547,29 @@ def ideal_dimension_and_degree(polys) -> IdealSummary:
     if live and _common_ring(live)[1] == QQ and all(
             p.is_homogeneous() for p in live):
         field = GF(_CERTIFICATE_PRIME)
-        dim, degree = _hilbert_dimension_and_degree(
-            groebner_basis([_primitive_mod(p, field) for p in live]), nvars)
+        dim, degree = _leading_dimension_and_degree(
+            [_primitive_mod(p, field) for p in live], nvars)
         if dim == nvars - len(live):
             if degree != prod(p.degree() for p in live):
                 raise ArithmeticError("a complete intersection modulo "
                                       f"{_CERTIFICATE_PRIME} broke Bezout")
             return _summary(dim, degree)
-    return _summary(*_hilbert_dimension_and_degree(groebner_basis(polys),
-                                                   nvars))
+    return _summary(*_leading_dimension_and_degree(live, nvars))
+
+
+def _leading_dimension_and_degree(polys, nvars: int) -> tuple:
+    """:func:`_hilbert_dimension_and_degree` of the minimal grevlex basis of
+    nonzero polynomials, read off its packed leading monomials alone."""
+    packing, entries = _minimal_basis(polys)
+    return _dimension_and_degree([packing.unpack(e[0]) for e in entries],
+                                 nvars)
 
 
 def _primitive_mod(poly: Polynomial, field) -> Polynomial:
     """The primitive integer multiple of a nonzero polynomial over Q, reduced
     into ``field``.  Its coefficients have gcd 1, so it never vanishes."""
     packing = _Packing(poly.nvars, graded=True)
-    ints = _normalize(packing.terms(poly, None), None)
+    ints = _normalize(packing.terms(poly, None))
     return Polynomial.from_terms(
         {packing.unpack(m): c for m, c in ints.items()}, poly.nvars, field)
 
@@ -487,7 +578,12 @@ def _hilbert_dimension_and_degree(basis, nvars: int) -> tuple:
     """(affine dimension, degree) of the ideal of a grevlex basis: the pole
     order of its Hilbert series at t = 1 and the numerator left there.  The
     unit ideal, whose series is 0, gives (-1, 0)."""
-    lts = _minimalize_monos([g.leading_monomial() for g in basis])
+    return _dimension_and_degree([g.leading_monomial() for g in basis], nvars)
+
+
+def _dimension_and_degree(leads, nvars: int) -> tuple:
+    """:func:`_hilbert_dimension_and_degree` from the leading exponents."""
+    lts = _minimalize_monos(leads)
     if (0,) * nvars in lts:
         return -1, 0
     numerator = _hilbert_numerator(tuple(sorted(lts)), nvars, {})
@@ -555,15 +651,9 @@ def _hilbert_numerator(monos, nvars: int, cache: dict) -> dict:
 def _shared_variable(monos, nvars: int):
     """A variable in more than one generator's support, or None if the
     generators are pairwise coprime.  Picks the most shared one."""
-    counts = [0] * nvars
-    for m in monos:
-        for i, e in enumerate(m):
-            if e:
-                counts[i] += 1
+    counts = [sum(1 for m in monos if m[i]) for i in range(nvars)]
     best = max(range(nvars), key=counts.__getitem__, default=None)
-    if best is None or counts[best] < 2:
-        return None
-    return best
+    return best if best is not None and counts[best] > 1 else None
 
 
 def _one_minus_powers(degrees) -> dict:

@@ -2,7 +2,8 @@
 
 A benchmark run checks the digests only at the seed it runs, and the
 recorded ones are at seed 1, so this test runs pass 0 at seed 1 of every
-workload the way ``perfbench/child.py`` does: its ``write_input`` and
+workload, and passes 1 and 2 of ``count-fp``, which draws new varieties on
+every pass, the way ``perfbench/child.py`` does: its ``write_input`` and
 ``run_job`` call ``ccv.cli.entry`` in this process, and ``outcome`` checks
 each answer and hashes its result fields with ``checks.digest``.  The
 files under ``perfbench/`` are only read; no bytecode is written there.
@@ -31,15 +32,13 @@ def _load(name, monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("workload", sorted(RECORDED))
-def test_pass_0_at_seed_1_matches_the_recorded_digests(workload, tmp_path,
-                                                        monkeypatch):
+def _check_pass(workload, instance, tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     for name in ("specs", "checks", "workloads", "spans"):
         _load(name, monkeypatch)
     child = _load("child", monkeypatch)
-    recorded = RECORDED[workload]["1-0"]
-    jobs = sys.modules["workloads"].jobs(workload, 1, 0)
+    recorded = RECORDED[workload][f"1-{instance}"]
+    jobs = sys.modules["workloads"].jobs(workload, 1, instance)
     assert sorted(job.name for job in jobs) == sorted(recorded)
     for index, job in enumerate(jobs):
         path, spec = child.write_input(job, tmp_path, index)
@@ -47,3 +46,15 @@ def test_pass_0_at_seed_1_matches_the_recorded_digests(workload, tmp_path,
         problems, digest = child.outcome(job, code, out, err, spec)
         assert not problems, (job.name, problems)
         assert digest == recorded[job.name], job.name
+
+
+@pytest.mark.parametrize("workload", sorted(RECORDED))
+def test_pass_0_at_seed_1_matches_the_recorded_digests(workload, tmp_path,
+                                                        monkeypatch):
+    _check_pass(workload, 0, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("instance", [1, 2])
+def test_count_fp_passes_at_seed_1_match_the_recorded_digests(
+        instance, tmp_path, monkeypatch):
+    _check_pass("count-fp", instance, tmp_path, monkeypatch)

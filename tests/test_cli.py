@@ -137,8 +137,9 @@ def test_conics_builds_the_system_and_basis_once(capsys, monkeypatch):
     system = counted("system", ccv.conics.conic_system)
     for module in (ccv.conics, ccv.cli):
         monkeypatch.setattr(module, "conic_system", system)
-    monkeypatch.setattr(ccv.groebner, "groebner_basis",
-                        counted("basis", ccv.groebner.groebner_basis))
+    summary = ccv.groebner._leading_dimension_and_degree
+    monkeypatch.setattr(ccv.groebner, "_leading_dimension_and_degree",
+                        counted("basis", summary))
     monkeypatch.setattr(ccv.cli, "count_conics",
                         counted("count", ccv.conics.count_conics))
     argv = ["conics", QUADRIC, "--x", "1,0,0,0", "--y", "0,0,0,1", "--json"]
