@@ -385,7 +385,7 @@ def _minimal_basis(polys, key=grevlex_key):
             degree = d
             room = (_hilbert_function(lts, nvars, d)
                     - _hilbert_function(bound, nvars, d))
-        # over Q one pair at a time, mod p a matrix of at most room pairs
+        # over Q one pair at a time; mod p one matrix of degree d, <= room
         cap = (room or len(heap)) if mod is not None else 1
         rows = []
         while heap and heap[0][0] == d and len(rows) < cap:
