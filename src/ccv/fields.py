@@ -218,13 +218,14 @@ class PrimeField:
             return FpElement(value, self.p)
         if isinstance(value, float):
             raise TypeError("floats are not exact; pass int, str, or Fraction")
-        if isinstance(value, (Fraction, str)):
-            ratio = Fraction(value)
-            if ratio.denominator % self.p == 0:
+        if isinstance(value, str):
+            value = Fraction(value)
+        if isinstance(value, Fraction):  # num * den^-1, one residue
+            den = value.denominator % self.p
+            if not den:
                 raise ZeroDivisionError(
-                    f"denominator of {ratio} vanishes modulo {self.p}")
-            return (FpElement(ratio.numerator, self.p)
-                    * FpElement(ratio.denominator, self.p).inverse())
+                    f"denominator of {value} vanishes modulo {self.p}")
+            return FpElement(value.numerator * pow(den, -1, self.p), self.p)
         raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
 
     def inv(self, value) -> FpElement:

@@ -24,14 +24,15 @@ the divisor's leading term, which always cancels, is never formed.  Modulo
 p the S-pairs of one lcm degree are reduced as one sparse matrix (Faugere,
 "A new efficient algorithm for computing Groebner bases (F4)", J. Pure
 Appl. Algebra 139, 1999).  Symbolic preprocessing adds a reducer m*g for
-every column that a leading monomial divides, until no column is new; a
-reducer keeps only its column indices and shares g's tail coefficients
-(Faugere and Lachartre, PASCO 2010).  The rows are eliminated together in
-column order: a column is one int with a slot per row, so a step on every
-row is one multiply-add, and a residue is reduced mod p only when read.  A
-nonzero result becomes a monic basis element and a pivot for the rows
-after it.  The same kernel echelons the generators and inter-reduces the
-final basis, one leading degree at a time.
+every column that a leading monomial divides, until no column is new; each
+monomial of m*g is formed once and numbered when first found, and once the
+columns are sorted a reducer keeps only its column indices and shares g's
+tail coefficients (Faugere and Lachartre, PASCO 2010).  The rows are
+eliminated together in column order: a column is one int with a slot per
+row, so a step on every row is one multiply-add, and a residue is reduced
+mod p only when read.  A nonzero result becomes a monic basis element and a
+pivot for the rows after it.  The same kernel echelons the generators and
+inter-reduces the final basis, one leading degree at a time.
 
 :func:`normal_form`, :func:`s_polynomial`, and :func:`verify_groebner` are a
 separate textbook implementation over tuple monomials and field scalars, so
@@ -69,17 +70,20 @@ summary neither inter-reduces the tails nor builds polynomials.
 
 Over the rationals that basis is first taken modulo p = 32003, which skips
 the coefficient swell of the fraction-free engine.  Each of the r nonzero
-homogeneous generators is scaled to its primitive integer form, which has no
-denominator and never reduces to zero.  The ideal of the reductions spans no
-more in any degree than the ideal over Q, so the Hilbert function can only
-rise modulo p and the dimension with it; Krull's height theorem bounds the
-dimension over Q from below by nvars - r.  So when the basis mod p shows
-affine dimension nvars - r, both ideals are complete intersections with the
-Hilbert series prod(1 - t^d_i) / (1 - t)^nvars, and the summary mod p is the
-summary over Q (Cox, Little and O'Shea, *Ideals, Varieties, and
-Algorithms*, ch. 9; Traverso, cited above).  Its degree must then be the
-product of the generator degrees, which is checked.  Any other outcome, and
-any input that is not homogeneous, falls back to the basis over Q.
+homogeneous generators is scaled to its primitive integer form, which has
+no denominator and never reduces to zero: its terms are multiplied by the
+lcm of the denominators, divided by their gcd, signed so that the first
+stored term is positive, and reduced straight into F_p.  The ideal of the
+reductions spans no more in any degree than the ideal over Q, so the
+Hilbert function can only rise modulo p and the dimension with it; Krull's
+height theorem bounds the dimension over Q from below by nvars - r.  So
+when the basis mod p shows affine dimension nvars - r, both ideals are
+complete intersections with the Hilbert series
+prod(1 - t^d_i) / (1 - t)^nvars, and the summary mod p is the summary over
+Q (Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*, ch. 9;
+Traverso, cited above).  Its degree must then be the product of the
+generator degrees, which is checked.  Any other outcome, and any input
+that is not homogeneous, falls back to the basis over Q.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ import heapq
 from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 from operator import le, or_
 
 from .fields import GF, QQ, FieldMismatchError
@@ -154,12 +158,16 @@ class _Packing:
     def terms(self, poly: Polynomial, mod) -> dict:
         """{packed monomial: int} from a polynomial, denominators cleared."""
         if mod is None:
-            denom = 1
-            for c in poly.terms.values():
-                denom = denom * c.denominator // gcd(denom, c.denominator)
-            return {self.pack(m): int(c * denom)
-                    for m, c in poly.terms.items()}
+            return {self.pack(m): c for m, c in _integral(poly).items()}
         return {self.pack(m): c.value for m, c in poly.terms.items()}
+
+
+def _integral(poly: Polynomial) -> dict:
+    """{monomial: int}: a polynomial over Q times the lcm of its
+    denominators, in the polynomial's term order."""
+    denom = lcm(*(c.denominator for c in poly.terms.values()))
+    return {m: c.numerator * (denom // c.denominator)
+            for m, c in poly.terms.items()}
 
 
 def _common_ring(polys):
@@ -174,8 +182,9 @@ def _common_ring(polys):
 
 
 def _normalize(terms):
-    """Content 1 and positive leading coefficient, for integer terms that
-    run from the leading monomial down, as :func:`_reduce` makes them."""
+    """Content 1 and a positive first coefficient, for integer terms.  The
+    first is the leading one for terms that run from the leading monomial
+    down, as :func:`_reduce` makes them."""
     if not terms:
         return terms
     content = gcd(*terms.values())
@@ -245,10 +254,10 @@ def _echelon(rows, entries, packing, mod, own=()):
     results as monic entries, in row order.  A monomial in ``own`` leads
     one of the rows, its pivot, so no reducer is sought for it."""
     guards, overflow = packing.guards, packing.overflow
-    cols = set().union(*rows)
-    todo, multiples = list(cols), {}  # id(g) -> (g, [(m*lm(g), m)])
-    while todo:  # symbolic preprocessing
-        m = todo.pop()
+    found = list(set().union(*rows))  # the columns, in order of discovery
+    cols = {m: k for k, m in enumerate(found)}  # monomial -> its number
+    multiples = {}  # id(g) -> (g, [(m*lm(g), numbers of m*tail(g))])
+    for m in found:  # symbolic preprocessing, until no column is new
         if m in own:
             continue
         for e in entries:
@@ -259,25 +268,30 @@ def _echelon(rows, entries, packing, mod, own=()):
             continue
         if shift & overflow:
             _overflow("a reduction multiplier")
-        multiples.setdefault(id(e), (e, []))[1].append((m, shift))
+        numbers = []  # each monomial m*t is formed once
         for t, _ in e[2]:
-            if (t := t + shift) not in cols:
-                cols.add(t)
-                todo.append(t)
-    order = sorted(cols, reverse=packing.down < 0)  # largest monomial first
-    index = {m: k for k, m in enumerate(order)}
+            if (k := cols.get(t := t + shift)) is None:
+                k = cols[t] = len(found)
+                found.append(t)
+            numbers.append(k)
+        multiples.setdefault(id(e), (e, []))[1].append((m, numbers))
+    order = sorted(found, reverse=packing.down < 0)  # largest monomial first
+    for k, m in enumerate(order):  # found[n] and cols[m] become columns
+        found[cols[m]] = k
+        cols[m] = k
     pivots = {}  # column -> (columns, coefficients) of its reducer
     for e, products in multiples.values():
         coeffs = [c for _, c in e[2]]  # shared by every multiple of g
-        for m, shift in products:
-            pivots[index[m]] = [index[t + shift] for t, _ in e[2]], coeffs
+        while products:  # each list of numbers is freed as it is mapped
+            m, numbers = products.pop()
+            pivots[cols[m]] = [found[k] for k in numbers], coeffs
     # elimination: a slot of ``width`` bits holds n products of residues
     width = 2 * mod.bit_length() + len(order).bit_length() + 1
     mask, shifts = (1 << width) - 1, range(0, width * len(rows), width)
     packed = [0] * len(order)
     for s, row in zip(shifts, rows):
         for m, c in row.items():
-            packed[index[m]] += c % mod << s
+            packed[cols[m]] += c % mod << s
     leads = {}  # row -> (its leading column, the inverse of its lead)
     for k, v in enumerate(packed):
         cs = [(v >> s & mask) % mod for s in shifts]
@@ -568,10 +582,9 @@ def _leading_dimension_and_degree(polys, nvars: int) -> tuple:
 def _primitive_mod(poly: Polynomial, field) -> Polynomial:
     """The primitive integer multiple of a nonzero polynomial over Q, reduced
     into ``field``.  Its coefficients have gcd 1, so it never vanishes."""
-    packing = _Packing(poly.nvars, graded=True)
-    ints = _normalize(packing.terms(poly, None))
-    return Polynomial.from_terms(
-        {packing.unpack(m): c for m, c in ints.items()}, poly.nvars, field)
+    ints = _normalize(_integral(poly))
+    return Polynomial(poly.nvars, field,
+                      {m: r for m, c in ints.items() if (r := field(c))})
 
 
 def _hilbert_dimension_and_degree(basis, nvars: int) -> tuple:

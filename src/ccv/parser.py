@@ -10,9 +10,17 @@ Grammar (whitespace ignored everywhere):
 
 Coefficients in text are integers, so parse/print/parse is a fixed point for
 printed polynomials (printing uses descending grevlex term order).
+
+Each ``expr`` adds its terms into one dict, so a sum costs time linear in
+its number of terms.  A ``term`` multiplies its numbers into one
+coefficient and adds its variables' exponents into one monomial; only a
+parenthesized factor becomes a :class:`~ccv.poly.Polynomial`, multiplied
+into the product as written.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .fields import QQ
 from .poly import Polynomial
@@ -86,51 +94,69 @@ class _Parser:
         return None
 
     def expr(self) -> Polynomial:
+        terms = {}  # every term of the sum, added in place
         negate = self.accept_op("-") is not None
-        result = self.term()
-        if negate:
-            result = -result
         while True:
+            for mono, coeff in self.term(negate):
+                acc = terms.get(mono)
+                if acc is None:
+                    terms[mono] = coeff
+                elif acc := acc + coeff:
+                    terms[mono] = acc
+                else:
+                    del terms[mono]
             op = self.accept_op("+", "-")
             if op is None:
-                return result
-            rhs = self.term()
-            result = result + rhs if op == "+" else result - rhs
+                return Polynomial(self.nvars, self.field, terms)
+            negate = op == "-"
 
-    def term(self) -> Polynomial:
-        result = self.factor()
-        while self.accept_op("*"):
-            result = result * self.factor()
-        return result
-
-    def factor(self) -> Polynomial:
-        base = self.base()
-        if self.accept_op("^"):
+    def term(self, negate: bool):
+        """The (monomial, coefficient) pairs of one product of factors,
+        negated if asked.  Numbers and variable powers go straight into one
+        coefficient and one exponent list; only a parenthesized factor is
+        a Polynomial."""
+        field = self.field
+        # an int until a power of a number makes it a field scalar
+        coeff, mono, product = -1 if negate else 1, [0] * self.nvars, None
+        while True:
             kind, value, pos = self.advance()
-            if kind != "int":
-                raise ParseError("exponent must be an unsigned integer", pos)
-            if value > MAX_EXPONENT:
-                raise ParseError(f"exponent {value} exceeds limit {MAX_EXPONENT}", pos)
-            return base ** value
-        return base
+            if kind == "var":
+                if value >= self.nvars:
+                    raise ParseError(
+                        f"variable x{value} out of range; ring has "
+                        f"x0..x{self.nvars - 1}", pos)
+            elif kind == "(":
+                value = self.expr()
+                close, _, pos = self.advance()
+                if close != ")":
+                    raise ParseError("expected ')'", pos)
+            elif kind != "int":
+                raise ParseError("expected a number, variable, or '('", pos)
+            exponent = self.exponent() if self.accept_op("^") else 1
+            if kind == "var":
+                mono[value] += exponent
+            elif kind == "int":
+                coeff *= value if exponent == 1 else field(value) ** exponent
+            else:
+                value = value if exponent == 1 else value ** exponent
+                product = value if product is None else product * value
+            if not self.accept_op("*"):
+                break
+        if not (coeff := field(coeff)):
+            return ()
+        if product is None:
+            return ((tuple(mono), coeff),)
+        return ((tuple(map(add, m, mono)), c * coeff)
+                for m, c in product.terms.items())
 
-    def base(self) -> Polynomial:
+    def exponent(self) -> int:
         kind, value, pos = self.advance()
-        if kind == "int":
-            return Polynomial.constant(value, self.nvars, self.field)
-        if kind == "var":
-            if value >= self.nvars:
-                raise ParseError(
-                    f"variable x{value} out of range; ring has x0..x{self.nvars - 1}",
-                    pos)
-            return Polynomial.variable(value, self.nvars, self.field)
-        if kind == "(":
-            inner = self.expr()
-            kind, _, pos = self.advance()
-            if kind != ")":
-                raise ParseError("expected ')'", pos)
-            return inner
-        raise ParseError("expected a number, variable, or '('", pos)
+        if kind != "int":
+            raise ParseError("exponent must be an unsigned integer", pos)
+        if value > MAX_EXPONENT:
+            raise ParseError(
+                f"exponent {value} exceeds limit {MAX_EXPONENT}", pos)
+        return value
 
 
 def parse_polynomial(text: str, nvars: int, field=QQ) -> Polynomial:

@@ -10,6 +10,7 @@ Variables are x0, x1, ... both in code (``Polynomial.variable``) and in text
 from __future__ import annotations
 
 from math import comb
+from operator import neg
 from types import MappingProxyType
 
 from .fields import QQ, FieldMismatchError
@@ -29,7 +30,7 @@ def grevlex_key(monomial):
     Grade first; ties broken by the *smallest* trailing exponents, which the
     negated-reversed tuple encodes.  With this key x1*x2 > x0*x3 in degree 2.
     """
-    return (sum(monomial), tuple(-e for e in reversed(monomial)))
+    return (sum(monomial), tuple(map(neg, reversed(monomial))))
 
 
 def lex_key(monomial):
@@ -53,13 +54,14 @@ class Polynomial:
     trusts its input and keeps the ``terms`` dict it is given.
     """
 
-    __slots__ = ("nvars", "field", "_terms", "_hash")
+    __slots__ = ("nvars", "field", "_terms", "_hash", "_str")
 
     def __init__(self, nvars: int, field, terms: dict):
         self.nvars = nvars
         self.field = field
         self._terms = terms
         self._hash = None
+        self._str = None
 
     @classmethod
     def zero(cls, nvars: int, field=QQ) -> "Polynomial":
@@ -244,11 +246,13 @@ class Polynomial:
         values = [self.field(v) for v in values]
         total = self.field.zero
         for mono, coeff in self._terms.items():
-            term = coeff
             for v, e in zip(values, mono):
-                for _ in range(e):
-                    term = term * v
-            total = total + term
+                if e:
+                    if not v:
+                        break  # a zero coordinate kills the term
+                    coeff = coeff * (v if e == 1 else v ** e)
+            else:
+                total = total + coeff
         return total
 
     def specialize(self, assignments) -> "Polynomial":
@@ -278,30 +282,30 @@ class Polynomial:
     # rendering
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        out = []
-        for mono in sorted(self._terms, key=grevlex_key, reverse=True):
-            coeff = self._terms[mono]
-            factors = [f"x{i}" + (f"^{e}" if e > 1 else "")
-                       for i, e in enumerate(mono) if e]
-            cs = str(coeff)
-            if factors:
-                if cs == "1":
-                    body = "*".join(factors)
-                elif cs == "-1":
-                    body = "-" + "*".join(factors)
+        """Terms in descending grevlex order; rendered once and kept."""
+        if self._str is None:
+            out = []
+            for mono in sorted(self._terms, key=grevlex_key, reverse=True):
+                factors = [f"x{i}" + (f"^{e}" if e > 1 else "")
+                           for i, e in enumerate(mono) if e]
+                cs = str(self._terms[mono])
+                if factors:
+                    if cs == "1":
+                        body = "*".join(factors)
+                    elif cs == "-1":
+                        body = "-" + "*".join(factors)
+                    else:
+                        body = "*".join([cs] + factors)
                 else:
-                    body = "*".join([cs] + factors)
-            else:
-                body = cs
-            if not out:
-                out.append(body)
-            elif body.startswith("-"):
-                out.append(" - " + body[1:])
-            else:
-                out.append(" + " + body)
-        return "".join(out)
+                    body = cs
+                if not out:
+                    out.append(body)
+                elif body.startswith("-"):
+                    out.append(" - " + body[1:])
+                else:
+                    out.append(" + " + body)
+            self._str = "".join(out) or "0"
+        return self._str
 
     def __repr__(self):
         return f"<Polynomial {self} over {self.field!r}>"
@@ -353,9 +357,9 @@ def expand_line_pencil(hypersurface: Polynomial, point: ProjectivePoint):
     G(c + t*p) = sum_k C_k(c) * t^(d-k), where C_k is a form of degree k in
     the moving point c.  Each term of G is expanded binomially, only in the
     coordinates where p is nonzero, and bucketed by its degree in c.  The
-    list [C_1, ..., C_d] is returned (C_0 = G(p) = 0).  C_d equals G itself,
-    and the line through p and c lies in {G = 0} exactly when all C_k vanish
-    at c.
+    list [C_1, ..., C_d] is returned (C_0 = G(p) = 0).  C_d is G itself,
+    the same object, and the line through p and c lies in {G = 0} exactly
+    when all C_k vanish at c.
     """
     n = hypersurface.nvars
     if len(point.coords) != n:
@@ -365,21 +369,26 @@ def expand_line_pencil(hypersurface: Polynomial, point: ProjectivePoint):
     if not hypersurface.is_homogeneous() or hypersurface.is_zero():
         raise ValueError("need a nonzero homogeneous polynomial")
     d = hypersurface.degree()
+    if not d:  # a nonzero constant vanishes nowhere
+        raise ValueError("base point not on hypersurface")
     field = hypersurface.field
-    moving = [(i, c) for i, c in enumerate(point.coords) if c]
-    buckets = [{} for _ in range(d + 1)]  # by degree in c
+    # for each coordinate where p is nonzero and each exponent e, the
+    # expansion of (c_i + t*p_i)^e: pairs (e - j, C(e, j) * p_i^j)
+    moving = [(i, [[(e - j, comb(e, j) * p_i ** j) for j in range(e + 1)]
+                   for e in range(d + 1)])
+              for i, p_i in enumerate(point.coords) if p_i]
+    buckets = [{} for _ in range(d)]  # by degree in c, below d
     for mono, coeff in hypersurface.terms.items():
         expanded = [(mono, coeff)]
-        for i, p_i in moving:
-            e = mono[i]
-            if e:  # (c_i + t*p_i)^e, keeping c_i^(e-j) and the scalar
-                expanded = [(m[:i] + (e - j,) + m[i + 1:],
-                             c * comb(e, j) * p_i ** j)
-                            for m, c in expanded for j in range(e + 1)]
+        for i, pencil in moving:
+            if e := mono[i]:  # keep c_i^(e-j) and the scalar
+                expanded = [(m[:i] + (r,) + m[i + 1:], c * s)
+                            for m, c in expanded for r, s in pencil[e]]
         for m, c in expanded:
-            bucket = buckets[sum(m)]
-            bucket[m] = bucket.get(m, field.zero) + c
+            if (k := sum(m)) < d:  # degree d adds up to G's own terms
+                acc = buckets[k].get(m)
+                buckets[k][m] = c if acc is None else acc + c
     if buckets[0].get((0,) * n):
         raise ValueError("base point not on hypersurface")
-    return [Polynomial.from_terms(buckets[k], n, field)
-            for k in range(1, d + 1)]
+    return [Polynomial(n, field, {m: c for m, c in bucket.items() if c})
+            for bucket in buckets[1:]] + [hypersurface]

@@ -194,10 +194,10 @@ def reduce_variety_mod(variety: VarietySpec, p: int) -> VarietySpec:
     eqs = []
     for eq in variety.equations:
         try:
-            terms = {m: fld(c) for m, c in eq.terms.items()}
+            terms = {m: r for m, c in eq.terms.items() if (r := fld(c))}
         except ZeroDivisionError as exc:
             raise ValueError(f"cannot reduce {eq} modulo {p}: {exc}") from exc
-        reduced = Polynomial.from_terms(terms, eq.nvars, fld)
+        reduced = Polynomial(eq.nvars, fld, terms)
         if reduced.is_zero():
             raise ValueError(f"equation {eq} vanishes identically modulo {p}")
         eqs.append(reduced)
