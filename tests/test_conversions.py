@@ -5,7 +5,7 @@ Results must agree term for term and in term order, over Q and F_p."""
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -71,7 +71,11 @@ def reference_fraction_mod(value, p):
 
 def reference_primitive_mod(poly, field):
     packing = _Packing(poly.nvars, graded=True)
-    ints = _normalize(packing.terms(poly, None))
+    denom = 1
+    for c in poly.terms.values():
+        denom = denom * c.denominator // gcd(denom, c.denominator)
+    ints = _normalize({packing.pack(m): int(c * denom)
+                       for m, c in poly.terms.items()})
     return Polynomial.from_terms(
         {packing.unpack(m): c for m, c in ints.items()}, poly.nvars, field)
 
