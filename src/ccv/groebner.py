@@ -31,8 +31,10 @@ tail coefficients (Faugere and Lachartre, PASCO 2010).  The rows are
 eliminated together in column order: a column is one int with a slot per
 row, so a step on every row is one multiply-add, and a residue is reduced
 mod p only when read.  A nonzero result becomes a monic basis element and a
-pivot for the rows after it.  The same kernel echelons the generators and
-inter-reduces the final basis, one leading degree at a time.
+pivot for the rows after it.  At the end every reducer column holds 0 in
+every row, so the results are read off the other columns.  The same kernel
+echelons the generators and inter-reduces the final basis, one leading
+degree at a time.
 
 :func:`normal_form`, :func:`s_polynomial`, and :func:`verify_groebner` are a
 separate textbook implementation over tuple monomials and field scalars, so
@@ -58,8 +60,15 @@ p, a matrix takes at most as many).  Only zero reductions are skipped, so
 the reduced basis, which is unique, does not change.
 
 Dimension and degree of a homogeneous ideal both come from the Hilbert
-series N(t)/(1-t)^nvars of its leading-term ideal.  N is a sparse
-{degree: coefficient} map found by a pivot recursion on the monomial ideal
+series N(t)/(1-t)^nvars of its leading-term ideal, N a sparse
+{degree: coefficient} map.  While the skip runs, the loop keeps N for the
+minimal leading exponents J found so far and updates it with each new
+leading monomial m as N(J + m) = N(J) - t^|m| N(J : m), where J : m is
+generated by the g / gcd(g, m) (Bigatti, "Computation of Hilbert-Poincare
+series", J. Pure Appl. Algebra 119, 1997); J then drops the exponents
+that m divides and takes m.  The room left in a degree is read off that N,
+and so are the dimension and degree once the loop ends.  Any other N, that
+of a colon among them, comes from a pivot recursion on the monomial ideal
 that splits on the smallest positive power of a shared variable, so
 exponents near the field limit cost no more than small ones.  N vanishes
 at t = 1 to the codimension m, the first order with a nonzero N^(m)(1) /
@@ -93,7 +102,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
 from math import comb, gcd, lcm, prod
-from operator import le, or_
+from operator import le, lshift, or_, sub
 
 from .fields import GF, QQ, FieldMismatchError
 from .ffutil import OracleRefusal
@@ -149,7 +158,7 @@ class _Packing:
     def pack(self, mono) -> int:
         if mono and max(mono) >> _HALF:
             _overflow("a generator")
-        m = sum(e << o for e, o in zip(mono, self.offsets))
+        m = sum(map(lshift, mono, self.offsets))
         return m - (sum(mono) << self.top) if self.graded else m
 
     def unpack(self, m: int) -> tuple:
@@ -292,7 +301,8 @@ def _echelon(rows, entries, packing, mod, own=()):
     for s, row in zip(shifts, rows):
         for m, c in row.items():
             packed[cols[m]] += c % mod << s
-    leads = {}  # row -> (its leading column, the inverse of its lead)
+    leads = {}  # row -> (its lead's place in ``free``, the lead's inverse)
+    free = []  # the columns without a reducer
     for k, v in enumerate(packed):
         cs = [(v >> s & mask) % mod for s in shifts]
         if k in pivots:  # every row takes away its multiple of the reducer
@@ -302,18 +312,20 @@ def _echelon(rows, entries, packing, mod, own=()):
                     packed[j] += a * q
             continue
         # no reducer: the first row still without a lead takes the column
+        free.append(k)
         r = next((r for r, c in enumerate(cs) if c and r not in leads), None)
         if r is None:
             continue
-        leads[r] = k, pow(cs[r], -1, mod)
+        leads[r] = len(free) - 1, pow(cs[r], -1, mod)
         q = sum(c * (mod - leads[r][1]) % mod << s
                 for c, s in zip(cs[r + 1:], shifts[r + 1:]))
         for j in range(k, len(order)) if q else ():
             if a := (packed[j] >> shifts[r] & mask) % mod:
                 packed[j] += a * q
-    return [_entry({order[j]: c * inv % mod for j in range(k, len(order))
+    # every reducer column is now 0 in every row: read the others only
+    return [_entry({order[j]: c * inv % mod for j in free[f:]
                     if (c := (packed[j] >> shifts[r] & mask) % mod)}, packing)
-            for r, (k, inv) in sorted(leads.items())]
+            for r, (f, inv) in sorted(leads.items())]
 
 
 def _spair(ei, ej, lcm, mod):
@@ -336,19 +348,29 @@ def _spair(ei, ej, lcm, mod):
 
 
 def _minimal_basis(polys, key=grevlex_key):
-    """(packing, entries) of the minimal Groebner basis of nonzero
-    polynomials, ascending, tails not inter-reduced; 1 for the unit ideal."""
+    """(packing, entries, numerator): the minimal Groebner basis of nonzero
+    polynomials, ascending, tails not inter-reduced (1 for the unit ideal),
+    and the Hilbert numerator of its leads if the skip kept one, else None."""
     if not polys:
-        return None, []
+        return None, [], None
     nvars, field = _common_ring(polys)
     mod = field.p if field.is_prime_field else None
     packing = _Packing(nvars, key is grevlex_key)
     down, guards = packing.down, packing.guards
+    graded, offsets, top = packing.graded, packing.offsets, packing.top
     entries, exps = [], []  # exps: exponents of each leading monomial
     # pairs (lcm degree, priority, i, j, lcm), by degree so that a matrix
     # takes one; not for lex over Q, where that made a basis 400x slower
-    by_degree = packing.graded or mod is not None
+    by_degree = graded or mod is not None
     heap, pending = [], set()
+    # Hilbert-driven skip (module docstring): ``room`` is how many more
+    # degree-d leading monomials the complete-intersection bound allows,
+    # read off the numerator of the minimal leading exponents so far
+    bound = numerator = None
+    if graded and len(polys) <= nvars and all(
+            p.is_homogeneous() for p in polys):
+        bound = _one_minus_powers(p.degree() for p in polys)
+        numerator, minimal = {0: 1}, []
 
     def echelon(rows):  # the rows reduced by the entries and each other
         if mod is not None:
@@ -367,37 +389,31 @@ def _minimal_basis(polys, key=grevlex_key):
             k = len(entries)
             entries.append(e)
             exps.append(packing.unpack(e[0]))
-            for t in range(k):
+            if numerator is not None:
+                _add_lead(numerator, minimal, exps[k], nvars)
+            for t in range(k):  # _entry checked the exponents: no overflow
                 lcm = tuple(map(max, exps[t], exps[k]))
-                packed = packing.pack(lcm)
-                heapq.heappush(heap, (sum(lcm) if by_degree else 0,
+                deg = sum(lcm)
+                packed = sum(map(lshift, lcm, offsets)) - graded * (deg << top)
+                heapq.heappush(heap, (deg if by_degree else 0,
                                       -down * packed, t, k, packed))
                 pending.add((t, k))
         return True
 
     # one matrix per leading degree, ascending
-    for _, group in groupby(sorted(
-            ((q.leading_monomial(key), q) for q in polys),
-            key=lambda t: key(t[0])), key=lambda t: sum(t[0])):
-        if not add(echelon([packing.terms(p, mod) for _, p in group])):
-            return packing, [(0, 1, [])]
+    gens = [(down * min(down * m for m in terms), terms)
+            for terms in (packing.terms(p, mod) for p in polys)]
+    gens.sort(key=lambda g: -down * g[0])
+    for _, group in groupby(gens, key=lambda g: sum(packing.unpack(g[0]))):
+        if not add(echelon([terms for _, terms in group])):
+            return packing, [(0, 1, [])], {}
 
-    # Hilbert-driven skip (module docstring): ``room`` is how many more
-    # degree-d leading monomials the complete-intersection bound allows
-    bound = None
-    if packing.graded and len(polys) <= nvars and all(
-            p.is_homogeneous() for p in polys):
-        bound = _one_minus_powers(p.degree() for p in polys)
     degree = room = None
-    cache = {}  # Hilbert subproblems, shared across degrees
-
     while heap:
         d = heap[0][0]
         if bound is not None and d != degree:
-            lts = _hilbert_numerator(
-                tuple(sorted(_minimalize_monos(exps))), nvars, cache)
             degree = d
-            room = (_hilbert_function(lts, nvars, d)
+            room = (_hilbert_function(numerator, nvars, d)
                     - _hilbert_function(bound, nvars, d))
         # over Q one pair at a time; mod p one matrix of degree d, <= room
         cap = (room or len(heap)) if mod is not None else 1
@@ -416,7 +432,7 @@ def _minimal_basis(polys, key=grevlex_key):
         if rows:
             new = echelon(rows)
             if not add(new):
-                return packing, [(0, 1, [])]
+                return packing, [(0, 1, [])], {}
             if bound is not None:
                 room -= len(new)
 
@@ -425,7 +441,7 @@ def _minimal_basis(polys, key=grevlex_key):
     for e in sorted(entries, key=lambda e: -down * e[0]):
         if all((e[0] - k[0]) & guards for k in kept):
             kept.append(e)
-    return packing, kept
+    return packing, kept, numerator
 
 
 def groebner_basis(polys, key=grevlex_key):
@@ -441,7 +457,7 @@ def groebner_basis(polys, key=grevlex_key):
     if not polys:
         return []
     nvars, field = _common_ring(polys)
-    packing, entries = _minimal_basis(polys, key)
+    packing, entries, _ = _minimal_basis(polys, key)
 
     # inter-reduce tails: no leading monomial divides another, so reduction
     # never changes one, and one pass leaves every tail reduced
@@ -573,8 +589,11 @@ def ideal_dimension_and_degree(polys) -> IdealSummary:
 
 def _leading_dimension_and_degree(polys, nvars: int) -> tuple:
     """:func:`_hilbert_dimension_and_degree` of the minimal grevlex basis of
-    nonzero polynomials, read off its packed leading monomials alone."""
-    packing, entries = _minimal_basis(polys)
+    nonzero polynomials: read off the numerator that the Hilbert-driven
+    skip kept, or else off the packed leading monomials alone."""
+    packing, entries, numerator = _minimal_basis(polys)
+    if numerator is not None:
+        return _pole_order(numerator, nvars)
     return _dimension_and_degree([packing.unpack(e[0]) for e in entries],
                                  nvars)
 
@@ -596,10 +615,15 @@ def _hilbert_dimension_and_degree(basis, nvars: int) -> tuple:
 
 def _dimension_and_degree(leads, nvars: int) -> tuple:
     """:func:`_hilbert_dimension_and_degree` from the leading exponents."""
-    lts = _minimalize_monos(leads)
-    if (0,) * nvars in lts:
+    return _pole_order(_hilbert_numerator(
+        tuple(sorted(_minimalize_monos(leads))), nvars, {}), nvars)
+
+
+def _pole_order(numerator: dict, nvars: int) -> tuple:
+    """(affine dimension, degree) from the Hilbert numerator N over
+    (1-t)^nvars; (-1, 0) for N = 0, the unit ideal."""
+    if not numerator:
         return -1, 0
-    numerator = _hilbert_numerator(tuple(sorted(lts)), nvars, {})
     # N = (1 - t)^m Q with Q(1) != 0, so N^(j)(1) = 0 for j < m and
     # N^(m)(1) / m! = (-1)^m Q(1), the degree
     m = 0
@@ -623,6 +647,19 @@ def _minimalize_monos(monos):
         if not any(_divides(b, m) for b in out):
             out.append(m)
     return out
+
+
+def _add_lead(numerator: dict, minimal: list, m: tuple, nvars: int) -> None:
+    """Add m, which no exponent in ``minimal`` divides, to the monomial
+    ideal J those exponents generate, and its Hilbert numerator in place:
+    N(J + m) = N(J) - t^|m| N(J : m) (module docstring)."""
+    colon = [tuple(map(sub, map(max, g, m), m)) for g in minimal]
+    degree = sum(m)
+    for k, c in _hilbert_numerator(tuple(sorted(_minimalize_monos(colon))),
+                                   nvars, {}).items():
+        _add_term(numerator, k + degree, -c)
+    minimal[:] = [g for g in minimal if not _divides(m, g)]
+    minimal.append(m)
 
 
 def _hilbert_numerator(monos, nvars: int, cache: dict) -> dict:

@@ -8,6 +8,9 @@ Grammar (whitespace ignored everywhere):
     base   := INT | VAR | '(' expr ')'
     VAR    := 'x' UINT
 
+INT and UINT are runs of the ASCII digits 0-9; any other digit, such as a
+superscript, is an unexpected character.
+
 Coefficients in text are integers, so parse/print/parse is a fixed point for
 printed polynomials (printing uses descending grevlex term order).
 
@@ -38,6 +41,9 @@ class ParseError(ValueError):
         self.position = position
 
 
+_DIGITS = frozenset("0123456789")  # ASCII only: int() rejects other digits
+
+
 def _tokenize(text: str):
     tokens = []
     i = 0
@@ -53,16 +59,16 @@ def _tokenize(text: str):
             continue
         if ch == "x":
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j == i + 1:
                 raise ParseError("variable name needs an index, like x0", i)
             tokens.append(("var", int(text[i + 1 : j]), i))
             i = j
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j

@@ -1,13 +1,16 @@
 """Buchberger kernel: bases, normal forms, dimension, degree."""
 
+import hashlib
 import heapq
 import importlib.util
 import random
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from operator import le
 from pathlib import Path
 
 import pytest
@@ -382,6 +385,141 @@ def test_the_basis_is_not_held_twice():
         tracemalloc.stop()
     assert len(basis) > 1
     assert peak - start <= 1.5 * (kept - start)
+
+
+# the numerator the Buchberger loop keeps: N(J + m) = N(J) - t^|m| N(J : m)
+
+LADDER = ((2, 2), (3,), (2, 2, 2), (2, 2, 2, 2), (3, 2), (2, 2, 2, 2, 2),
+          (3, 2, 2), (4,), (3, 3), (4, 2))  # count-fp rungs, then P^10
+
+# sha256 of each reduced basis (terms in order, residues as ints) of the
+# count systems below, recorded before the loop kept its numerator: the
+# loop's bookkeeping may skip work but never change a basis
+BASIS_SHA256 = {
+    (2, 2): "795dc620b44f032c64e6062318ca05c1f7f175550bb5ce4681c23d73bb154086",
+    (3,): "32ee04a1803e7d7f510c27cbfad2290dc49b9175df0bff23d157a0d6084d22b6",
+    (2, 2, 2):
+        "76b66cea200a4a2960c6def24aac23db8154287c708b430875e68817eb6f3e27",
+    (2, 2, 2, 2):
+        "25e7800ac28fa8ec777d8a58db5e7a8221efe913ab3e751c9574955166e8d8d0",
+    (3, 2): "e0b10524cd61c43a74740b65f845e00e1c68322bcd7b7c6cdf84736b3c3cca3e",
+    (2, 2, 2, 2, 2):
+        "344057f81bd91f22b182a81ec35e3bbac358f763d3c3111c54435cbb81e037b2",
+    (3, 2, 2):
+        "3ecfac1510fcd627614aaa1e1306460f06381a8e7c4f7b947fc8eadf2e2ef087",
+    (4,): "7be0a11da9be43f2e23deb4eef895a8237b12390ca7dfd292d8e4c17a992f4b9",
+    (3, 3): "560d7187e0e37c74e63ab7d260837b679e2e823517003b5fc9fea25c1d841e62",
+    (4, 2): "22580099f66c9fe7ddfc5ceb052a309bcb8905991c68b60f33e28d21984e838b",
+}
+
+
+@cache
+def _specs():
+    loader = importlib.util.spec_from_file_location(
+        "perfbench_specs", ROOT / "perfbench" / "specs.py")
+    specs = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(specs)
+    return specs
+
+
+@cache
+def _count_system(degrees):
+    """Generators of the count system, modulo 32003, of the boundary rung
+    of the benchmark's generator seed 1."""
+    specs = _specs()
+    variety = build_variety(specs.boundary_spec(1, degrees))
+    x, y = (ProjectivePoint(p) for p in specs.base_points(degrees))
+    return tuple(conic_system(*over_prime(variety, 32003, x, y)).generators)
+
+
+def _rebuilt(leads, nvars, memo):
+    return ccv.groebner._hilbert_numerator(
+        tuple(sorted(ccv.groebner._minimalize_monos(leads))), nvars, memo)
+
+
+def test_kept_numerator_matches_the_rebuild_on_the_ladder(monkeypatch):
+    """After every lead the loop adds on the count ladder, the numerator it
+    keeps is the one rebuilt from all leads so far, and J stays minimal."""
+    add_lead, seen, memo = ccv.groebner._add_lead, [], {}
+
+    def spy(numerator, minimal, m, nvars):
+        add_lead(numerator, minimal, m, nvars)
+        seen.append(m)
+        assert numerator == _rebuilt(seen, nvars, memo), len(seen)
+        assert sorted(minimal) == sorted(
+            ccv.groebner._minimalize_monos(seen))
+
+    monkeypatch.setattr(ccv.groebner, "_add_lead", spy)
+    for degrees in LADDER:
+        seen.clear()
+        memo.clear()
+        summary = ideal_dimension_and_degree(_count_system(degrees))
+        assert summary.degree == _specs().formula_value(degrees), degrees
+        assert seen, degrees
+
+
+def test_kept_numerator_drops_the_leads_a_new_one_divides():
+    """Seeded monomial sequences in which later monomials divide earlier
+    ones: the update drops the divided leads and keeps the numerator of
+    the whole sequence."""
+    rng = random.Random("add-lead")
+    dropped = 0
+    for trial in range(60):
+        nvars = rng.randint(1, 5)
+        numerator, minimal, seen = {0: 1}, [], []
+        for _ in range(rng.randint(1, 12)):
+            if minimal and rng.random() < 0.4:  # a divisor of a lead
+                m = tuple(rng.randint(0, e) for e in rng.choice(minimal))
+            else:
+                m = tuple(rng.randint(0, 4) for _ in range(nvars))
+            if not any(m) or any(all(map(le, g, m)) for g in minimal):
+                continue  # m must be a new minimal generator
+            before = len(minimal)
+            ccv.groebner._add_lead(numerator, minimal, m, nvars)
+            dropped += len(minimal) <= before
+            seen.append(m)
+            assert numerator == _rebuilt(seen, nvars, {}), (trial, seen)
+            assert sorted(minimal) == sorted(
+                ccv.groebner._minimalize_monos(seen)), (trial, seen)
+    assert dropped > 20
+
+
+def test_the_summary_never_rebuilds_the_numerator(monkeypatch):
+    """On the count ladder the summary is read off the kept numerator:
+    nothing calls _dimension_and_degree, and _hilbert_numerator runs only
+    inside the update, on no more generators than the colon J : m has."""
+    add_lead = ccv.groebner._add_lead
+    numerator = ccv.groebner._hilbert_numerator
+    sizes, calls = [], []  # |J| while an update runs; the colon sizes
+
+    def rebuild(*args):
+        raise AssertionError("the numerator was rebuilt from all leads")
+
+    def lead_spy(kept, minimal, m, nvars):
+        sizes.append(len(minimal))
+        add_lead(kept, minimal, m, nvars)
+        sizes.pop()
+
+    def numerator_spy(monos, nvars, memo):
+        assert sizes and len(monos) <= sizes[-1]
+        calls.append(len(monos))
+        return numerator(monos, nvars, memo)
+
+    monkeypatch.setattr(ccv.groebner, "_dimension_and_degree", rebuild)
+    monkeypatch.setattr(ccv.groebner, "_add_lead", lead_spy)
+    monkeypatch.setattr(ccv.groebner, "_hilbert_numerator", numerator_spy)
+    for degrees in LADDER:
+        summary = ideal_dimension_and_degree(_count_system(degrees))
+        assert summary.degree == _specs().formula_value(degrees), degrees
+    assert calls
+
+
+def test_reduced_bases_on_the_ladder_are_pinned():
+    for degrees, digest in BASIS_SHA256.items():
+        basis = groebner_basis(_count_system(degrees))
+        text = repr([[(m, c.value) for m, c in g.terms.items()]
+                     for g in basis])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, degrees
 
 
 def _random_ideal(rng, nvars, field=QQ, homogeneous=False):

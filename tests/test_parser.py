@@ -254,7 +254,8 @@ def test_parser_matches_the_reference_on_chosen_texts(field, text):
     "x0*-x1", "x9", "x0 + x3*x9^2", "x0^", "x0^1000001", "2^1000001",
     "(x0 + x1)^1000001", "x0^x1", "x0 + ", "+x0", "x0 x1", "(x0 + x1",
     "(x0 + x1))", "x0 + (x1 * )", "x", "3*x0 @ x1", "", "x0**2",
-    "-", "x0^-1", "((x0)", "x0 + -x1",
+    "-", "x0^-1", "((x0)", "x0 + -x1", "x0\u00b2", "2\u00b2*x0",
+    "\u0663*x0",
 ])
 def test_parse_errors_match_the_reference(text):
     with pytest.raises(ParseError) as got:
@@ -263,6 +264,19 @@ def test_parse_errors_match_the_reference(text):
         _ReferenceParser(text, 3, QQ).parse()
     assert str(got.value) == str(want.value)
     assert got.value.position == want.value.position
+
+
+@pytest.mark.parametrize("text, position", [
+    ("x0\u00b2", 2), ("2\u00b2*x0", 1), ("\u0663*x0", 0), ("x1^\u00b9", 3),
+])
+def test_only_ascii_digits_are_digits(text, position):
+    """A superscript or non-ASCII decimal digit is an unexpected character
+    at its offset, not a bare int() failure or a silently read number."""
+    with pytest.raises(ParseError) as got:
+        parse_polynomial(text, 3)
+    assert str(got.value) == (f"unexpected character {text[position]!r} "
+                              f"(at position {position})")
+    assert got.value.position == position
 
 
 def test_a_parenthesis_free_equation_makes_one_polynomial(monkeypatch):
