@@ -650,8 +650,8 @@ def _minimalize_monos(monos):
 
 
 def _add_lead(numerator: dict, minimal: list, m: tuple, nvars: int) -> None:
-    """Add m, which no exponent in ``minimal`` divides, to the monomial
-    ideal J those exponents generate, and its Hilbert numerator in place:
+    """Add m, which no exponent in ``minimal`` divides, to the ideal J they
+    generate, updating ``minimal`` and J's Hilbert numerator in place:
     N(J + m) = N(J) - t^|m| N(J : m) (module docstring)."""
     colon = [tuple(map(sub, map(max, g, m), m)) for g in minimal]
     degree = sum(m)
