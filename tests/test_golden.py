@@ -93,6 +93,7 @@ CASES.update({
     "conics-ci_2_2_p6": (_boundary("ci_2_2_p6", 6), None),
     "conics-ci_3_p5": (_boundary("ci_3_p5", 5), None),
     "conics-ci_2_2_2_p9": (_boundary("ci_2_2_2_p9", 9), None),
+    "conics-ci_3_2_p8": (_boundary("ci_3_2_p8", 8), None),
     "conics-ci_3_2_p8-count": (_boundary("ci_3_2_p8", 8, "--count-only"),
                                None),
     "conics-ci_4_p7-count-fp": (_boundary("ci_4_p7", 7, "--count-only",
