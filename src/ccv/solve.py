@@ -1,18 +1,31 @@
 """Enumerate the points of a zero-dimensional projective system exactly.
 
 Projective space is split into the disjoint cells x0 = ... = x_{j-1} = 0,
-x_j = 1.  Each cell gives an affine system with a grevlex Groebner basis G.
-The minimal polynomial of its last live variable x, the monic generator of
-I and k[x], comes from the normal forms of 1, x, x^2, ... against G: an
-incremental echelon stops at the first linear dependency (FGLM restricted
-to one variable: Faugere, Gianni, Lazard and Mora, J. Symbolic Comput. 16,
-1993).  It must come within as many powers as G has standard monomials,
-the degree read off the Hilbert series of the leading monomials (Bayer and
-Stillman, J. Symbolic Comput. 14, 1992).  The cell's fixed variables are
-free there, so the same series refuses a cell whose affine dimension is
-more than their number.  Each root r is put into G and the smaller system
-solved the same way.  The generator is the univariate element of the lex
-basis, so points come out in the order a lex solve gives.
+x_j = 1.  The generators' terms are kept with the earlier coordinates set
+to 0, which only drops the terms they divide; a cell then clears the
+exponent of x_j and adds like terms, so no scalar is multiplied.  Each cell
+gives an affine system with a grevlex Groebner basis G, whose Hilbert
+series refuses a cell of affine dimension more than the number of its
+fixed variables (Bayer and Stillman, J. Symbolic Comput. 14, 1992).
+
+The monic generator of I and k[x], for the last live variable x, is the
+minimal polynomial of 1 under the map M of multiplication by x on k[x]/I
+(FGLM restricted to one variable: Faugere, Gianni, Lazard and Mora, J.
+Symbolic Comput. 16, 1993).  The columns of M are the normal forms of x*s
+for the standard monomials s reachable from 1, reduced by the leads of G
+taken once.  Over F_p the Krylov vectors 1, M 1, M^2 1, ... are residue
+lists, echeloned in turn until the first dependency.  Over Q each column
+of M is cleared to integers by its own denominator, and the same echelon
+runs modulo primes below 2^31 that divide none of them; a prime that
+gives a lower degree than another is unlucky and is dropped.  The
+residues are combined by the Chinese remainder theorem and each
+coefficient is reconstructed as a fraction (P. S. Wang, 1981); once two
+reconstructions in a row agree, g is accepted only if g(M) 1 = 0 in exact
+integer arithmetic.  The true minimal polynomial f then divides g, while
+deg g <= deg f, since the Krylov rank can only drop modulo p; so g = f.
+Each root r is put into G and the smaller system solved the same way.
+The generator is the univariate element of the lex basis, so points come
+out in the order a lex solve gives.
 
 Univariate roots over a prime field are the residues where the polynomial
 vanishes; gcd(f, t^p - t) counts them first, so a scan that can find none
@@ -26,21 +39,24 @@ zero-dimensional system the enumeration of rational points is exhaustive.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
-from math import gcd, lcm
+from itertools import count, islice, takewhile
+from math import gcd, isqrt, lcm
 
 from .fields import FpElement, is_prime
 from .poly import Polynomial, ProjectivePoint
-from .groebner import (_hilbert_dimension_and_degree, groebner_basis,
-                       normal_form)
+from .groebner import _Packing, _dimension_and_degree, groebner_basis
 
 __all__ = ["projective_rational_solutions", "rational_roots"]
 
 # First prime tried by the modular square-free test; one this large rarely
 # divides disc(f), so a square-free f nearly always skips the remainders.
 _SQUAREFREE_PRIME = 32003
+
+# The primes below 2^31 in descending order, each found when first needed
+_PRIMES = []
 
 
 def projective_rational_solutions(gens) -> list:
@@ -55,16 +71,39 @@ def projective_rational_solutions(gens) -> list:
         raise ValueError("empty system is not zero-dimensional")
     nvars, field = gens[0].nvars, gens[0].field
     points = []
+    rest = [g.terms for g in gens]  # with x_0 = ... = x_{j-1} = 0
     for j in range(nvars):
-        cell = _restrict(gens, {i: int(i == j) for i in range(j + 1)})
-        if cell is None:
-            continue  # a nonzero constant rules the whole cell out
-        live = list(range(j + 1, nvars))
-        for sol in _affine_points(cell, live, field):
-            coords = [field.zero] * j + [field.one]
-            coords += [sol[i] for i in live]
-            points.append(ProjectivePoint(coords, field))
+        if (cell := _cell(rest, j, nvars, field)) is not None:
+            live = list(range(j + 1, nvars))
+            for sol in _affine_points(cell, live, field):
+                coords = [field.zero] * j + [field.one]
+                coords += [sol[i] for i in live]
+                points.append(ProjectivePoint(coords, field))
+        rest = [t for g in rest if (t := {m: c for m, c in g.items()
+                                          if not m[j]})]
     return points
+
+
+def _cell(rest, j, nvars, field):
+    """The nonzero polynomials left by x_j = 1 in the term dicts, or None
+    when one is a nonzero constant and so has no zero."""
+    out = []
+    for g in rest:
+        terms = {}
+        for m, c in g.items():
+            if m[j]:
+                m = m[:j] + (0,) + m[j + 1:]
+            if (v := terms.get(m)) is None:
+                terms[m] = c
+            elif v := v + c:
+                terms[m] = v
+            else:
+                del terms[m]
+        if terms:
+            if not any(map(any, terms)):
+                return None
+            out.append(Polynomial(nvars, field, terms))
+    return out
 
 
 def _affine_points(gens, live, field):
@@ -97,56 +136,165 @@ def _restrict(polys, assignments):
 
 def _minimal_polynomial(basis, live, var) -> Polynomial:
     """The monic generator of I and k[var], for the ideal I of a reduced
-    grevlex basis in the variables ``live`` (not the unit ideal).
-
-    Every normal form lies in the span of the standard monomials, as many
-    as the degree of I, so the normal forms of 1, var, var^2, ... turn
-    dependent within that many powers.  Each is var times the previous one,
-    reduced through the normal forms of var * s for standard s.
-    """
+    grevlex basis in the variables ``live`` (not the unit ideal)."""
     nvars, field = basis[0].nvars, basis[0].field
-    dim, standard = _hilbert_dimension_and_degree(basis, nvars)
-    if dim != nvars - len(live):  # the fixed variables are free
+    mod = field.p if field.is_prime_field else None
+    packing = _Packing(nvars, True)
+    reducers = []  # (lead, tail times -1): the basis is monic
+    for g in basis:
+        terms = {packing.pack(m): -c for m, c in g.terms.items()}
+        lead = min(terms)  # the largest monomial
+        del terms[lead]
+        reducers.append((lead, [(m, c if mod is None else c.value)
+                                for m, c in terms.items()]))
+    leads = [packing.unpack(lead) for lead, _ in reducers]
+    if _dimension_and_degree(leads, nvars)[0] != nvars - len(live):
         raise ValueError("system is not zero-dimensional")
-    step = tuple(int(i == var) for i in range(nvars))
-    times_var = {}  # standard s -> terms of the normal form of var*s
-    rows = []  # (pivot, reduced vector, its combination of powers of var)
-    power = {(0,) * nvars: field.one}  # normal form of var^k
-    for k in range(standard + 1):
-        vec, combo = dict(power), {k: field.one}
+    step = packing.pack(tuple(int(i == var) for i in range(nvars)))
+    columns = _multiplication_map(reducers, step, packing.guards, mod)
+    coeffs = (_rational_minimal_polynomial(columns) if mod is None
+              else _minimal_polynomial_mod(columns, mod))
+    return Polynomial(nvars, field, {
+        tuple(e * (i == var) for i in range(nvars)): field(c)
+        for e, c in enumerate(coeffs) if c})
+
+
+def _multiplication_map(reducers, step, guards, mod) -> list:
+    """Sparse columns {row: coefficient} of multiplication by the packed
+    monomial ``step`` on the standard monomials reachable from 1, which are
+    numbered as they are found (1 is row 0).
+
+    Column s is the normal form of step * s.  A heap pops the largest
+    monomial left: one whose normal form is known adds that form, and any
+    other is a standard monomial or is replaced by its first reducer's
+    tail times the quotient.  Residues are reduced mod p when popped.
+    """
+    known = {0: {0: 1}}  # packed monomial -> its normal form
+    found, columns = [0], []
+    for s in found:  # the loop reaches the rows found on the way
+        work = {s + step: 1}
+        heap, form = list(work), {}
+        while heap:
+            m = heapq.heappop(heap)
+            c = work.pop(m) if mod is None else work.pop(m) % mod
+            if not c:
+                continue
+            if (nf := known.get(m)) is None:
+                hit = next((r for r in reducers if not (m - r[0]) & guards),
+                           None)
+                if hit is not None:  # m = u * lead: add c * u * tail
+                    u = m - hit[0]
+                    for t, a in hit[1]:
+                        if (v := work.get(t := t + u)) is None:
+                            work[t] = c * a
+                            heapq.heappush(heap, t)
+                        else:
+                            work[t] = v + c * a
+                    continue
+                nf = known[m] = {len(found): 1}  # standard: a new row
+                found.append(m)
+            for i, a in nf.items():
+                form[i] = form.get(i, 0) + c * a
+        known[s + step] = {i: v for i, a in form.items()
+                           if (v := a if mod is None else a % mod)}
+        columns.append(known[s + step])
+    return columns
+
+
+def _minimal_polynomial_mod(columns, p) -> list:
+    """Coefficients, lowest first, of the monic minimal polynomial of e_0
+    under the matrix with these sparse columns, modulo p.
+
+    Each Krylov vector M^k e_0 is reduced by the rows kept so far, each
+    monic at its pivot and carrying its combination of the powers of M; the
+    first to reduce to zero gives the dependency.
+    """
+    n = len(columns)
+    rows = []  # (pivot, row, combination)
+    power = [1] + [0] * (n - 1)
+    for k in range(n + 1):
+        vec, combo = power, [0] * k + [1]
         for pivot, row, row_combo in rows:
-            c = vec.get(pivot)
+            if c := vec[pivot]:
+                vec = [(a - c * b) % p for a, b in zip(vec, row)]
+                combo[:len(row_combo)] = [
+                    (a - c * b) % p for a, b in zip(combo, row_combo)]
+        pivot = next((i for i, a in enumerate(vec) if a), None)
+        if pivot is None:
+            return combo
+        inv = pow(vec[pivot], -1, p)
+        rows.append((pivot, [a * inv % p for a in vec],
+                     [a * inv % p for a in combo]))
+        nxt = [0] * n
+        for col, c in zip(columns, power):
             if c:
-                _axpy(vec, -c, row)
-                _axpy(combo, -c, row_combo)
-        if not vec:  # a dependency: sum(combo[e] * var^e) lies in I
-            return Polynomial(nvars, field, {
-                tuple(e * s for s in step): c for e, c in combo.items()})
-        pivot = next(iter(vec))
-        inv = field.inv(vec[pivot])
-        rows.append((pivot, {m: c * inv for m, c in vec.items()},
-                     {e: c * inv for e, c in combo.items()}))
-        nxt = {}
-        for s, c in power.items():
-            if s not in times_var:
-                mono = tuple(a + b for a, b in zip(s, step))
-                times_var[s] = normal_form(
-                    Polynomial(nvars, field, {mono: field.one}), basis).terms
-            _axpy(nxt, c, times_var[s])
-        power = nxt
-    raise ArithmeticError("no dependency among the normal forms of the "
-                          "powers of the last variable")
+                for i, a in col.items():
+                    nxt[i] += c * a
+        power = [a % p for a in nxt]
+    raise ArithmeticError("n + 1 Krylov vectors of length n are independent")
 
 
-def _axpy(acc: dict, c, terms) -> None:
-    """acc += c * terms, dropping the entries that cancel."""
-    for m, d in terms.items():
-        v = acc.get(m)
-        v = c * d if v is None else v + c * d
-        if v:
-            acc[m] = v
-        else:
-            acc.pop(m, None)
+def _rational_minimal_polynomial(columns) -> list:
+    """Coefficients, lowest first, of the monic minimal polynomial of e_0
+    under a matrix over Q with these sparse columns, from residues checked
+    exactly (module docstring)."""
+    dens = [lcm(*(c.denominator for c in col.values())) for col in columns]
+    ints = [{i: c.numerator * (d // c.denominator) for i, c in col.items()}
+            for col, d in zip(columns, dens)]
+    residues, modulus, last = [], 1, None
+    for p in map(_prime, count()):
+        if any(d % p == 0 for d in dens):
+            continue
+        g = _minimal_polynomial_mod(
+            [{i: a * s % p for i, a in col.items()}
+             for col, s in zip(ints, [pow(d, -1, p) for d in dens])], p)
+        if len(g) > len(residues):  # every earlier prime was unlucky
+            residues, modulus = [0] * len(g), 1
+        elif len(g) < len(residues):
+            continue  # unlucky
+        inv = pow(modulus, -1, p)
+        residues = [r + modulus * ((a - r) * inv % p)
+                    for r, a in zip(residues, g)]
+        modulus *= p
+        bound = isqrt(modulus // 2)
+        cand = list(takewhile(lambda q: q is not None, (
+            _reconstruct(r, modulus, bound) for r in residues)))
+        if (cand == last and len(cand) == len(g)
+                and _annihilates(cand, ints, dens)):
+            return cand
+        last = cand
+
+
+def _prime(k: int) -> int:
+    """The k-th prime below 2^31, counting down from 2^31 - 1 as 0."""
+    while len(_PRIMES) <= k:
+        p = _PRIMES[-1] - 2 if _PRIMES else 2**31 - 1
+        while not is_prime(p):
+            p -= 2
+        _PRIMES.append(p)
+    return _PRIMES[k]
+
+
+def _annihilates(coeffs, ints, dens) -> bool:
+    """Whether sum(coeffs[i] * M^i) e_0 = 0 exactly, for the matrix M whose
+    column j is ints[j] / dens[j]: Horner's rule on v = w / den, with the
+    integer vector w and den kept in lowest terms."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    coeffs = [c.numerator * (scale // c.denominator) for c in coeffs]
+    w, den = [coeffs[-1]] + [0] * (len(ints) - 1), 1
+    for c in reversed(coeffs[:-1]):
+        common = lcm(*(d for d, a in zip(dens, w) if a))
+        nxt = [0] * len(w)
+        for col, d, a in zip(ints, dens, w):
+            if a:
+                a *= common // d
+                for i, b in col.items():
+                    nxt[i] += a * b
+        den *= common
+        nxt[0] += c * den
+        content = gcd(den, *nxt)
+        w, den = [a // content for a in nxt], den // content
+    return not any(w)
 
 
 def _univariate_roots(poly: Polynomial, var: int, field):

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: rationals and prime fields never mix silently."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -34,6 +35,45 @@ def test_is_prime_small_values():
               59, 61, 67, 71, 73, 79, 83, 89, 97, 101}
     for n in range(-2, 102):
         assert is_prime(n) == (n in primes)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def _prime_factors(n):
+    out, d = [], 2
+    while d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1
+    return out + [n] * (n > 1)
+
+
+# the 43 Carmichael numbers below 10^6 (OEIS A002997)
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341,
+              41041, 46657, 52633, 62745, 63973, 75361, 101101, 115921,
+              126217, 162401, 172081, 188461, 252601, 278545, 294409,
+              314821, 334153, 340561, 399001, 410041, 449065, 488881,
+              512461, 530881, 552721, 656601, 658801, 670033, 748657,
+              825265, 838201, 852841, 997633]
+
+
+def test_is_prime_agrees_with_trial_division():
+    for n in range(10**5):
+        assert is_prime(n) == _trial_division(n), n
+
+
+def test_is_prime_refuses_strong_pseudoprimes_and_carmichael_numbers():
+    # 3215031751 = 151 * 751 * 28351, a strong pseudoprime to 2, 3, 5, 7
+    assert not is_prime(3215031751)
+    assert is_prime(2**31 - 1)
+    for n in CARMICHAEL:  # Korselt: square-free, p - 1 | n - 1
+        factors = _prime_factors(n)
+        assert len(set(factors)) == len(factors) > 1
+        assert all((n - 1) % (q - 1) == 0 for q in factors)
+        assert not is_prime(n)
 
 
 def test_fp_arithmetic_mod_7():

@@ -1,15 +1,17 @@
 """Exact point enumeration for zero-dimensional systems and rational roots."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from ccv import (GF, QQ, Polynomial, conic_system, groebner_basis, lex_key,
-                 load_variety, normal_form, over_prime, parse_polynomial,
-                 projective_rational_solutions, rational_roots)
+from ccv import (GF, QQ, Polynomial, conic_system, find_singular_conics,
+                 groebner_basis, lex_key, load_variety, normal_form,
+                 over_prime, parse_polynomial, projective_rational_solutions,
+                 rational_roots)
 from ccv import solve
 from ccv.groebner import _hilbert_dimension_and_degree
 from ccv.solve import (_eval_mod, _minimal_polynomial,
@@ -233,6 +235,100 @@ def test_vertices_match_the_lex_route(name, n, prime, monkeypatch):
     got = projective_rational_solutions(gens)
     monkeypatch.setattr(solve, "_affine_points", _lex_affine_points)
     assert got == projective_rational_solutions(gens)
+
+
+# The minimal polynomial over Q comes from residues modulo primes counted
+# down from 2^31 - 1 and is accepted only after an exact check.
+
+P1, P2 = 2**31 - 1, 2**31 - 19  # the first two primes taken
+
+
+def _spy(monkeypatch, name, record):
+    """Replace solve.<name> by a wrapper that passes (args, result) to
+    ``record``."""
+    real = getattr(solve, name)
+
+    def spy(*args):
+        result = real(*args)
+        record(args, result)
+        return result
+
+    monkeypatch.setattr(solve, name, spy)
+
+
+def test_a_prime_dividing_a_map_denominator_is_skipped(monkeypatch):
+    # the cell x0 = 1 has the roots 1/P1 and 2, and the column of x1 * x1
+    # in the map of x1 has the denominator P1
+    gens = [P(f"{P1}*x1^2 - {2 * P1 + 1}*x0*x1 + 2*x0^2", 2)]
+    primes = []
+    _spy(monkeypatch, "_minimal_polynomial_mod",
+         lambda args, _: primes.append(args[1]))
+    assert projective_rational_solutions(gens) == [
+        qpt(1, Fraction(1, P1)), qpt(1, 2)]
+    assert primes[0] == P2 and P1 not in primes
+
+
+def test_the_exact_check_refuses_agreeing_unlucky_primes(monkeypatch):
+    # the points (0, 0), (0, 1) and (2/N, 2) of the (x1, x2)-plane, with
+    # x2^2 - x2 = N*x1 on them: modulo P1 and P2, which divide N, the
+    # Krylov vectors of x2 give x2^2 - x2, two agreeing reconstructions of
+    # a polynomial that does not lie in the ideal
+    n = P1 * P2
+    gens = [P(f"x2^2 - x2 - {n}*x1", 3), P("x1*x2 - 2*x1", 3),
+            P(f"{n}*x1^2 - 2*x1", 3)]
+    basis = groebner_basis(gens)
+    lex = next(g for g in groebner_basis(gens, key=lex_key)
+               if g.support() <= {2})
+    assert lex == P("x2^3 - 3*x2^2 + 2*x2", 3)
+    checks = []
+    _spy(monkeypatch, "_annihilates", lambda _, ok: checks.append(ok))
+    assert _minimal_polynomial(basis, [1, 2], 2) == lex
+    assert checks == [False, True]
+    monkeypatch.setattr(solve, "_annihilates", lambda *args: True)
+    assert _minimal_polynomial(basis, [1, 2], 2) == P("x2^2 - x2", 3)
+
+
+# full conics on the rungs of the enumerate benchmark and on the systems of
+# test_vertices_match_the_lex_route
+ENUMERATE_CASES = [("ci_2_2_p6", 6, None), ("ci_3_p5", 5, None),
+                   ("ci_2_2_2_p9", 9, None), ("ci_2_2_p6", 6, 32003),
+                   ("ci_3_p5", 5, 32003), ("quadric_p3", 3, None),
+                   ("two_quadrics_p6", 6, None), ("two_quadrics_p6", 6, 101),
+                   ("ci_3_p5", 5, 101)]
+
+
+def test_cells_take_no_normal_form_and_restrict_only_at_roots(monkeypatch):
+    assert not hasattr(solve, "_axpy")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the textbook normal_form was called")
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "ccv"
+                and getattr(module, "normal_form", None) is normal_form):
+            monkeypatch.setattr(module, "normal_form", forbidden)
+    assignments, expected, roots = [], [], []
+    specialize = Polynomial.specialize
+
+    def spy(poly, values):
+        assignments.append(dict(values))
+        return specialize(poly, values)
+
+    monkeypatch.setattr(Polynomial, "specialize", spy)
+    _spy(monkeypatch, "_restrict",
+         lambda args, _: expected.extend([args[1]] * len(args[0])))
+    _spy(monkeypatch, "_univariate_roots",
+         lambda _, found: roots.extend(found))
+    for name, n, prime in ENUMERATE_CASES:
+        variety = load_variety(VARIETIES / f"{name}.json")
+        x, y = qpt(1, *[0] * n), qpt(*[0] * n, 1)
+        if prime is not None:
+            variety, x, y = over_prime(variety, prime, x, y)
+        find_singular_conics(variety, x, y)
+    assert roots and len(expected) == len(assignments)
+    assert assignments == expected  # once per polynomial and root
+    assert [a for a in assignments if len(a) == 1 and a] == assignments
+    assert len({id(a) for a in expected}) == len(roots)
 
 
 # The staircase walk and the pure-power test the Hilbert series replaced,
