@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-from .ffutil import (DEFAULT_POINT_CAP, check_point_budget,
-                     compile_mod_evaluator, enumerate_points, enumeration_key,
-                     require_line_safe)
+from .ffutil import (DEFAULT_POINT_CAP, canonical, check_point_budget,
+                     common_zeros, compile_mod_evaluator, enumerate_points,
+                     enumeration_key, require_line_safe)
 from .fields import GF, Record
 from .linalg import kernel_basis, matrix_rank
 from .poly import Polynomial, ProjectivePoint, expand_line_pencil
@@ -229,7 +229,10 @@ class ConicSearchResult(Record):
 def _zeros_on_span(polys, n: int, p: int) -> tuple:
     """Points of P^n(F_p) where every polynomial vanishes, in enumeration
     order, found by evaluating the nonlinear ones on the kernel of the
-    linear ones (all of F_p^(n+1) when there is no linear form)."""
+    linear ones (all of F_p^(n+1) when there is no linear form).  Each
+    point of the kernel is evaluated as the unreduced combination of the
+    kernel basis it indexes (the conditions are homogeneous), and only the
+    points where they all vanish are scaled to canonical form."""
     field = GF(p)
     units = [tuple(int(i == j) for i in range(n + 1)) for j in range(n + 1)]
     rows = [[field(f.terms.get(e, 0)) for e in units]
@@ -238,14 +241,11 @@ def _zeros_on_span(polys, n: int, p: int) -> tuple:
     columns = [[c.value for c in col] for col in zip(*basis)]
     evaluators = [compile_mod_evaluator(f, p)
                   for f in polys if f.degree() != 1]
-    hits = []
-    for t in enumerate_points(len(basis) - 1, p):
-        v = [sum(map(mul, t, col)) % p for col in columns]
-        inv = pow(next(c for c in v if c), -1, p)
-        q = tuple(c * inv % p for c in v)
-        if not any(ev(q) for ev in evaluators):
-            hits.append(q)
-    return tuple(sorted(hits, key=enumeration_key))
+    vectors = ([sum(map(mul, t, col)) for col in columns]
+               for t in enumerate_points(len(basis) - 1, p))
+    return tuple(sorted((canonical(v, p)
+                         for v in common_zeros(evaluators, vectors)),
+                        key=enumeration_key))
 
 
 def find_singular_conics(variety: VarietySpec, x: ProjectivePoint,

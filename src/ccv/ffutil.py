@@ -4,12 +4,14 @@ Points of P^n(F_p) are plain int tuples in canonical form (first nonzero
 coordinate 1), enumerated in a fixed order: leading-1 position ascending,
 then the free tail lexicographically.  Polynomial evaluation compiles each
 polynomial once into a closed-form modular expression, which keeps full
-point sweeps cheap enough to use as ground truth.
+point sweeps cheap enough to use as ground truth.  An evaluator reduces
+mod p itself, so for a homogeneous polynomial any integer representative
+of a point, reduced or scaled or not, gives the same zero test.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import filterfalse, product
 
 from .fields import GF
 
@@ -23,7 +25,9 @@ __all__ = [
     "require_line_safe",
     "enumerate_points",
     "enumeration_key",
+    "canonical",
     "compile_mod_evaluator",
+    "common_zeros",
 ]
 
 DEFAULT_POINT_CAP = 10**7
@@ -78,6 +82,14 @@ def enumeration_key(q: tuple) -> tuple:
     return q.index(1), q
 
 
+def canonical(vals, p: int) -> tuple:
+    """The canonical point (first nonzero entry 1) of an integer vector
+    that is nonzero mod p."""
+    vals = [v % p for v in vals]
+    inv = pow(next(filter(None, vals)), -1, p)
+    return tuple(v * inv % p for v in vals)
+
+
 def compile_mod_evaluator(poly, p: int):
     """Compile a polynomial to a fast function (int tuple) -> residue.
 
@@ -102,3 +114,11 @@ def compile_mod_evaluator(poly, p: int):
     body = " + ".join(parts) if parts else "0"
     return eval(f"lambda v: ({body}) % {p}",  # noqa: S307 - generated from exponent data only
                 {"__builtins__": {}, "_pow": pow})
+
+
+def common_zeros(evaluators, points):
+    """The points at which every evaluator vanishes, lazily and in order;
+    each evaluator sees only the points where those before it vanished."""
+    for ev in evaluators:
+        points = filterfalse(ev, points)
+    return points

@@ -4,11 +4,16 @@ Everything here works by direct evaluation over F_p.  A line through x
 on X meets the hyperplane x_k = 0 (k the first nonzero coordinate of x)
 in one point d of X, so the cone of lines through x comes from testing
 <x, d> for each F_p point d of X on that hyperplane; a census takes these
-from the F_p points of X it has already listed.  Singular-conic vertices
-through x and y are the points common to the cones at x and at y.
-Results are exact statements about F_p and serve as an independent
-cross-check of the Groebner route; conclusions over the rationals or
-their closure still belong to the symbolic side.
+from the F_p points of X it has already listed.  The tests run step by
+step: step t evaluates d + t*x for every line still live, unreduced (an
+evaluator reduces mod p, and the equations are homogeneous, so any
+integer representative of a point gives the same verdict).  A line <a, b>
+whose a has the earlier leading 1 has the canonical points a + t*b and b,
+so listing one needs no inverse.  Singular-conic vertices through x and
+y are the points common to the cones at x and at y.  Results are exact
+statements about F_p and serve as an independent cross-check of the
+Groebner route; conclusions over the rationals or their closure still
+belong to the symbolic side.
 
 Line containment is decided by evaluating each equation at the p + 1
 points of the line.  A nonzero binary form of degree d has at most d
@@ -22,12 +27,15 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
+from itertools import repeat
+from operator import add, mod, sub
 
 from .conics import ConicSolution, solution_from_vertex
 from .ffutil import (DEFAULT_POINT_CAP, OracleRefusal, PointCapExceeded,
-                     PrimeTooSmall, check_point_budget, compile_mod_evaluator,
-                     enumerate_points, enumeration_key, require_line_safe)
+                     PrimeTooSmall, canonical, check_point_budget,
+                     common_zeros, compile_mod_evaluator, enumerate_points,
+                     enumeration_key, require_line_safe)
 from .fields import Record
 from .poly import ProjectivePoint
 from .variety import VarietySpec, point_on_variety
@@ -75,27 +83,31 @@ def _compiled(variety: VarietySpec, p: int):
 _line_evaluators = lru_cache(maxsize=8)(_compiled)
 
 
-def _canonical(vals, p: int) -> tuple:
-    """A nonzero residue vector scaled so its first nonzero entry is 1; in
-    plain ints, since the census canonicalizes every point of every cone
-    line."""
-    for v in vals:
-        if v:
-            inv = pow(v, p - 2, p)
-            return tuple((inv * w) % p for w in vals)
+def _line_points(a: tuple, b: tuple, p: int) -> list:
+    """The p + 1 canonical points of the line through distinct a, b.
 
-
-def _line_points(a: tuple, b: tuple, p: int):
-    """The p + 1 canonical points of the line through distinct a, b."""
-    return [_canonical([(ai + t * bi) % p for ai, bi in zip(a, b)], p)
-            for t in range(p)] + [b]
+    Two points with the same leading index are first traded for a and the
+    canonical b - a, whose leading 1 comes later.
+    """
+    if a.index(1) == b.index(1):
+        b = canonical(map(sub, b, a), p)
+    elif a.index(1) > b.index(1):
+        a, b = b, a
+    line = [a]
+    for _ in range(1, p):
+        line.append(tuple(map(mod, map(add, line[-1], b), repeat(p))))
+    line.append(b)
+    return line
 
 
 def _line_on(evaluators, p: int, a: tuple, b: tuple) -> bool:
-    for t in range(p):
-        pt = tuple((ai + t * bi) % p for ai, bi in zip(a, b))
+    """Whether a + t*b, for t in F_p, and b lie on the variety; the points
+    are stepped unreduced, as in _cone."""
+    pt = a
+    for _ in range(p):
         if any(ev(pt) for ev in evaluators):
             return False
+        pt = tuple(map(add, pt, b))
     return not any(ev(b) for ev in evaluators)
 
 
@@ -116,22 +128,23 @@ def _cone(evaluators, p: int, xt: tuple, directions) -> set:
     ``directions`` are the variety's points d on x_k = 0 (k the first
     nonzero coordinate of x), one per line through x worth testing.  As x
     and d lie on the variety, only the other p - 1 points of <x, d>,
-    d + t*x for t = 1..p-1, are evaluated.
+    d + t*x for t = 1..p-1, are evaluated; a line's live point after step
+    p - 1 is d + (p-1)*x, so one more step, reduced, gives back d.
     """
+    live = directions
+    step = partial(map, add, xt)
+    for _ in range(1, p):
+        live = list(common_zeros(evaluators, map(tuple, map(step, live))))
     cone = {xt}
-    for d in directions:
-        line = (tuple((di + t * xi) % p for di, xi in zip(d, xt))
-                for t in range(1, p))
-        if not any(ev(pt) for pt in line for ev in evaluators):
-            cone.update(_line_points(xt, d, p))
+    for q in live:
+        cone.update(_line_points(xt, tuple(map(mod, step(q), repeat(p))), p))
     return cone
 
 
 def _hyperplane_points(evaluators, p: int, n: int):
     """A cached map k -> the F_p points of the variety on x_k = 0."""
-    return cache(lambda k: [
-        d for d in (t[:k] + (0,) + t[k:] for t in enumerate_points(n - 1, p))
-        if not any(ev(d) for ev in evaluators)])
+    return cache(lambda k: list(common_zeros(evaluators, (
+        t[:k] + (0,) + t[k:] for t in enumerate_points(n - 1, p)))))
 
 
 def _base_point(variety: VarietySpec, point, label: str) -> tuple:
@@ -192,10 +205,13 @@ def variety_points(variety: VarietySpec,
                    cap: int = DEFAULT_POINT_CAP) -> tuple:
     """All F_p points of the variety, in enumeration order."""
     p = _field_prime(variety)
-    check_point_budget(variety.ambient_dim, p, cap)
-    evaluators = _compiled(variety, p)
-    return tuple(q for q in enumerate_points(variety.ambient_dim, p)
-                 if not any(ev(q) for ev in evaluators))
+    return _points(_compiled(variety, p), variety.ambient_dim, p, cap)
+
+
+def _points(evaluators, n: int, p: int, cap: int) -> tuple:
+    """The points of P^n(F_p) where every evaluator vanishes."""
+    check_point_budget(n, p, cap)
+    return tuple(common_zeros(evaluators, enumerate_points(n, p)))
 
 
 class Lcg64:
@@ -262,12 +278,12 @@ def cc_census(variety: VarietySpec, sample: int, seed: int = 0,
         raise ValueError("sample must be positive")
     p = _field_prime(variety)
     require_line_safe(variety.degrees, p)
-    points = variety_points(variety, cap=cap)
+    evaluators = _compiled(variety, p)
+    points = _points(evaluators, variety.ambient_dim, p, cap)
     if len(points) < 2:
         raise OracleRefusal(
             f"{variety.name} has {len(points)} point(s) over F_{p}; "
             f"a census needs at least two")
-    evaluators = _compiled(variety, p)
     directions = cache(lambda k: [q for q in points if not q[k]])
 
     @cache  # one cone per sampled point, for this census only

@@ -315,3 +315,80 @@ def test_census_evaluation_budget(monkeypatch):
                      for x in sampled)
     assert len(calls) <= len(variety.equations) * (
         projective_point_count(6, p) + directions * (p - 1))
+
+
+def _reference_line_points(a, b, p):
+    """The line's points scaled by an inverse each, as the oracle once
+    listed them."""
+    return [_canon([(ai + t * bi) % p for ai, bi in zip(a, b)], p)
+            for t in range(p)] + [b]
+
+
+@pytest.mark.parametrize("n, p", [(3, 5), (2, 7)])
+def test_line_points_need_no_inverses(n, p):
+    # every ordered pair: leading index of a before, after and equal to b's
+    space = list(enumerate_points(n, p))
+    for a in space:
+        for b in space:
+            if a == b:
+                continue
+            line = ccv.oracle._line_points(a, b, p)
+            assert len(set(line)) == p + 1
+            assert set(line) == set(_reference_line_points(a, b, p))
+
+
+# Evaluator calls per cone, recorded from the per-direction ``any`` scan
+# with reduced points that the step-by-step filter replaced: it must do
+# the same evaluations, not merely find the same cones.
+CENSUS_CONE_CALLS = [
+    ((1, 3, 3, 4, 1, 4, 4), 243), ((0, 1, 0, 4, 1, 4, 4), 235),
+    ((1, 3, 0, 3, 1, 3, 2), 284), ((1, 4, 0, 0, 0, 4, 4), 231),
+    ((1, 3, 2, 2, 0, 1, 3), 276), ((1, 4, 3, 0, 1, 2, 4), 254),
+    ((1, 4, 3, 4, 1, 1, 2), 271), ((0, 1, 2, 3, 3, 0, 3), 224),
+    ((1, 3, 3, 0, 1, 2, 1), 261), ((0, 1, 1, 0, 2, 3, 1), 210),
+    ((1, 4, 1, 4, 0, 3, 2), 253), ((0, 1, 0, 0, 4, 0, 3), 259),
+    ((1, 0, 4, 1, 4, 2, 3), 242), ((0, 1, 0, 4, 1, 4, 1), 216),
+    ((1, 2, 1, 4, 3, 0, 1), 249), ((1, 3, 3, 3, 3, 1, 4), 260)]
+
+
+def test_cone_evaluations_match_the_recorded_counts(monkeypatch):
+    variety = _reduced("quadric3_p4", 5)
+    points = _points(variety, 5)
+    calls, cones = _count_evaluations(monkeypatch)
+    for x in points:
+        brute_line_locus(variety, x)
+    assert [(x, len(made)) for x, made in cones] == [
+        (x, 49) for x in points]
+    del calls[:], cones[:]
+    cc_census(_reduced("two_quadrics_p6", 5), 8, seed=1)
+    assert [(x, len(made)) for x, made in cones] == CENSUS_CONE_CALLS
+    assert len(calls) == 27405  # the point sweep included
+
+
+def test_brute_checks_touch_no_symbolic_machinery(monkeypatch, quadric5):
+    import ccv.conics
+    import ccv.groebner
+    import ccv.poly
+    spied = {(ccv.conics, "pencil_conditions"),
+             (ccv.poly, "expand_line_pencil"),
+             (ccv.groebner, "_minimal_basis")}
+    calls = []
+    for module, name in spied:
+        real = getattr(module, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        # every module that imported the function by name gets the spy too
+        for other in list(vars(ccv).values()) + [ccv]:
+            if getattr(other, name, None) is real:
+                monkeypatch.setattr(other, name, spy)
+    cc_census(quadric5, 20, seed=3)
+    brute_line_locus(quadric5, (1, 0, 0, 0))
+    brute_singular_conics(quadric5, (1, 0, 0, 0), (0, 0, 0, 1))
+    assert calls == []
+    conic_system(quadric5, reduce_point_mod(qpt(1, 0, 0, 0), 5),
+                 reduce_point_mod(qpt(0, 0, 0, 1), 5)).summary
+    assert {"pencil_conditions", "expand_line_pencil",
+            "_minimal_basis"} <= set(calls)
