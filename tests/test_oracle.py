@@ -381,7 +381,7 @@ def test_brute_checks_touch_no_symbolic_machinery(monkeypatch, quadric5):
             return _real(*args, **kwargs)
 
         # every module that imported the function by name gets the spy too
-        for other in list(vars(ccv).values()) + [ccv]:
+        for other in [ccv, *vars(ccv).values()]:
             if getattr(other, name, None) is real:
                 monkeypatch.setattr(other, name, spy)
     cc_census(quadric5, 20, seed=3)
