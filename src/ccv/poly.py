@@ -237,7 +237,7 @@ class Polynomial:
     def leading_coefficient(self, key=grevlex_key):
         return self._terms[self.leading_monomial(key)]
 
-    # evaluation and specialization
+    # evaluation
 
     def evaluate(self, values):
         """Value at a point; ``values`` is a full-length scalar sequence."""
@@ -254,30 +254,6 @@ class Polynomial:
             else:
                 total = total + coeff
         return total
-
-    def specialize(self, assignments) -> "Polynomial":
-        """Fix some variables to scalars: {index: value}.  Ring unchanged."""
-        values = [(i, self.field(v)) for i, v in assignments.items()]
-        terms = {}
-        for mono, coeff in self._terms.items():
-            if any(mono[i] for i, _ in values):
-                mono = list(mono)
-                for i, value in values:
-                    e, mono[i] = mono[i], 0
-                    if e:
-                        coeff = coeff * value ** e
-                mono = tuple(mono)
-            if coeff:
-                acc = terms.get(mono)
-                if acc is None:
-                    terms[mono] = coeff
-                else:
-                    acc = acc + coeff
-                    if acc:
-                        terms[mono] = acc
-                    else:
-                        del terms[mono]
-        return Polynomial(self.nvars, self.field, terms)
 
     # rendering
 

@@ -1,10 +1,11 @@
 """Enumerate the points of a zero-dimensional projective system exactly.
 
 Projective space is split into the disjoint cells x0 = ... = x_{j-1} = 0,
-x_j = 1.  The generators' terms are kept with the earlier coordinates set
-to 0, which only drops the terms they divide; a cell then clears the
-exponent of x_j and adds like terms, so no scalar is multiplied.  Each cell
-gives an affine system with a grevlex Groebner basis G, whose Hilbert
+x_j = 1.  One substitution fixes every variable the solver fixes: x_j = 1
+for a cell, x_j = 0 for the hyperplane after it, and x = r for each root
+r below.  Setting 0 only drops the terms x_j divides and setting 1 clears
+its exponent and adds like terms, so neither multiplies a scalar.  Each
+cell gives an affine system with a grevlex Groebner basis G, whose Hilbert
 series refuses a cell of affine dimension more than the number of its
 fixed variables (Bayer and Stillman, J. Symbolic Comput. 14, 1992).
 
@@ -23,7 +24,8 @@ coefficient is reconstructed as a fraction (P. S. Wang, 1981); once two
 reconstructions in a row agree, g is accepted only if g(M) 1 = 0 in exact
 integer arithmetic.  The true minimal polynomial f then divides g, while
 deg g <= deg f, since the Krylov rank can only drop modulo p; so g = f.
-Each root r is put into G and the smaller system solved the same way.
+Its coefficients go to the root finder as they are; each root r is
+substituted into G and the smaller system solved the same way.
 The generator is the univariate element of the lex basis, so points come
 out in the order a lex solve gives.
 
@@ -71,28 +73,33 @@ def projective_rational_solutions(gens) -> list:
         raise ValueError("empty system is not zero-dimensional")
     nvars, field = gens[0].nvars, gens[0].field
     points = []
-    rest = [g.terms for g in gens]  # with x_0 = ... = x_{j-1} = 0
     for j in range(nvars):
-        if (cell := _cell(rest, j, nvars, field)) is not None:
+        if (cell := _substitute(gens, j, field.one)) is not None:
             live = list(range(j + 1, nvars))
             for sol in _affine_points(cell, live, field):
                 coords = [field.zero] * j + [field.one]
                 coords += [sol[i] for i in live]
                 points.append(ProjectivePoint(coords, field))
-        rest = [t for g in rest if (t := {m: c for m, c in g.items()
-                                          if not m[j]})]
+        if (gens := _substitute(gens, j, field.zero)) is None:
+            break  # every later cell keeps the nonzero constant
     return points
 
 
-def _cell(rest, j, nvars, field):
-    """The nonzero polynomials left by x_j = 1 in the term dicts, or None
-    when one is a nonzero constant and so has no zero."""
+def _substitute(polys, j, value):
+    """The nonzero polynomials left by x_j = value, or None when one is a
+    nonzero constant.  x_j = 0 drops the terms in x_j and x_j = 1 clears
+    its exponent, so neither multiplies a scalar; others scale by value^e."""
+    zero, one = not value, value == 1
     out = []
-    for g in rest:
+    for g in polys:
         terms = {}
-        for m, c in g.items():
-            if m[j]:
+        for m, c in g.terms.items():
+            if e := m[j]:
+                if zero:
+                    continue
                 m = m[:j] + (0,) + m[j + 1:]
+                if not one:
+                    c = c * value ** e
             if (v := terms.get(m)) is None:
                 terms[m] = c
             elif v := v + c:
@@ -102,7 +109,7 @@ def _cell(rest, j, nvars, field):
         if terms:
             if not any(map(any, terms)):
                 return None
-            out.append(Polynomial(nvars, field, terms))
+            out.append(Polynomial(g.nvars, g.field, terms))
     return out
 
 
@@ -116,10 +123,10 @@ def _affine_points(gens, live, field):
     if basis[0].is_constant():
         return []  # unit ideal
     last = live[-1]
-    uni = _minimal_polynomial(basis, live, last)
     out = []
-    for root in _univariate_roots(uni, last, field):
-        if (sub := _restrict(basis, {last: root})) is None:
+    for root in _univariate_roots(_minimal_polynomial(basis, live, last),
+                                  field):
+        if (sub := _substitute(basis, last, root)) is None:
             continue
         for sol in _affine_points(sub, live[:-1], field):
             sol[last] = root
@@ -127,36 +134,26 @@ def _affine_points(gens, live, field):
     return out
 
 
-def _restrict(polys, assignments):
-    """The nonzero polynomials left when the assigned variables are fixed,
-    or None when one of them is a nonzero constant and so has no zero."""
-    out = [g for g in (f.specialize(assignments) for f in polys) if g]
-    return None if any(g.is_constant() for g in out) else out
-
-
-def _minimal_polynomial(basis, live, var) -> Polynomial:
-    """The monic generator of I and k[var], for the ideal I of a reduced
-    grevlex basis in the variables ``live`` (not the unit ideal)."""
+def _minimal_polynomial(basis, live, var) -> list:
+    """Coefficients, lowest first, of the monic generator of I and k[var],
+    for the ideal I of a reduced grevlex basis in the variables ``live``
+    (not the unit ideal): ints mod p, or Fractions."""
     nvars, field = basis[0].nvars, basis[0].field
     mod = field.p if field.is_prime_field else None
     packing = _Packing(nvars, True)
-    reducers = []  # (lead, tail times -1): the basis is monic
+    reducers = []  # (lead, tail over the lead times -1)
     for g in basis:
-        terms = {packing.pack(m): -c for m, c in g.terms.items()}
-        lead = min(terms)  # the largest monomial
-        del terms[lead]
-        reducers.append((lead, [(m, c if mod is None else c.value)
+        terms = packing.terms(g, mod)
+        lc = terms.pop(lead := min(terms))  # the largest monomial
+        reducers.append((lead, [(m, -c % mod if mod else Fraction(-c, lc))
                                 for m, c in terms.items()]))
     leads = [packing.unpack(lead) for lead, _ in reducers]
     if _dimension_and_degree(leads, nvars)[0] != nvars - len(live):
         raise ValueError("system is not zero-dimensional")
     step = packing.pack(tuple(int(i == var) for i in range(nvars)))
     columns = _multiplication_map(reducers, step, packing.guards, mod)
-    coeffs = (_rational_minimal_polynomial(columns) if mod is None
-              else _minimal_polynomial_mod(columns, mod))
-    return Polynomial(nvars, field, {
-        tuple(e * (i == var) for i in range(nvars)): field(c)
-        for e, c in enumerate(coeffs) if c})
+    return (_rational_minimal_polynomial(columns) if mod is None
+            else _minimal_polynomial_mod(columns, mod))
 
 
 def _multiplication_map(reducers, step, guards, mod) -> list:
@@ -297,13 +294,13 @@ def _annihilates(coeffs, ints, dens) -> bool:
     return not any(w)
 
 
-def _univariate_roots(poly: Polynomial, var: int, field):
-    coeffs = {mono[var]: c for mono, c in poly.terms.items()}
+def _univariate_roots(coeffs: list, field):
+    """Field roots of sum(coeffs[e] * t^e), coefficients mod p or in Q."""
     if field.is_prime_field:
-        dense = _dense({e: c.value for e, c in coeffs.items()})
-        return [FpElement(v, field.p) for v in _roots_mod(dense, field.p)]
-    denom = lcm(*(c.denominator for c in coeffs.values()))
-    return rational_roots({e: int(c * denom) for e, c in coeffs.items()})
+        return [FpElement(v, field.p) for v in _roots_mod(coeffs, field.p)]
+    denom = lcm(*(c.denominator for c in coeffs))
+    return rational_roots({e: c.numerator * (denom // c.denominator)
+                           for e, c in enumerate(coeffs)})
 
 
 def rational_roots(coeffs: dict) -> list:
@@ -323,7 +320,10 @@ def rational_roots(coeffs: dict) -> list:
     roots = [Fraction(0)] if low > 0 else []
     if max(coeffs) == low:
         return roots
-    g = _squarefree_part(_dense({e - low: c for e, c in coeffs.items()}))
+    g = [0] * (max(coeffs) - low + 1)
+    for e, c in coeffs.items():
+        g[e - low] = c
+    g = _squarefree_part(g)
     dg = [e * c for e, c in enumerate(g)][1:]
     p = 2
     # g is square-free, so any prime dividing neither lc(g) nor disc(g) stops
@@ -345,14 +345,6 @@ def rational_roots(coeffs: dict) -> list:
                                            reversed(g), 0):
             roots.append(cand)
     return sorted(roots, key=lambda q: (abs(q.numerator), q.denominator, q < 0))
-
-
-def _dense(coeffs: dict) -> list:
-    """Coefficient list, lowest degree first, of {exponent: coefficient}."""
-    dense = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        dense[e] = c
-    return dense
 
 
 def _eval_mod(dense: list, t: int, m: int) -> int:

@@ -86,12 +86,6 @@ def test_evaluate():
     assert q.evaluate([F(2), F(1)]) == F(0)
 
 
-def test_specialize_scalars():
-    p = P("x0*x3 - x1*x2", 4)
-    assert p.specialize({0: QQ(1)}) == P("x3 - x1*x2", 4)
-    assert p.specialize({1: QQ(0), 2: QQ(0)}) == P("x0*x3", 4)
-
-
 def test_monic_and_leading_data():
     p = P("2*x0*x3 - 2*x1*x2", 4)
     assert p.leading_monomial() == (0, 1, 1, 0)

@@ -13,10 +13,10 @@ from ccv import (GF, QQ, Polynomial, conic_system, find_singular_conics,
                  over_prime, parse_polynomial, projective_rational_solutions,
                  rational_roots)
 from ccv import solve
-from ccv.groebner import _hilbert_dimension_and_degree
+from ccv.groebner import _dimension_and_degree
 from ccv.solve import (_eval_mod, _minimal_polynomial,
                        _remainder_squarefree_part, _roots_mod,
-                       _squarefree_part, _univariate_roots)
+                       _squarefree_part, _substitute, _univariate_roots)
 
 from conftest import VARIETIES, qpt
 
@@ -133,6 +133,135 @@ def test_denominators_in_solutions():
     assert pts == [qpt(2, 3, 0)]
 
 
+# The three ways the solver fixed a variable before one substitution served
+# them all, kept as references: a cell's x_j = 1, the hyperplane filter's
+# x_j = 0, and Polynomial.specialize at a root.
+
+def _cell(rest, j, nvars, field):
+    out = []
+    for g in rest:
+        terms = {}
+        for m, c in g.items():
+            if m[j]:
+                m = m[:j] + (0,) + m[j + 1:]
+            if (v := terms.get(m)) is None:
+                terms[m] = c
+            elif v := v + c:
+                terms[m] = v
+            else:
+                del terms[m]
+        if terms:
+            if not any(map(any, terms)):
+                return None
+            out.append(Polynomial(nvars, field, terms))
+    return out
+
+
+def _hyperplane(rest, j):
+    return [t for g in rest if (t := {m: c for m, c in g.items()
+                                      if not m[j]})]
+
+
+def _specialize(poly, assignments):
+    values = [(i, poly.field(v)) for i, v in assignments.items()]
+    terms = {}
+    for mono, coeff in poly.terms.items():
+        if any(mono[i] for i, _ in values):
+            mono = list(mono)
+            for i, value in values:
+                e, mono[i] = mono[i], 0
+                if e:
+                    coeff = coeff * value ** e
+            mono = tuple(mono)
+        if coeff:
+            acc = terms.get(mono)
+            if acc is None:
+                terms[mono] = coeff
+            else:
+                acc = acc + coeff
+                if acc:
+                    terms[mono] = acc
+                else:
+                    del terms[mono]
+    return Polynomial(poly.nvars, poly.field, terms)
+
+
+def _items(dicts):
+    """Each term dict as its list of items, or None when one of them is a
+    nonzero constant."""
+    if any(not any(map(any, t)) for t in dicts):
+        return None
+    return [list(t.items()) for t in dicts]
+
+
+def _random_polys(rng, field, nvars):
+    def scalar():
+        if field == QQ:
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return rng.randrange(field.p)
+    # few monomials of low degree, so that fixing x_j often merges terms
+    monos = [tuple(rng.randint(0, 2) for _ in range(nvars))
+             for _ in range(8)]
+    polys = [Polynomial.from_terms({rng.choice(monos): scalar()
+                                    for _ in range(rng.randint(1, 6))},
+                                   nvars, field)
+             for _ in range(rng.randint(1, 4))]
+    return [g for g in polys if g]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)],
+                         ids=["QQ", "F7", "F32003"])
+def test_substitute_equals_the_three_references(field):
+    rng = random.Random(f"ccv-substitute:{field!r}")
+    nones = kept = 0
+    for _ in range(300):
+        nvars = rng.randint(2, 4)
+        polys = _random_polys(rng, field, nvars)
+        j = rng.randrange(nvars)
+        rest = [g.terms for g in polys]
+        other = field(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                      if field == QQ else rng.randrange(field.p))
+        for value in (field.zero, field.one, field(-1), other):
+            got = _substitute(polys, j, value)
+            if got is not None:
+                got = [list(g.terms.items()) for g in got]
+            assert got == _items([t for g in polys if (
+                t := _specialize(g, {j: value}).terms)])
+            if not value:
+                assert got == _items(_hyperplane(rest, j))
+            elif value == 1:
+                cell = _cell(rest, j, nvars, field)
+                assert got == (None if cell is None
+                               else _items([g.terms for g in cell]))
+            nones += got is None
+            if value and value != 1:
+                continue
+            # a term that no other term merges with keeps its coefficient,
+            # the same object: no scalar is multiplied
+            for g in polys:
+                sources = {}
+                for m, c in g.terms.items():
+                    if value or not m[j]:
+                        sources.setdefault(m[:j] + (0,) + m[j + 1:],
+                                           []).append(c)
+                for out in _substitute([g], j, value) or []:
+                    for m, c in out.terms.items():
+                        if len(sources[m]) == 1:
+                            assert c is sources[m][0]
+                            kept += 1
+    assert nones and kept
+
+
+def _coefficients(uni, var):
+    """Coefficients, lowest first, of a polynomial in x_var alone, as the
+    solver's minimal polynomial gives them: ints mod p, or Fractions."""
+    field = uni.field
+    coeffs = [field.zero] * (uni.degree() + 1)
+    for m, c in uni.terms.items():
+        coeffs[m[var]] = c
+    return [c.value for c in coeffs] if field.is_prime_field else coeffs
+
+
 # The lex route the grevlex cells replaced, kept as the reference: a lex
 # basis, its univariate element in the last live variable, and the same
 # back-substitution.
@@ -151,8 +280,8 @@ def _lex_affine_points(gens, live, field):
         raise ValueError("system is not zero-dimensional")
     out = []
     rest = live[:-1]
-    for root in _univariate_roots(uni, last, field):
-        sub = [g.specialize({last: root}) for g in basis]
+    for root in _univariate_roots(_coefficients(uni, last), field):
+        sub = [_specialize(g, {last: root}) for g in basis]
         sub = [g for g in sub if not g.is_zero()]
         if any(g.is_constant() for g in sub):
             continue
@@ -204,10 +333,11 @@ def test_minimal_polynomial_is_the_lex_univariate(field):
         gens, live, planted = _grid_cell(rng, field, rng.choice((3, 4)))
         basis = groebner_basis(gens)
         last = live[-1]
-        lex = groebner_basis(gens, key=lex_key)
+        lex = next(g for g in groebner_basis(gens, key=lex_key)
+                   if g.support() <= {last})
         got = _minimal_polynomial(basis, live, last)
-        assert got == next(g for g in lex if g.support() <= {last})
-        assert normal_form(got, basis).is_zero()
+        assert got == _coefficients(lex, last)
+        assert normal_form(lex, basis).is_zero()
         points = solve._affine_points(gens, live, field)
         assert points == _lex_affine_points(gens, live, field)
         assert len(points) == len(planted)
@@ -282,10 +412,10 @@ def test_the_exact_check_refuses_agreeing_unlucky_primes(monkeypatch):
     assert lex == P("x2^3 - 3*x2^2 + 2*x2", 3)
     checks = []
     _spy(monkeypatch, "_annihilates", lambda _, ok: checks.append(ok))
-    assert _minimal_polynomial(basis, [1, 2], 2) == lex
+    assert _minimal_polynomial(basis, [1, 2], 2) == _coefficients(lex, 2)
     assert checks == [False, True]
     monkeypatch.setattr(solve, "_annihilates", lambda *args: True)
-    assert _minimal_polynomial(basis, [1, 2], 2) == P("x2^2 - x2", 3)
+    assert _minimal_polynomial(basis, [1, 2], 2) == [0, -1, 1]
 
 
 # full conics on the rungs of the enumerate benchmark and on the systems of
@@ -307,28 +437,28 @@ def test_cells_take_no_normal_form_and_restrict_only_at_roots(monkeypatch):
         if (name.split(".")[0] == "ccv"
                 and getattr(module, "normal_form", None) is normal_form):
             monkeypatch.setattr(module, "normal_form", forbidden)
-    assignments, expected, roots = [], [], []
-    specialize = Polynomial.specialize
-
-    def spy(poly, values):
-        assignments.append(dict(values))
-        return specialize(poly, values)
-
-    monkeypatch.setattr(Polynomial, "specialize", spy)
-    _spy(monkeypatch, "_restrict",
-         lambda args, _: expected.extend([args[1]] * len(args[0])))
-    _spy(monkeypatch, "_univariate_roots",
-         lambda _, found: roots.extend(found))
+    calls, roots, owner, bases = [], [], {}, []
+    _spy(monkeypatch, "_substitute",
+         lambda args, _: calls.append((args[0], args[2])))
+    _spy(monkeypatch, "_minimal_polynomial",
+         lambda args, _: bases.append(args[0]))
+    # each root belongs to the basis whose minimal polynomial gave it
+    _spy(monkeypatch, "_univariate_roots", lambda _, found: (
+        roots.extend(found), owner.update((id(r), bases[-1]) for r in found)))
     for name, n, prime in ENUMERATE_CASES:
         variety = load_variety(VARIETIES / f"{name}.json")
         x, y = qpt(1, *[0] * n), qpt(*[0] * n, 1)
         if prime is not None:
             variety, x, y = over_prime(variety, prime, x, y)
         find_singular_conics(variety, x, y)
-    assert roots and len(expected) == len(assignments)
-    assert assignments == expected  # once per polynomial and root
-    assert [a for a in assignments if len(a) == 1 and a] == assignments
-    assert len({id(a) for a in expected}) == len(roots)
+    at_roots = [(polys, value) for polys, value in calls
+                if id(value) in owner]
+    assert roots and len(at_roots) == len(roots)  # once per root
+    assert {id(value) for _, value in at_roots} == set(owner)
+    assert all(polys is owner[id(value)] for polys, value in at_roots)
+    # any other value than 0 and 1 comes only at a root
+    assert all(id(value) in owner for _, value in calls
+               if value != 0 and value != 1)
 
 
 # The staircase walk and the pure-power test the Hilbert series replaced,
@@ -360,7 +490,7 @@ def _check_the_hilbert_count(basis, live):
         monos = [g.leading_monomial() for g in leads]
         pure = all(any(lm[v] and lm[v] == sum(lm) for lm in monos)
                    for v in live)
-        dim, degree = _hilbert_dimension_and_degree(leads, nvars)
+        dim, degree = _dimension_and_degree(monos, nvars)
         assert (dim == nvars - len(live)) == pure, monos
         if pure:
             assert degree == _standard_count(monos, live, (0,) * nvars)
