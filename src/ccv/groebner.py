@@ -588,7 +588,7 @@ def ideal_dimension_and_degree(polys) -> IdealSummary:
 
 
 def _leading_dimension_and_degree(polys, nvars: int) -> tuple:
-    """:func:`_hilbert_dimension_and_degree` of the minimal grevlex basis of
+    """:func:`_dimension_and_degree` of the minimal grevlex basis of
     nonzero polynomials: read off the numerator that the Hilbert-driven
     skip kept, or else off the packed leading monomials alone."""
     packing, entries, numerator = _minimal_basis(polys)
@@ -606,15 +606,11 @@ def _primitive_mod(poly: Polynomial, field) -> Polynomial:
                       {m: r for m, c in ints.items() if (r := field(c))})
 
 
-def _hilbert_dimension_and_degree(basis, nvars: int) -> tuple:
-    """(affine dimension, degree) of the ideal of a grevlex basis: the pole
-    order of its Hilbert series at t = 1 and the numerator left there.  The
-    unit ideal, whose series is 0, gives (-1, 0)."""
-    return _dimension_and_degree([g.leading_monomial() for g in basis], nvars)
-
-
 def _dimension_and_degree(leads, nvars: int) -> tuple:
-    """:func:`_hilbert_dimension_and_degree` from the leading exponents."""
+    """(affine dimension, degree) of an ideal with these grevlex leading
+    exponents: the pole order of its Hilbert series at t = 1 and the
+    numerator left there.  The unit ideal, whose series is 0, gives
+    (-1, 0)."""
     return _pole_order(_hilbert_numerator(
         tuple(sorted(_minimalize_monos(leads))), nvars, {}), nvars)
 

@@ -760,8 +760,8 @@ def test_other_orders_are_rejected():
 
 def _fraction_free_summary(gens):
     """The summary from the basis over Q, the route the certificate skips."""
-    return ccv.groebner._summary(*ccv.groebner._hilbert_dimension_and_degree(
-        groebner_basis(gens), gens[0].nvars))
+    return ccv.groebner._summary(*ccv.groebner._dimension_and_degree(
+        [g.leading_monomial() for g in groebner_basis(gens)], gens[0].nvars))
 
 
 def _spy_fields(monkeypatch):

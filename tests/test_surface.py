@@ -3,9 +3,12 @@
 Every name in a module's ``__all__`` must resolve.  ``perfbench/spans.py``
 wraps ccv functions by (module, name) when a benchmark runs with
 ``--trace 1``; a rename inside ccv would break that run without failing
-any other test, so each wrapped name is checked here.
+any other test, so each wrapped name is checked here.  So is the other
+direction: every module-level function and class in ccv is loaded
+somewhere in the package, so dead code fails here.
 """
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -57,3 +60,27 @@ def test_only_the_record_base_writes_to_json():
         if isinstance(cls, type) and cls.__module__ == name
         and "to_json" in vars(cls))
     assert owners == ["ccv.fields.Record"]
+
+
+def _unloaded_definitions(src):
+    """Module-level functions and classes under ``src`` that no module
+    there loads, by name, attribute or import."""
+    defined, loaded = set(), set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined.update((path.stem, node.name) for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.alias):
+                loaded.add(node.name)
+    return sorted(f"{mod}.{name}" for mod, name in defined
+                  if name not in loaded)
+
+
+def test_every_definition_is_used_in_the_package():
+    # methods are left out: Polynomial.variable and support are library API
+    assert _unloaded_definitions(Path(ccv.__file__).parent) == []
