@@ -226,18 +226,21 @@ class ConicSearchResult(Record):
     notes: tuple = ()
 
 
-def _zeros_on_span(polys, n: int, p: int) -> tuple:
+def _zeros_on_span(polys, n: int, p: int,
+                   cap: int = DEFAULT_POINT_CAP) -> tuple:
     """Points of P^n(F_p) where every polynomial vanishes, in enumeration
     order, found by evaluating the nonlinear ones on the kernel of the
-    linear ones (all of F_p^(n+1) when there is no linear form).  Each
-    point of the kernel is evaluated as the unreduced combination of the
-    kernel basis it indexes (the conditions are homogeneous), and only the
-    points where they all vanish are scaled to canonical form."""
+    linear ones (all of F_p^(n+1) when there is no linear form); a kernel
+    of more than ``cap`` projective points is refused.  Each point of the
+    kernel is evaluated as the unreduced combination of the kernel basis
+    it indexes (the conditions are homogeneous), and only the points where
+    they all vanish are scaled to canonical form."""
     field = GF(p)
     units = [tuple(int(i == j) for i in range(n + 1)) for j in range(n + 1)]
     rows = [[field(f.terms.get(e, 0)) for e in units]
             for f in polys if f.degree() == 1] or [[field.zero] * (n + 1)]
     basis = kernel_basis(rows, field.one, field.zero)
+    check_point_budget(len(basis) - 1, p, cap)
     columns = [[c.value for c in col] for col in zip(*basis)]
     evaluators = [compile_mod_evaluator(f, p)
                   for f in polys if f.degree() != 1]
@@ -260,10 +263,10 @@ def find_singular_conics(variety: VarietySpec, x: ProjectivePoint,
     mode works over F_p (see :func:`over_prime`): a vertex lies in the
     meet of the tangent spaces T_xX and T_yX, the kernel of the system's
     degree-1 conditions, so it evaluates the nonlinear conditions at every
-    F_p point of that kernel and not of all of P^N(F_p).  It never touches Groebner machinery, so
-    the two modes check each other.  ``cap`` is still measured against
-    |P^N(F_p)|.  ``system`` is a conic_system already built for the
-    variety and points of the chosen mode.
+    F_p point of that kernel and not of all of P^N(F_p); ``cap`` bounds
+    the points of that kernel.  It never touches Groebner machinery, so
+    the two modes check each other.  ``system`` is a conic_system already
+    built for the variety and points of the chosen mode.
     """
     if prime is None:
         system = system or conic_system(variety, x, y)
@@ -293,10 +296,9 @@ def find_singular_conics(variety: VarietySpec, x: ProjectivePoint,
     require_line_safe(variety.degrees, prime)
     system = system or conic_system(variety, x, y)
     N = variety.ambient_dim
-    check_point_budget(N, prime, cap)
     solutions = tuple(
         solution_from_vertex(ProjectivePoint(pt, variety.field), x, y)
-        for pt in _zeros_on_span(system.generators, N, prime))
+        for pt in _zeros_on_span(system.generators, N, prime, cap))
     return ConicSearchResult(
         "finite-field", "finite", None, None, solutions,
         notes=(f"exhaustive scan of P^{N}(F_{prime}); the list is the "

@@ -284,13 +284,26 @@ def test_span_scan_with_a_zero_kernel():
     assert _zeros_on_span(forms, 3, 7) == ()
 
 
-def test_span_scan_keeps_the_point_cap_on_the_whole_space(two_quadrics):
+def test_span_scan_is_budgeted_on_the_span(two_quadrics):
     # the kernel is a P^2 of 31 points, P^6(F_5) has 19531
     x, y = qpt(1, 0, 0, 0, 0, 0, 0), qpt(0, 0, 0, 0, 0, 0, 1)
     assert len(find_singular_conics(two_quadrics, x, y, 5,
-                                    cap=19531).solutions) == 1
-    with pytest.raises(PointCapExceeded, match="19531 points"):
-        find_singular_conics(two_quadrics, x, y, 5, cap=1000)
+                                    cap=31).solutions) == 1
+    with pytest.raises(PointCapExceeded,
+                       match="P\\^2\\(F_5\\) has 31 points"):
+        find_singular_conics(two_quadrics, x, y, 5, cap=30)
+
+
+def test_span_scan_runs_the_cubic_quadric_rung_under_the_default_cap():
+    # P^8(F_11) has 235794769 points, over the default cap; the kernel of
+    # the degree-1 conditions at e_0 and e_8 is far smaller
+    variety = load_variety(VARIETIES / "ci_3_2_p8.json")
+    x, y = qpt(1, *[0] * 8), qpt(*[0] * 8, 1)
+    found = find_singular_conics(variety, x, y, 11)
+    symbolic = find_singular_conics(*over_prime(variety, 11, x, y))
+    assert symbolic.mode == "symbolic"
+    assert _vertices(found.solutions) == _vertices(symbolic.solutions)
+    assert [str(s.vertex) for s in found.solutions] == ["[1:3:2:5:2:2:1:7:8]"]
 
 
 def test_span_scan_stays_on_the_span(two_quadrics, monkeypatch):

@@ -87,7 +87,7 @@ CASES.update({
                                  "5", "--json"), "100"),
     "refuse-conics-point-cap": (("conics", _spec("quadric_p3"), "--x",
                                  "1,0,0,0", "--y", "0,0,0,1", "--prime", "5",
-                                 "--json"), "100"),
+                                 "--json"), "5"),
     # boundary complete intersections 2*sum(d) - c = N from the benchmark
     # generator (seed 1), between x = e_0 and y = e_N
     "conics-ci_2_2_p6": (_boundary("ci_2_2_p6", 6), None),
