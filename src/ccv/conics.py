@@ -69,7 +69,6 @@ class LinesReport(Record):
     family_bound: int
     locus_bound: int
     family_bound_met: bool
-    locus_bound_met: bool
     classification: ClassificationReport | None
     caveat: str = ("a is defined at a general point; at a special point the "
                    "observed family can be larger or smaller than the "
@@ -111,7 +110,6 @@ def lines_dimension_report(variety: VarietySpec,
         family_bound=N - 1 - total,
         locus_bound=N - total,
         family_bound_met=a >= N - 1 - total,
-        locus_bound_met=dim >= N - total,
         classification=classification,
     )
 

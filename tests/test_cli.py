@@ -70,7 +70,7 @@ def test_lines_text_output(capsys):
     assert "locus dimension: 1, degree: 2" in out
     assert "line family dimension a = 0" in out
     assert "family bound N - 1 - sum(d) = 0: met" in out
-    assert "locus bound N - sum(d) = 1: met" in out
+    assert "locus bound N - sum(d) = 1\n" in out
     assert "candidate [quadric-surface]" in out
     assert "consistent: yes" in out
 
