@@ -50,12 +50,11 @@ def projective_point_count(n: int, p: int) -> int:
     return (p ** (n + 1) - 1) // (p - 1)
 
 
-def check_point_budget(n: int, p: int, cap: int) -> int:
+def check_point_budget(n: int, p: int, cap: int) -> None:
     total = projective_point_count(n, p)
     if total > cap:
         raise PointCapExceeded(
             f"P^{n}(F_{p}) has {total} points, over the cap of {cap}")
-    return total
 
 
 def require_line_safe(degrees, p: int) -> None:

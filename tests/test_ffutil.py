@@ -40,7 +40,7 @@ def test_enumeration_order_is_pinned():
 def test_point_budget():
     with pytest.raises(TypeError):  # there is no unbounded sweep
         check_point_budget(3, 5, None)
-    assert check_point_budget(3, 5, 156) == 156
+    assert check_point_budget(3, 5, 156) is None  # 156 points: at the cap
     with pytest.raises(PointCapExceeded):
         check_point_budget(3, 5, 155)
 
