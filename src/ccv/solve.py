@@ -4,30 +4,53 @@ Projective space is split into the disjoint cells x0 = ... = x_{j-1} = 0,
 x_j = 1.  One substitution fixes every variable the solver fixes: x_j = 1
 for a cell, x_j = 0 for the hyperplane after it, and x = r for each root
 r below.  Setting 0 only drops the terms x_j divides and setting 1 clears
-its exponent and adds like terms, so neither multiplies a scalar.  Each
-cell gives an affine system with a grevlex Groebner basis G, whose Hilbert
-series refuses a cell of affine dimension more than the number of its
-fixed variables (Bayer and Stillman, J. Symbolic Comput. 14, 1992).
+its exponent and adds like terms, so neither multiplies a scalar.
+
+The system must be homogeneous, and one grevlex Groebner basis G of it
+serves every cell.  G names x_j as x_{N-j}, so that x_0 is the smallest
+variable, x_1 the smallest of the rest, and so on.  For a homogeneous
+basis and its smallest variable x, the leading monomial of each form has
+the least power of x among its terms, and:
+- x = 1 gives a Groebner basis of the cell: it divides every leading
+  monomial by that power, which keeps it leading and merges no terms,
+  and the results generate the leading ideal of the cell (Cox, Little and
+  O'Shea, *Ideals, Varieties, and Algorithms*, ch. 8 section 4);
+- x = 0 gives a homogeneous Groebner basis of the hyperplane, in which
+  the next variable is the smallest: in(J + (x)) = in(J) + (x) for revlex
+  (Bayer and Stillman, Invent. Math. 87, 1987), a form whose leading
+  monomial x divides is a multiple of x and drops out, and every other
+  keeps its leading monomial.
+So no cell or hyperplane takes a basis of its own, and a cell with no
+point shows a nonzero constant at once.  A cell's basis need be neither
+reduced nor minimal, since the multiplication map below reduces as it
+goes.  Only the system left after a root substitution takes a fresh
+basis.  The Hilbert series of a cell's leading monomials refuses a cell
+of affine dimension more than the number of its fixed variables (Bayer
+and Stillman, J. Symbolic Comput. 14, 1992).
 
 The monic generator of I and k[x], for the last live variable x, is the
 minimal polynomial of 1 under the map M of multiplication by x on k[x]/I
 (FGLM restricted to one variable: Faugere, Gianni, Lazard and Mora, J.
-Symbolic Comput. 16, 1993).  The columns of M are the normal forms of x*s
-for the standard monomials s reachable from 1, reduced by the leads of G
-taken once.  Over F_p the Krylov vectors 1, M 1, M^2 1, ... are residue
-lists, echeloned in turn until the first dependency.  Over Q each column
-of M is cleared to integers by its own denominator, and the same echelon
-runs modulo primes below 2^31 that divide none of them; a prime that
-gives a lower degree than another is unlucky and is dropped.  The
-residues are combined by the Chinese remainder theorem and each
-coefficient is reconstructed as a fraction (P. S. Wang, 1981); once two
-reconstructions in a row agree, g is accepted only if g(M) 1 = 0 in exact
-integer arithmetic.  The true minimal polynomial f then divides g, while
-deg g <= deg f, since the Krylov rank can only drop modulo p; so g = f.
-Its coefficients go to the root finder as they are; each root r is
-substituted into G and the smaller system solved the same way.
-The generator is the univariate element of the lex basis, so points come
-out in the order a lex solve gives.
+Symbolic Comput. 16, 1993).  It depends on I alone, so the reversed
+names change neither it nor the order of the roots.  The columns of M are
+the normal forms of x*s for the standard monomials s reachable from 1,
+reduced by the cell's basis, its leads taken once; over Q each column is
+integers over one denominator.  In a cell x = x_N is the largest
+variable, whose map is dense, so the Krylov vectors 1, M 1, M^2 1, ...
+are residues packed into one int each, echeloned in turn until the first
+dependency.  Over Q that echelon runs modulo primes below 2^31 that
+divide no denominator of M; a prime that gives a lower degree than another is
+unlucky and is dropped.  The residues are combined by the Chinese
+remainder theorem and each coefficient is reconstructed as a fraction
+(P. S. Wang, 1981); once two reconstructions in a row agree, g is
+accepted only if g(M) 1 = 0 in exact integer arithmetic.  The true
+minimal polynomial f then divides g, while deg g <= deg f, since the
+Krylov rank can only drop modulo p; so g = f.  Its coefficients go to
+the root finder as they are; each root r is substituted into the cell's
+basis, and the smaller system takes its own basis and is solved the same
+way.  The generator is the univariate
+element of the lex basis, so points come out in the order a lex solve
+gives.
 
 Univariate roots over a prime field are the residues where the polynomial
 vanishes; gcd(f, t^p - t) counts them first, so a scan that can find none
@@ -64,23 +87,28 @@ _PRIMES = []
 def projective_rational_solutions(gens) -> list:
     """All field-rational points of V(gens) in projective space.
 
-    The generators must cut out a zero-dimensional projective scheme (over
-    the algebraic closure); otherwise some cell has leftover freedom and a
-    ValueError is raised rather than returning a silently incomplete list.
+    The generators must be homogeneous and cut out a zero-dimensional
+    projective scheme (over the algebraic closure); otherwise a ValueError
+    is raised rather than returning a silently incomplete list.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("empty system is not zero-dimensional")
+    if not all(g.is_homogeneous() for g in gens):
+        raise ValueError("the system is not homogeneous")
     nvars, field = gens[0].nvars, gens[0].field
+    last = nvars - 1  # x_j is x_{last - j} in the basis (module docstring)
+    basis = groebner_basis([Polynomial(nvars, field, {
+        m[::-1]: c for m, c in g.terms.items()}) for g in gens])
     points = []
     for j in range(nvars):
-        if (cell := _substitute(gens, j, field.one)) is not None:
-            live = list(range(j + 1, nvars))
+        if (cell := _substitute(basis, last - j, field.one)) is not None:
+            live = list(range(last - j - 1, -1, -1))  # x_{j+1}, ..., x_last
             for sol in _affine_points(cell, live, field):
                 coords = [field.zero] * j + [field.one]
                 coords += [sol[i] for i in live]
                 points.append(ProjectivePoint(coords, field))
-        if (gens := _substitute(gens, j, field.zero)) is None:
+        if (basis := _substitute(basis, last - j, field.zero)) is None:
             break  # every later cell keeps the nonzero constant
     return points
 
@@ -113,22 +141,23 @@ def _substitute(polys, j, value):
     return out
 
 
-def _affine_points(gens, live, field):
-    """Solutions {var: value} of an affine system supported on ``live``."""
+def _affine_points(basis, live, field):
+    """Solutions {var: value} of the affine system supported on ``live``
+    that this grevlex Groebner basis generates."""
     if not live:
-        return [{}] if not gens else []
-    if not gens:
+        return [{}] if not basis else []
+    if not basis:
         raise ValueError("system is not zero-dimensional")
-    basis = groebner_basis(gens)
     if basis[0].is_constant():
         return []  # unit ideal
-    last = live[-1]
+    last, rest = live[-1], live[:-1]
     out = []
     for root in _univariate_roots(_minimal_polynomial(basis, live, last),
                                   field):
         if (sub := _substitute(basis, last, root)) is None:
             continue
-        for sol in _affine_points(sub, live[:-1], field):
+        for sol in _affine_points(groebner_basis(sub) if rest else sub,
+                                  rest, field):
             sol[last] = root
             out.append(sol)
     return out
@@ -136,108 +165,117 @@ def _affine_points(gens, live, field):
 
 def _minimal_polynomial(basis, live, var) -> list:
     """Coefficients, lowest first, of the monic generator of I and k[var],
-    for the ideal I of a reduced grevlex basis in the variables ``live``
+    for the ideal I of a grevlex Groebner basis in the variables ``live``
     (not the unit ideal): ints mod p, or Fractions."""
     nvars, field = basis[0].nvars, basis[0].field
     mod = field.p if field.is_prime_field else None
     packing = _Packing(nvars, True)
-    reducers = []  # (lead, tail over the lead times -1)
+    reducers = []  # (lead, lc, tail times -1) in ints; lc is 1 mod p
     for g in basis:
         terms = packing.terms(g, mod)
         lc = terms.pop(lead := min(terms))  # the largest monomial
-        reducers.append((lead, [(m, -c % mod if mod else Fraction(-c, lc))
-                                for m, c in terms.items()]))
-    leads = [packing.unpack(lead) for lead, _ in reducers]
+        reducers.append((lead, lc, [(m, -c) for m, c in terms.items()]))
+    leads = [packing.unpack(r[0]) for r in reducers]
     if _dimension_and_degree(leads, nvars)[0] != nvars - len(live):
         raise ValueError("system is not zero-dimensional")
     step = packing.pack(tuple(int(i == var) for i in range(nvars)))
     columns = _multiplication_map(reducers, step, packing.guards, mod)
     return (_rational_minimal_polynomial(columns) if mod is None
-            else _minimal_polynomial_mod(columns, mod))
+            else _minimal_polynomial_mod([c for _, c in columns], mod))
 
 
 def _multiplication_map(reducers, step, guards, mod) -> list:
-    """Sparse columns {row: coefficient} of multiplication by the packed
+    """Sparse columns (den, {row: int}) of multiplication by the packed
     monomial ``step`` on the standard monomials reachable from 1, which are
-    numbered as they are found (1 is row 0).
+    numbered as they are found (1 is row 0); entry i of a column is its
+    int over den, in lowest terms, and den is 1 mod p.
 
     Column s is the normal form of step * s.  A heap pops the largest
     monomial left: one whose normal form is known adds that form, and any
     other is a standard monomial or is replaced by its first reducer's
     tail times the quotient.  Residues are reduced mod p when popped.
+    Over Q no fraction is formed: adding c/d times a form or a tail first
+    scales the column's work, form and denominator by d / gcd(c, d).
     """
-    known = {0: {0: 1}}  # packed monomial -> its normal form
+    known = {0: (1, {0: 1})}  # packed monomial -> its normal form
     found, columns = [0], []
     for s in found:  # the loop reaches the rows found on the way
-        work = {s + step: 1}
+        work, den = {s + step: 1}, 1
         heap, form = list(work), {}
         while heap:
             m = heapq.heappop(heap)
             c = work.pop(m) if mod is None else work.pop(m) % mod
             if not c:
                 continue
-            if (nf := known.get(m)) is None:
-                hit = next((r for r in reducers if not (m - r[0]) & guards),
-                           None)
-                if hit is not None:  # m = u * lead: add c * u * tail
-                    u = m - hit[0]
-                    for t, a in hit[1]:
-                        if (v := work.get(t := t + u)) is None:
-                            work[t] = c * a
-                            heapq.heappush(heap, t)
-                        else:
-                            work[t] = v + c * a
-                    continue
-                nf = known[m] = {len(found): 1}  # standard: a new row
+            if (nf := known.get(m)) is None and (hit := next(
+                    (r for r in reducers if not (m - r[0]) & guards),
+                    None)) is None:
+                nf = known[m] = 1, {len(found): 1}  # standard: a new row
                 found.append(m)
-            for i, a in nf.items():
+            d, terms = nf or hit[1:]
+            if d != 1:  # c/d times ``terms``: scale the column by d/(c, d)
+                q = d // gcd(c, d)
+                c, den = c * q // d, den * q
+                work = {t: a * q for t, a in work.items()}
+                form = {i: a * q for i, a in form.items()}
+            if nf is None:  # m = u * lead: add c * u * tail
+                u = m - hit[0]
+                for t, a in terms:
+                    if (v := work.get(t := t + u)) is None:
+                        work[t] = c * a
+                        heapq.heappush(heap, t)
+                    else:
+                        work[t] = v + c * a
+                continue
+            for i, a in terms.items():
                 form[i] = form.get(i, 0) + c * a
-        known[s + step] = {i: v for i, a in form.items()
-                           if (v := a if mod is None else a % mod)}
-        columns.append(known[s + step])
+        if mod is None:
+            g = gcd(den, *form.values())
+            col = den // g, {i: a // g for i, a in form.items() if a}
+        else:
+            col = 1, {i: v for i, a in form.items() if (v := a % mod)}
+        known[s + step] = col
+        columns.append(col)
     return columns
 
 
 def _minimal_polynomial_mod(columns, p) -> list:
     """Coefficients, lowest first, of the monic minimal polynomial of e_0
-    under the matrix with these sparse columns, modulo p.
+    under the matrix with these sparse columns of residues mod p.
 
-    Each Krylov vector M^k e_0 is reduced by the rows kept so far, each
-    monic at its pivot and carrying its combination of the powers of M; the
-    first to reduce to zero gives the dependency.
+    Each Krylov vector M^k e_0, followed by its combination of the powers
+    of M, is one int with a slot per entry, as in groebner._echelon: a step
+    by a kept row, monic at its pivot, is one multiply-add, and a residue
+    is reduced mod p only when read.  The first vector to reduce to zero
+    gives the dependency.
     """
     n = len(columns)
-    rows = []  # (pivot, row, combination)
-    power = [1] + [0] * (n - 1)
+    width = 2 * p.bit_length() + (2 * n + 2).bit_length()
+    mask, shifts = (1 << width) - 1, range(0, width * (2 * n + 1), width)
+    columns = [sum(a << shifts[i] for i, a in col.items()) for col in columns]
+    rows, power = [], 1  # (pivot's shift, row); M^k e_0
     for k in range(n + 1):
-        vec, combo = power, [0] * k + [1]
-        for pivot, row, row_combo in rows:
-            if c := vec[pivot]:
-                vec = [(a - c * b) % p for a, b in zip(vec, row)]
-                combo[:len(row_combo)] = [
-                    (a - c * b) % p for a, b in zip(combo, row_combo)]
-        pivot = next((i for i, a in enumerate(vec) if a), None)
+        vec = power + (1 << shifts[n + k])
+        for s, row in rows:
+            if c := (vec >> s & mask) % p:
+                vec += (p - c) * row
+        vals = [(vec >> s & mask) % p for s in shifts[:n + k + 1]]
+        pivot = next((i for i, a in enumerate(vals[:n]) if a), None)
         if pivot is None:
-            return combo
-        inv = pow(vec[pivot], -1, p)
-        rows.append((pivot, [a * inv % p for a in vec],
-                     [a * inv % p for a in combo]))
-        nxt = [0] * n
-        for col, c in zip(columns, power):
-            if c:
-                for i, a in col.items():
-                    nxt[i] += c * a
-        power = [a % p for a in nxt]
+            return vals[n:]
+        inv = pow(vals[pivot], -1, p)
+        rows.append((shifts[pivot], sum(a * inv % p << s
+                                        for a, s in zip(vals, shifts) if a)))
+        power = sum(c * col for c, col in zip(
+            [(power >> s & mask) % p for s in shifts[:n]], columns) if c)
     raise ArithmeticError("n + 1 Krylov vectors of length n are independent")
 
 
 def _rational_minimal_polynomial(columns) -> list:
     """Coefficients, lowest first, of the monic minimal polynomial of e_0
-    under a matrix over Q with these sparse columns, from residues checked
-    exactly (module docstring)."""
-    dens = [lcm(*(c.denominator for c in col.values())) for col in columns]
-    ints = [{i: c.numerator * (d // c.denominator) for i, c in col.items()}
-            for col, d in zip(columns, dens)]
+    under a matrix over Q with these sparse columns (den, ints), from
+    residues checked exactly (module docstring)."""
+    dens, ints = zip(*columns)
     residues, modulus, last = [], 1, None
     for p in map(_prime, count()):
         if any(d % p == 0 for d in dens):

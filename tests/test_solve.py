@@ -1,5 +1,6 @@
 """Exact point enumeration for zero-dimensional systems and rational roots."""
 
+import heapq
 import random
 import sys
 import time
@@ -118,6 +119,11 @@ def test_positive_dimensional_system_is_refused():
         projective_rational_solutions([P("x0*x1", 3)])
     with pytest.raises(ValueError, match="not zero-dimensional"):
         projective_rational_solutions([P("0", 2)])
+
+
+def test_inhomogeneous_system_is_refused():
+    with pytest.raises(ValueError, match="not homogeneous"):
+        projective_rational_solutions([P("x1^2 - x0", 2)])
 
 
 def test_prime_field_points_by_scanning():
@@ -262,6 +268,12 @@ def _coefficients(uni, var):
     return [c.value for c in coeffs] if field.is_prime_field else coeffs
 
 
+def _flip(polys):
+    """The polynomials with their variables in reverse order."""
+    return [Polynomial(g.nvars, g.field, {m[::-1]: c for m, c in
+                                          g.terms.items()}) for g in polys]
+
+
 # The lex route the grevlex cells replaced, kept as the reference: a lex
 # basis, its univariate element in the last live variable, and the same
 # back-substitution.
@@ -338,7 +350,7 @@ def test_minimal_polynomial_is_the_lex_univariate(field):
         got = _minimal_polynomial(basis, live, last)
         assert got == _coefficients(lex, last)
         assert normal_form(lex, basis).is_zero()
-        points = solve._affine_points(gens, live, field)
+        points = solve._affine_points(basis, live, field)
         assert points == _lex_affine_points(gens, live, field)
         assert len(points) == len(planted)
         assert ({frozenset(pt.items()) for pt in points}
@@ -363,8 +375,25 @@ def test_vertices_match_the_lex_route(name, n, prime, monkeypatch):
         variety, x, y = over_prime(variety, prime, x, y)
     gens = conic_system(variety, x, y).generators
     got = projective_rational_solutions(gens)
-    monkeypatch.setattr(solve, "_affine_points", _lex_affine_points)
+    # the solver names x_j as x_{n-j} (solve module docstring); the
+    # reference solves the same cell of the generators themselves, x_0 =
+    # ... = x_{j-1} = 0 and x_j = 1, in the original variables
+    cells, routed = [], []
+
+    def lex_route(basis, live, field):
+        routed.append(basis)
+        j, rest = n - len(live), [g.terms for g in gens]
+        for i in range(j):
+            rest = _hyperplane(rest, i)
+        return [{n - i: v for i, v in sol.items()} for sol in
+                _lex_affine_points(_cell(rest, j, n + 1, field),
+                                   [n - i for i in live], field)]
+
+    monkeypatch.setattr(solve, "_affine_points", lex_route)
+    _spy(monkeypatch, "_substitute", lambda args, out: cells.append(out)
+         if args[2] == 1 and out is not None else None)
     assert got == projective_rational_solutions(gens)
+    assert routed and list(map(id, routed)) == list(map(id, cells))
 
 
 # The minimal polynomial over Q comes from residues modulo primes counted
@@ -418,6 +447,102 @@ def test_the_exact_check_refuses_agreeing_unlucky_primes(monkeypatch):
     assert _minimal_polynomial(basis, [1, 2], 2) == [0, -1, 1]
 
 
+# The list echelon and the Fraction map that packed Krylov vectors and
+# integer columns replaced, kept as the references.
+
+def _list_minimal_polynomial_mod(columns, p):
+    n = len(columns)
+    rows = []  # (pivot, row, combination)
+    power = [1] + [0] * (n - 1)
+    for k in range(n + 1):
+        vec, combo = power, [0] * k + [1]
+        for pivot, row, row_combo in rows:
+            if c := vec[pivot]:
+                vec = [(a - c * b) % p for a, b in zip(vec, row)]
+                combo[:len(row_combo)] = [
+                    (a - c * b) % p for a, b in zip(combo, row_combo)]
+        pivot = next((i for i, a in enumerate(vec) if a), None)
+        if pivot is None:
+            return combo
+        inv = pow(vec[pivot], -1, p)
+        rows.append((pivot, [a * inv % p for a in vec],
+                     [a * inv % p for a in combo]))
+        nxt = [0] * n
+        for col, c in zip(columns, power):
+            if c:
+                for i, a in col.items():
+                    nxt[i] += c * a
+        power = [a % p for a in nxt]
+    raise ArithmeticError("n + 1 Krylov vectors of length n are independent")
+
+
+def _fraction_map(reducers, step, guards, mod):
+    known = {0: {0: 1}}  # packed monomial -> its normal form
+    found, columns = [0], []
+    for s in found:  # the loop reaches the rows found on the way
+        work = {s + step: 1}
+        heap, form = list(work), {}
+        while heap:
+            m = heapq.heappop(heap)
+            c = work.pop(m) if mod is None else work.pop(m) % mod
+            if not c:
+                continue
+            if (nf := known.get(m)) is None:
+                hit = next((r for r in reducers if not (m - r[0]) & guards),
+                           None)
+                if hit is not None:  # m = u * lead: add c * u * tail
+                    u = m - hit[0]
+                    for t, a in hit[1]:
+                        if (v := work.get(t := t + u)) is None:
+                            work[t] = c * a
+                            heapq.heappush(heap, t)
+                        else:
+                            work[t] = v + c * a
+                    continue
+                nf = known[m] = {len(found): 1}  # standard: a new row
+                found.append(m)
+            for i, a in nf.items():
+                form[i] = form.get(i, 0) + c * a
+        known[s + step] = {i: v for i, a in form.items()
+                           if (v := a if mod is None else a % mod)}
+        columns.append(known[s + step])
+    return columns
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, P1])
+def test_packed_krylov_vectors_equal_the_list_echelon(p):
+    rng = random.Random(f"ccv-krylov:{p}")
+    cases = [[{0: 1}], [{}], [{j + 1: 1} for j in range(4)] + [{}],
+             [{j: 1} for j in range(5)]]  # 1x1, zero, nilpotent, identity
+    for _ in range(80):
+        n, density = rng.randint(1, 14), rng.random()
+        cases.append([{i: rng.randrange(1, p) for i in range(n)
+                       if rng.random() < density} for _ in range(n)])
+    for columns in cases:
+        assert (solve._minimal_polynomial_mod(columns, p)
+                == _list_minimal_polynomial_mod(columns, p)), columns
+
+
+def test_integer_columns_equal_the_fraction_map(monkeypatch):
+    maps = []
+    _spy(monkeypatch, "_multiplication_map", lambda args, columns: (
+        maps.append((args, columns))))
+    for case in ENUMERATE_CASES:
+        projective_rational_solutions(_search(*case))
+    for field in (QQ, GF(101)):
+        rng = random.Random(f"ccv-fglm:{field!r}")
+        for _ in range(30):
+            gens, live, _ = _grid_cell(rng, field, rng.choice((3, 4)))
+            _minimal_polynomial(groebner_basis(gens), live, live[-1])
+    assert sum(args[3] is None for args, _ in maps) > 30
+    for (reducers, step, guards, mod), columns in maps:
+        tails = [(lead, [(m, a % mod if mod else Fraction(a, lc))
+                         for m, a in tail]) for lead, lc, tail in reducers]
+        assert [{i: Fraction(a, den) if mod is None else a
+                 for i, a in col.items()} for den, col in columns] == (
+            _fraction_map(tails, step, guards, mod))
+
+
 # full conics on the rungs of the enumerate benchmark and on the systems of
 # test_vertices_match_the_lex_route
 ENUMERATE_CASES = [("ci_2_2_p6", 6, None), ("ci_3_p5", 5, None),
@@ -459,6 +584,78 @@ def test_cells_take_no_normal_form_and_restrict_only_at_roots(monkeypatch):
     # any other value than 0 and 1 comes only at a root
     assert all(id(value) in owner for _, value in calls
                if value != 0 and value != 1)
+
+
+def _search(name, n, prime):
+    """The conic system of a shipped spec between e_0 and e_n, over F_prime
+    when prime is not None."""
+    variety = load_variety(VARIETIES / f"{name}.json")
+    x, y = qpt(1, *[0] * n), qpt(*[0] * n, 1)
+    if prime is not None:
+        variety, x, y = over_prime(variety, prime, x, y)
+    return conic_system(variety, x, y).generators
+
+
+def test_a_search_takes_one_basis_before_any_root(monkeypatch):
+    real = solve._affine_points
+    events, roots, stack = [], [], []
+
+    def affine_points(basis, live, field):
+        stack.append(live)
+        try:
+            return real(basis, live, field)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(solve, "_affine_points", affine_points)
+    _spy(monkeypatch, "groebner_basis", lambda *_: events.append("basis"))
+    _spy(monkeypatch, "_univariate_roots", lambda _, found: roots.extend(found))
+    # a root substitution leaves live variables when its system has more
+    # than the root's variable; None means a nonzero constant was left
+    _spy(monkeypatch, "_substitute", lambda args, out: events.append(
+        "live root" if out is not None and len(stack[-1]) > 1 else "root")
+        if any(args[2] is r for r in roots) else None)
+    searches = 0
+    for case in ENUMERATE_CASES:
+        events.clear()
+        projective_rational_solutions(_search(*case))
+        assert events[0] == "basis", case
+        assert events.count("basis") == 1 + events.count("live root"), case
+        assert all(before == "live root" for before, e in zip(events, events[1:])
+                   if e == "basis"), case  # each later basis is at a root
+        searches += "live root" in events
+    assert searches  # some search substitutes a root and solves again
+
+
+def _leading_ideal(polys, nvars):
+    """The minimal leading monomials of polynomials; (1) for None, which
+    stands for a list holding a nonzero constant."""
+    leads = ({(0,) * nvars} if polys is None
+             else {g.leading_monomial() for g in polys})
+    return {m for m in leads if not any(
+        o != m and all(a <= b for a, b in zip(o, m)) for o in leads)}
+
+
+@pytest.mark.parametrize("name, n", [("ci_2_2_p6", 6), ("ci_3_p5", 5),
+                                     ("ci_2_2_2_p9", 9)])
+@pytest.mark.parametrize("prime", [None, 32003], ids=["QQ", "F32003"])
+def test_substitution_keeps_the_basis_of_each_cell(name, n, prime):
+    # with x_j named x_{n-j}, the smallest variable, setting it to 1 in the
+    # homogeneous basis gives a basis of the cell, and setting it to 0 one
+    # of the hyperplane: the leading ideal of a fresh basis, each time
+    gens = _flip(_search(name, n, prime))
+    field, nvars = gens[0].field, n + 1
+    basis, rest = groebner_basis(gens), [g.terms for g in gens]
+    for j in range(3):
+        cell = _cell(rest, n - j, nvars, field)
+        fresh = [field.one] if cell is None else groebner_basis(cell)
+        assert (_leading_ideal(_substitute(basis, n - j, field.one), nvars)
+                == _leading_ideal(fresh, nvars)), j
+        rest = _hyperplane(rest, n - j)
+        basis = _substitute(basis, n - j, field.zero)
+        assert (_leading_ideal(basis, nvars) == _leading_ideal(
+            groebner_basis([Polynomial(nvars, field, t) for t in rest]),
+            nvars)), j
 
 
 # The staircase walk and the pure-power test the Hilbert series replaced,
