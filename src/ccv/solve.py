@@ -212,8 +212,8 @@ def _multiplication_map(reducers, step, guards, mod) -> list:
                     None)) is None:
                 nf = known[m] = 1, {len(found): 1}  # standard: a new row
                 found.append(m)
-            d, terms = nf or hit[1:]
-            if d != 1:  # c/d times ``terms``: scale the column by d/(c, d)
+            d, terms = nf or hit[1:]  # add c/d times a form or a tail
+            if d != 1:  # over Q: scale the column by d / gcd(c, d)
                 q = d // gcd(c, d)
                 c, den = c * q // d, den * q
                 work = {t: a * q for t, a in work.items()}

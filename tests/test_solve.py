@@ -609,7 +609,8 @@ def test_a_search_takes_one_basis_before_any_root(monkeypatch):
 
     monkeypatch.setattr(solve, "_affine_points", affine_points)
     _spy(monkeypatch, "groebner_basis", lambda *_: events.append("basis"))
-    _spy(monkeypatch, "_univariate_roots", lambda _, found: roots.extend(found))
+    _spy(monkeypatch, "_univariate_roots",
+         lambda _, found: roots.extend(found))
     # a root substitution leaves live variables when its system has more
     # than the root's variable; None means a nonzero constant was left
     _spy(monkeypatch, "_substitute", lambda args, out: events.append(
@@ -621,8 +622,9 @@ def test_a_search_takes_one_basis_before_any_root(monkeypatch):
         projective_rational_solutions(_search(*case))
         assert events[0] == "basis", case
         assert events.count("basis") == 1 + events.count("live root"), case
-        assert all(before == "live root" for before, e in zip(events, events[1:])
-                   if e == "basis"), case  # each later basis is at a root
+        # each later basis comes right after its root substitution
+        assert all(before == "live root" for before, e in zip(
+            events, events[1:]) if e == "basis"), case
         searches += "live root" in events
     assert searches  # some search substitutes a root and solves again
 

@@ -205,7 +205,7 @@ def test_three_routes_list_the_same_vertices(p):
 
 def test_rational_vertices_reduce_into_the_scans():
     checked = Counter()
-    for k in range(SWEEP or 20):
+    for k in range(SWEEP or 40):
         variety, x, y = _case(f"ccv-three-routes:Q:{k}", QQ, 3)
         symbolic = find_singular_conics(variety, x, y)
         if symbolic.status != "finite":
