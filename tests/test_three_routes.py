@@ -1,20 +1,23 @@
 """Three routes to the singular-conic vertices agree on random small specs.
 
-The symbolic enumeration (Groebner bases and exact roots), the ``conics
---prime`` scan of the kernel of the degree-1 conditions and the oracle's
-cones of lines share nothing past the equations, so on a random spec over
-F_5, F_7 or F_11 they must list the same vertices.  The symbolic route
-lists them only when the system is finite, and says "empty" only when the
-scans find nothing.  Over Q every rational vertex must reduce into the
-scan's list modulo each prime where the spec and the points reduce.
+The symbolic enumeration (Groebner bases and exact roots) and the
+``conics --prime`` scan of the kernel of the degree-1 conditions solve the
+same conic system by different means, and the oracle's cones of lines
+test lines on X directly, sharing nothing with them past the equations.
+So on a random spec over F_5, F_7 or F_11 they must list the same
+vertices.  The symbolic route lists them only when the system is finite,
+and says "empty" only when the scans find nothing.  Over Q every rational
+vertex must reduce into the scan's list modulo each prime where the spec
+and the points reduce.  The cone of lines at x, found by a scan of all of
+P^N(F_p) for the zeros of the pencil conditions, must equal the oracle's
+line locus.
 
 The generator favours systems with N conditions (2 * sum(d) - m = N),
 next those with more, since most others are infinite and never reach the
-solver, and
-mixes in degenerate points: x and y on a common line of X, x singular on
-an equation (so its degree-1 conditions have rank below 2), and planted
-vertices.  CCV_THREE_ROUTE_CASES=n runs n cases per test instead of the
-fixed sample, starting from the same seeds.
+solver.  It mixes in degenerate points: x and y on a common line of X, x
+singular on an equation (so its degree-1 conditions have rank below 2),
+and planted vertices.  CCV_THREE_ROUTE_CASES=n runs n cases per test
+instead of the fixed sample, starting from the same seeds.
 """
 
 import os
@@ -26,9 +29,10 @@ from math import gcd, lcm
 
 import pytest
 
-from ccv import (GF, QQ, Polynomial, ProjectivePoint, brute_singular_conics,
-                 build_variety, find_singular_conics)
-from ccv.ffutil import canonical
+from ccv import (GF, QQ, Polynomial, ProjectivePoint, brute_line_locus,
+                 brute_singular_conics, build_variety, find_singular_conics,
+                 pencil_conditions)
+from ccv.ffutil import canonical, compile_mod_evaluator, enumerate_points
 
 SWEEP = int(os.environ.get("CCV_THREE_ROUTE_CASES") or 0)
 MODES = ("points",) * 3 + ("vertex",) * 2 + ("line", "singular")
@@ -193,6 +197,13 @@ def test_three_routes_list_the_same_vertices(p):
         scanned = _vertices(find_singular_conics(variety, x, y,
                                                  prime=p).solutions)
         assert scanned == _vertices(brute_singular_conics(variety, x, y)), k
+        # the cone of lines at x: the pencil conditions' zeros in all of
+        # P^N(F_p) are the points whose line to x lies on X
+        evaluators = [compile_mod_evaluator(f, p)
+                      for f in pencil_conditions(variety, x)]
+        assert tuple(q for q in enumerate_points(variety.ambient_dim, p)
+                     if not any(ev(q) for ev in evaluators)) == (
+            brute_line_locus(variety, x)), k
         if symbolic.status == "finite":
             assert _vertices(symbolic.solutions) == scanned, k
             listed += bool(scanned)
