@@ -260,7 +260,8 @@ class PrimeField:
 
 @lru_cache(maxsize=None)
 def GF(p: int) -> PrimeField:
-    """The prime field with p elements (primality checked by trial division)."""
+    """The prime field with p < 2^31 elements (primality checked by
+    :func:`is_prime`, whose Miller-Rabin test is exact at that size)."""
     return PrimeField(p)
 
 

@@ -1,21 +1,21 @@
 """Groebner bases, ideal membership, and projective dimension/degree.
 
-The Buchberger engine keeps integer coefficients internally: content-free
-with positive leading coefficient over the rationals (no Fraction churn),
-monic residues modulo p.  Pair selection is normal strategy (smallest lcm
-first, by degree first except in lex over Q, ties by pair index) with the
-coprime-lm and chain criteria.  Public results are monic polynomials sorted
-by ascending leading monomial.
+The Buchberger engine computes grevlex bases only, and keeps integer
+coefficients internally: content-free with positive leading coefficient
+over the rationals (no Fraction churn), monic residues modulo p.  Pair
+selection is normal strategy (smallest lcm first, ties by pair index) with
+the coprime-lm and chain criteria.  Public results are monic polynomials
+sorted by ascending leading monomial.
 
 Inside :func:`groebner_basis` a monomial is one Python int with a
-fixed-width field per exponent, whose top bit is a guard.  Grevlex lays out
-x_N ... x_0 from the top field down and subtracts the total degree above
-them, so a smaller int is a larger monomial; lex lays out x_0 ... x_N, so a
-larger int is larger.  A product is ``+``, a quotient ``-``, and b divides a
-exactly when ``(a - b) & guards`` is 0 (a field that borrows sets its guard
-bit).  Basis exponents and reduction multipliers must stay below 2^_HALF,
-half the field, which keeps every sum below the guard bits; anything larger
-raises :class:`ExponentOverflow` rather than risk a wrong basis.
+fixed-width field per exponent, whose top bit is a guard.  The fields hold
+x_N ... x_0 from the top down, and the total degree is subtracted above
+them, so a smaller int is a larger monomial.  A product is ``+``, a
+quotient ``-``, and b divides a exactly when ``(a - b) & guards`` is 0 (a
+field that borrows sets its guard bit).  Basis exponents and reduction
+multipliers must stay below 2^_HALF, half the field, which keeps every sum
+below the guard bits; anything larger raises :class:`ExponentOverflow`
+rather than risk a wrong basis.
 
 Over the rationals division pops monomials off a heap (Monagan and Pearce,
 "Sparse polynomial division using a heap", J. Symbolic Comput. 46, 2011):
@@ -32,17 +32,22 @@ eliminated together in column order: a column is one int with a slot per
 row, so a step on every row is one multiply-add, and a residue is reduced
 mod p only when read.  A nonzero result becomes a monic basis element and a
 pivot for the rows after it.  At the end every reducer column holds 0 in
-every row, so the results are read off the other columns.  The same kernel
-echelons the generators and inter-reduces the final basis, one leading
-degree at a time.
+every row, so the results are read off the other columns.
+
+The same reduction, one matrix mod p and one division after another over
+Q, echelons the generators and inter-reduces the final basis, one leading
+degree at a time, by the elements of lower degree and each element by the
+ones before it.  That is enough because grevlex is degree-compatible: a
+leading monomial that divides a tail term has a lower degree, or has the
+same and is smaller, so it leads an earlier element (they ascend).
 
 :func:`normal_form`, :func:`s_polynomial`, and :func:`verify_groebner` are a
 separate textbook implementation over tuple monomials and field scalars, so
 a basis produced by the packed engine can be checked by code that shares
 none of its internals.
 
-Homogeneous input in grevlex skips every S-pair that the Hilbert function
-proves reduces to zero (Traverso, "Hilbert functions and the Buchberger
+Homogeneous input skips every S-pair that the Hilbert function proves
+reduces to zero (Traverso, "Hilbert functions and the Buchberger
 algorithm", J. Symbolic Comput. 22, 1996).  When the r nonzero generators
 are forms with r <= nvars, dim I_d <= ci_d, the degree-d dimension of a
 complete intersection of the generators' degrees d_i, whose series is
@@ -61,16 +66,16 @@ the reduced basis, which is unique, does not change.
 
 Dimension and degree of a homogeneous ideal both come from the Hilbert
 series N(t)/(1-t)^nvars of its leading-term ideal, N a sparse
-{degree: coefficient} map.  While the skip runs, the loop keeps N for the
-minimal leading exponents J found so far and updates it with each new
-leading monomial m as N(J + m) = N(J) - t^|m| N(J : m), where J : m is
-generated by the g / gcd(g, m) (Bigatti, "Computation of Hilbert-Poincare
-series", J. Pure Appl. Algebra 119, 1997); J then drops the exponents
-that m divides and takes m.  The room left in a degree is read off that N,
-and so are the dimension and degree once the loop ends.  Any other N, that
-of a colon among them, comes from a pivot recursion on the monomial ideal
-that splits on the smallest positive power of a shared variable, so
-exponents near the field limit cost no more than small ones.  N vanishes
+{degree: coefficient} map.  The loop keeps N for the minimal leading
+exponents J found so far and updates it with each new leading monomial m
+as N(J + m) = N(J) - t^|m| N(J : m), where J : m is generated by the
+g / gcd(g, m) (Bigatti, "Computation of Hilbert-Poincare series", J. Pure
+Appl. Algebra 119, 1997); J then drops the exponents that m divides and
+takes m.  The room left in a degree is read off that N, and so are the
+dimension and degree once the loop ends.  Any other N, that of a colon
+among them, comes from a pivot recursion on the monomial ideal that splits
+on the smallest positive power of a shared variable, so exponents near the
+field limit cost no more than small ones.  N vanishes
 at t = 1 to the codimension m, the first order with a nonzero N^(m)(1) /
 m! = sum_k c_k C(k, m), and (-1)^m times that sum is the degree (Bayer and
 Stillman, "Computation of Hilbert functions", J. Symbolic Comput. 14,
@@ -106,7 +111,7 @@ from operator import le, lshift, or_, sub
 
 from .fields import GF, QQ, FieldMismatchError
 from .ffutil import OracleRefusal
-from .poly import Polynomial, grevlex_key, lex_key
+from .poly import Polynomial, grevlex_key
 
 __all__ = [
     "groebner_basis",
@@ -140,16 +145,12 @@ def _divides(a, b) -> bool:
 # packed-integer engine -----------------------------------------------------
 
 class _Packing:
-    """Layout of exponent tuples as ints for grevlex or lex (see the module
-    docstring).  ``down`` is 1 when a smaller int is a larger monomial and
-    -1 otherwise, so ``down * m`` is a min-heap priority, largest first."""
+    """Layout of grevlex exponent tuples as ints, in which a smaller int is
+    a larger monomial (see the module docstring)."""
 
-    def __init__(self, nvars: int, graded: bool):
-        self.graded = graded
-        self.down = 1 if graded else -1
+    def __init__(self, nvars: int):
         self.top = _WIDTH * nvars
-        self.offsets = tuple(_WIDTH * (i if graded else nvars - 1 - i)
-                             for i in range(nvars))
+        self.offsets = tuple(range(0, self.top, _WIDTH))
         ones = sum(1 << o for o in self.offsets)
         self.guards = ones << (_WIDTH - 1)
         self.overflow = ones * ((1 << _WIDTH) - (1 << _HALF))
@@ -158,8 +159,7 @@ class _Packing:
     def pack(self, mono) -> int:
         if mono and max(mono) >> _HALF:
             _overflow("a generator")
-        m = sum(map(lshift, mono, self.offsets))
-        return m - (sum(mono) << self.top) if self.graded else m
+        return sum(map(lshift, mono, self.offsets)) - (sum(mono) << self.top)
 
     def unpack(self, m: int) -> tuple:
         return tuple((m >> o) & self.mask for o in self.offsets)
@@ -218,14 +218,14 @@ def _reduce(f, entries, packing):
     leaving the integers: the whole partial result is rescaled whenever a
     step needs it (fraction-free division).  It runs from its leading
     monomial down and is not normalized here."""
-    down, guards = packing.down, packing.guards
+    guards = packing.guards
     work = dict(f)
-    heap = [down * m for m in work]
+    heap = list(work)
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
     rem = {}
     while heap:
-        mono = down * pop(heap)
+        mono = pop(heap)
         coeff = work.pop(mono)
         if not coeff:
             continue
@@ -251,24 +251,21 @@ def _reduce(f, entries, packing):
             c = work.get(m)
             if c is None:
                 work[m] = q * c2
-                push(heap, down * m)
+                push(heap, m)
             else:
                 work[m] = c + q * c2
     return rem
 
 
-def _echelon(rows, entries, packing, mod, own=()):
+def _echelon(rows, entries, packing, mod):
     """The term dicts reduced modulo p by the entries, and each by the rows
     before it, as one sparse matrix (F4, module docstring): the nonzero
-    results as monic entries, in row order.  A monomial in ``own`` leads
-    one of the rows, its pivot, so no reducer is sought for it."""
+    results as monic entries, in row order."""
     guards, overflow = packing.guards, packing.overflow
     found = list(set().union(*rows))  # the columns, in order of discovery
     cols = {m: k for k, m in enumerate(found)}  # monomial -> its number
     multiples = {}  # id(g) -> (g, [(m*lm(g), numbers of m*tail(g))])
     for m in found:  # symbolic preprocessing, until no column is new
-        if m in own:
-            continue
         for e in entries:
             shift = m - e[0]
             if not shift & guards:
@@ -284,7 +281,7 @@ def _echelon(rows, entries, packing, mod, own=()):
                 found.append(t)
             numbers.append(k)
         multiples.setdefault(id(e), (e, []))[1].append((m, numbers))
-    order = sorted(found, reverse=packing.down < 0)  # largest monomial first
+    order = sorted(found)  # largest monomial first
     for k, m in enumerate(order):  # found[n] and cols[m] become columns
         found[cols[m]] = k
         cols[m] = k
@@ -347,39 +344,37 @@ def _spair(ei, ej, lcm, mod):
     return s
 
 
-def _minimal_basis(polys, key=grevlex_key):
+def _reduce_rows(rows, entries, packing, mod):
+    """The term dicts reduced by the entries, and each by the rows before
+    it: the nonzero results as entries, in row order.  Modulo p they form
+    one matrix; over Q each is divided in turn and made primitive."""
+    if mod is not None:
+        return _echelon(rows, entries, packing, mod)
+    new = []
+    for f in rows:
+        if r := _normalize(_reduce(f, entries + new, packing)):
+            new.append(_entry(r, packing))
+    return new
+
+
+def _minimal_basis(polys):
     """(packing, entries, numerator): the minimal Groebner basis of nonzero
     polynomials, ascending, tails not inter-reduced (1 for the unit ideal),
-    and the Hilbert numerator of its leads if the skip kept one, else None."""
+    and the Hilbert numerator of its leading monomials."""
     if not polys:
-        return None, [], None
+        return None, [], {0: 1}
     nvars, field = _common_ring(polys)
     mod = field.p if field.is_prime_field else None
-    packing = _Packing(nvars, key is grevlex_key)
-    down, guards = packing.down, packing.guards
-    graded, offsets, top = packing.graded, packing.offsets, packing.top
+    packing = _Packing(nvars)
+    guards, offsets, top = packing.guards, packing.offsets, packing.top
     entries, exps = [], []  # exps: exponents of each leading monomial
-    # pairs (lcm degree, priority, i, j, lcm), by degree so that a matrix
-    # takes one; not for lex over Q, where that made a basis 400x slower
-    by_degree = graded or mod is not None
-    heap, pending = [], set()
-    # Hilbert-driven skip (module docstring): ``room`` is how many more
-    # degree-d leading monomials the complete-intersection bound allows,
-    # read off the numerator of the minimal leading exponents so far
-    bound = numerator = None
-    if graded and len(polys) <= nvars and all(
-            p.is_homogeneous() for p in polys):
+    heap, pending = [], set()  # pairs (lcm degree, priority, i, j, lcm)
+    # the numerator of the minimal leading exponents so far, and for the
+    # Hilbert-driven skip (module docstring) the complete-intersection
+    # bound: ``room`` is how many more degree-d leading monomials it allows
+    numerator, minimal, bound = {0: 1}, [], None
+    if len(polys) <= nvars and all(p.is_homogeneous() for p in polys):
         bound = _one_minus_powers(p.degree() for p in polys)
-        numerator, minimal = {0: 1}, []
-
-    def echelon(rows):  # the rows reduced by the entries and each other
-        if mod is not None:
-            return _echelon(rows, entries, packing, mod)
-        new = []
-        for f in rows:
-            if r := _normalize(_reduce(f, entries + new, packing)):
-                new.append(_entry(r, packing))
-        return new
 
     def add(new):
         """Append new entries and their pairs; False on the unit ideal."""
@@ -389,23 +384,22 @@ def _minimal_basis(polys, key=grevlex_key):
             k = len(entries)
             entries.append(e)
             exps.append(packing.unpack(e[0]))
-            if numerator is not None:
-                _add_lead(numerator, minimal, exps[k], nvars)
+            _add_lead(numerator, minimal, exps[k], nvars)
             for t in range(k):  # _entry checked the exponents: no overflow
                 lcm = tuple(map(max, exps[t], exps[k]))
                 deg = sum(lcm)
-                packed = sum(map(lshift, lcm, offsets)) - graded * (deg << top)
-                heapq.heappush(heap, (deg if by_degree else 0,
-                                      -down * packed, t, k, packed))
+                packed = sum(map(lshift, lcm, offsets)) - (deg << top)
+                heapq.heappush(heap, (deg, -packed, t, k, packed))
                 pending.add((t, k))
         return True
 
     # one matrix per leading degree, ascending
-    gens = [(down * min(down * m for m in terms), terms)
+    gens = [(min(terms), terms)
             for terms in (packing.terms(p, mod) for p in polys)]
-    gens.sort(key=lambda g: -down * g[0])
+    gens.sort(key=lambda g: -g[0])
     for _, group in groupby(gens, key=lambda g: sum(packing.unpack(g[0]))):
-        if not add(echelon([terms for _, terms in group])):
+        if not add(_reduce_rows([terms for _, terms in group], entries,
+                                packing, mod)):
             return packing, [(0, 1, [])], {}
 
     degree = room = None
@@ -430,7 +424,7 @@ def _minimal_basis(polys, key=grevlex_key):
                 continue  # both companion pairs already handled
             rows.append(_spair(entries[i], entries[j], lcm, mod))
         if rows:
-            new = echelon(rows)
+            new = _reduce_rows(rows, entries, packing, mod)
             if not add(new):
                 return packing, [(0, 1, [])], {}
             if bound is not None:
@@ -438,42 +432,32 @@ def _minimal_basis(polys, key=grevlex_key):
 
     # minimalize: keep only minimal leading monomials, in ascending order
     kept = []
-    for e in sorted(entries, key=lambda e: -down * e[0]):
+    for e in sorted(entries, key=lambda e: -e[0]):
         if all((e[0] - k[0]) & guards for k in kept):
             kept.append(e)
     return packing, kept, numerator
 
 
-def groebner_basis(polys, key=grevlex_key):
-    """Reduced Groebner basis (monic, ascending leading monomials).
+def groebner_basis(polys):
+    """Reduced grevlex Groebner basis (monic, ascending leading monomials).
 
-    ``key`` is :func:`~ccv.poly.grevlex_key` or :func:`~ccv.poly.lex_key`;
-    any other order raises ValueError.  Refuses with
-    :class:`ExponentOverflow` if an exponent would outgrow its packed field.
+    Refuses with :class:`ExponentOverflow` if an exponent would outgrow its
+    packed field.
     """
-    if key is not grevlex_key and key is not lex_key:
-        raise ValueError("groebner_basis supports grevlex_key and lex_key")
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return []
     nvars, field = _common_ring(polys)
-    packing, entries, _ = _minimal_basis(polys, key)
+    packing, entries, _ = _minimal_basis(polys)
+    mod = field.p if field.is_prime_field else None
 
-    # inter-reduce tails: no leading monomial divides another, so reduction
-    # never changes one, and one pass leaves every tail reduced
-    if not field.is_prime_field:
-        for t in range(len(entries)):
-            lm, lc, tail = entries.pop(t)
-            entries.insert(t, _entry(_normalize(_reduce(
-                [(lm, lc), *tail], entries, packing)), packing))
-    else:  # one matrix per leading degree, written back in place
-        start = 0
-        for _, run in groupby([sum(packing.unpack(e[0])) for e in entries]):
-            stop = start + len(list(run))
-            rows = [dict([e[:2], *e[2]]) for e in entries[start:stop]]
-            entries[start:stop] = _echelon(rows, entries, packing, field.p,
-                                           {next(iter(r)) for r in rows})
-            start = stop
+    # inter-reduce the tails one leading degree at a time (module docstring)
+    start = 0
+    for _, run in groupby([sum(packing.unpack(e[0])) for e in entries]):
+        stop = start + len(list(run))
+        rows = [dict([e[:2], *e[2]]) for e in entries[start:stop]]
+        entries[start:stop] = _reduce_rows(rows, entries[:start], packing, mod)
+        start = stop
 
     basis = []
     while entries:  # free each entry as its polynomial is built
@@ -589,13 +573,8 @@ def ideal_dimension_and_degree(polys) -> IdealSummary:
 
 def _leading_dimension_and_degree(polys, nvars: int) -> tuple:
     """:func:`_dimension_and_degree` of the minimal grevlex basis of
-    nonzero polynomials: read off the numerator that the Hilbert-driven
-    skip kept, or else off the packed leading monomials alone."""
-    packing, entries, numerator = _minimal_basis(polys)
-    if numerator is not None:
-        return _pole_order(numerator, nvars)
-    return _dimension_and_degree([packing.unpack(e[0]) for e in entries],
-                                 nvars)
+    nonzero polynomials, read off the numerator that the loop kept."""
+    return _pole_order(_minimal_basis(polys)[2], nvars)
 
 
 def _primitive_mod(poly: Polynomial, field) -> Polynomial:

@@ -24,9 +24,10 @@ So no cell or hyperplane takes a basis of its own, and a cell with no
 point shows a nonzero constant at once.  A cell's basis need be neither
 reduced nor minimal, since the multiplication map below reduces as it
 goes.  Only the system left after a root substitution takes a fresh
-basis.  The Hilbert series of a cell's leading monomials refuses a cell
-of affine dimension more than the number of its fixed variables (Bayer
-and Stillman, J. Symbolic Comput. 14, 1992).
+basis.  The Hilbert series of the leading monomials of G refuses, once, a
+system whose affine dimension is more than 1 (Bayer and Stillman, J.
+Symbolic Comput. 14, 1992); every cell of a finite projective scheme, and
+every fiber of a cell over a root, is then finite.
 
 The monic generator of I and k[x], for the last live variable x, is the
 minimal polynomial of 1 under the map M of multiplication by x on k[x]/I
@@ -100,6 +101,9 @@ def projective_rational_solutions(gens) -> list:
     last = nvars - 1  # x_j is x_{last - j} in the basis (module docstring)
     basis = groebner_basis([Polynomial(nvars, field, {
         m[::-1]: c for m, c in g.terms.items()}) for g in gens])
+    if _dimension_and_degree([g.leading_monomial() for g in basis],
+                             nvars)[0] > 1:
+        raise ValueError("system is not zero-dimensional")
     points = []
     for j in range(nvars):
         if (cell := _substitute(basis, last - j, field.one)) is not None:
@@ -146,14 +150,11 @@ def _affine_points(basis, live, field):
     that this grevlex Groebner basis generates."""
     if not live:
         return [{}] if not basis else []
-    if not basis:
-        raise ValueError("system is not zero-dimensional")
     if basis[0].is_constant():
         return []  # unit ideal
     last, rest = live[-1], live[:-1]
     out = []
-    for root in _univariate_roots(_minimal_polynomial(basis, live, last),
-                                  field):
+    for root in _univariate_roots(_minimal_polynomial(basis, last), field):
         if (sub := _substitute(basis, last, root)) is None:
             continue
         for sol in _affine_points(groebner_basis(sub) if rest else sub,
@@ -163,21 +164,18 @@ def _affine_points(basis, live, field):
     return out
 
 
-def _minimal_polynomial(basis, live, var) -> list:
+def _minimal_polynomial(basis, var) -> list:
     """Coefficients, lowest first, of the monic generator of I and k[var],
-    for the ideal I of a grevlex Groebner basis in the variables ``live``
-    (not the unit ideal): ints mod p, or Fractions."""
+    for the zero-dimensional ideal I of a grevlex Groebner basis (not the
+    unit ideal): ints mod p, or Fractions."""
     nvars, field = basis[0].nvars, basis[0].field
     mod = field.p if field.is_prime_field else None
-    packing = _Packing(nvars, True)
+    packing = _Packing(nvars)
     reducers = []  # (lead, lc, tail times -1) in ints; lc is 1 mod p
     for g in basis:
         terms = packing.terms(g, mod)
         lc = terms.pop(lead := min(terms))  # the largest monomial
         reducers.append((lead, lc, [(m, -c) for m, c in terms.items()]))
-    leads = [packing.unpack(r[0]) for r in reducers]
-    if _dimension_and_degree(leads, nvars)[0] != nvars - len(live):
-        raise ValueError("system is not zero-dimensional")
     step = packing.pack(tuple(int(i == var) for i in range(nvars)))
     columns = _multiplication_map(reducers, step, packing.guards, mod)
     return (_rational_minimal_polynomial(columns) if mod is None

@@ -70,7 +70,7 @@ def reference_fraction_mod(value, p):
 
 
 def reference_primitive_mod(poly, field):
-    packing = _Packing(poly.nvars, graded=True)
+    packing = _Packing(poly.nvars)
     denom = 1
     for c in poly.terms.values():
         denom = denom * c.denominator // gcd(denom, c.denominator)

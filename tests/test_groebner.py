@@ -23,6 +23,8 @@ from ccv import (GF, QQ, IdealSummary, OracleRefusal, Polynomial,
                  s_polynomial, verify_groebner)
 from ccv.parser import MAX_EXPONENT
 
+from conftest import textbook_basis
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -58,8 +60,6 @@ def test_verify_groebner_accepts_computed_bases():
     gens = twisted_cubic()
     basis = groebner_basis(gens)
     assert verify_groebner(basis, generators=gens)
-    basis_lex = groebner_basis(gens, key=lex_key)
-    assert verify_groebner(basis_lex, key=lex_key, generators=gens)
 
 
 def test_verify_groebner_rejects_non_basis():
@@ -317,9 +317,7 @@ def test_hilbert_skip_keeps_the_basis_and_the_bound(field):
         nvars = gens[0].nvars
         basis = groebner_basis(gens)
         assert verify_groebner(basis, generators=gens), (trial, shape)
-        lex = groebner_basis(gens, key=lex_key)
-        assert all(normal_form(g, lex, lex_key).is_zero() for g in basis)
-        assert all(normal_form(g, basis).is_zero() for g in lex)
+        assert basis == textbook_basis(gens), (trial, shape)
         if shape == "extra":
             continue
         # the leading monomials of the basis, and x_i^(d_i) for the
@@ -542,24 +540,19 @@ def _random_ideal(rng, nvars, field=QQ, homogeneous=False):
 
 
 def test_randomized_corpus_properties():
-    """Twenty-plus random small ideals: basis checks from first principles."""
+    """Twenty-plus random small ideals: basis checks from first principles,
+    and the textbook basis of the same generators."""
     rng = random.Random(20260814)
-    seen = 0
-    while seen < 24:
+    for _ in range(24):
         nvars = rng.randint(2, 5)
         gens = _random_ideal(rng, nvars)
-        basis_g = groebner_basis(gens)
-        basis_l = groebner_basis(gens, key=lex_key)
-        assert verify_groebner(basis_g, generators=gens)
-        assert verify_groebner(basis_l, key=lex_key, generators=gens)
+        basis = groebner_basis(gens)
+        assert verify_groebner(basis, generators=gens)
+        assert basis == textbook_basis(gens)
         for _ in range(3):
             probe = _random_ideal(rng, nvars)[0]
-            nf_g = normal_form(probe, basis_g)
-            nf_l = normal_form(probe, basis_l, key=lex_key)
-            # membership answers agree across monomial orders
-            assert nf_g.is_zero() == nf_l.is_zero()
-            assert normal_form(nf_g, basis_g) == nf_g
-        seen += 1
+            nf = normal_form(probe, basis)
+            assert normal_form(nf, basis) == nf
 
 
 # the packed engine against the field-scalar layer
@@ -567,9 +560,9 @@ def test_randomized_corpus_properties():
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "F101"])
 def test_engine_cross_check(field, monkeypatch):
     """Seeded ideals, homogeneous or not: each basis is a reduced Groebner
-    basis by the field-scalar checks, and both orders give one ideal.  On
-    homogeneous input in grevlex, normal strategy takes the S-pairs in
-    order of non-decreasing lcm degree."""
+    basis by the field-scalar checks, and it is the textbook basis.  On
+    homogeneous input, normal strategy takes the S-pairs in order of
+    non-decreasing lcm degree."""
     lcms = []
     spair = ccv.groebner._spair
 
@@ -583,28 +576,23 @@ def test_engine_cross_check(field, monkeypatch):
         nvars = rng.randint(2, 5)
         homogeneous = trial % 2 == 0
         gens = _random_ideal(rng, nvars, field, homogeneous)
-        bases = {}
-        for key in (grevlex_key, lex_key):
-            lcms.clear()
-            basis = groebner_basis(gens, key=key)
-            if homogeneous and key is grevlex_key:
-                packing = ccv.groebner._Packing(nvars, graded=True)
-                degrees = [sum(packing.unpack(m)) for m in lcms]
-                assert degrees == sorted(degrees), trial
-            assert verify_groebner(basis, key, generators=gens), (trial, key)
-            leads = [g.leading_monomial(key) for g in basis]
-            ranks = [key(m) for m in leads]
-            assert ranks == sorted(ranks)
-            assert all(g.leading_coefficient(key) == field.one for g in basis)
-            for g in basis:
-                for lm in leads:
-                    if lm != g.leading_monomial(key):
-                        assert not any(all(a <= b for a, b in zip(lm, m))
-                                       for m in g.terms), (trial, key)
-            bases[key] = basis
-        for key, other in ((grevlex_key, lex_key), (lex_key, grevlex_key)):
-            assert all(normal_form(g, bases[other], other).is_zero()
-                       for g in bases[key]), trial
+        lcms.clear()
+        basis = groebner_basis(gens)
+        if homogeneous:
+            packing = ccv.groebner._Packing(nvars)
+            degrees = [sum(packing.unpack(m)) for m in lcms]
+            assert degrees == sorted(degrees), trial
+        assert verify_groebner(basis, generators=gens), trial
+        leads = [g.leading_monomial() for g in basis]
+        ranks = [grevlex_key(m) for m in leads]
+        assert ranks == sorted(ranks)
+        assert all(g.leading_coefficient() == field.one for g in basis)
+        for g in basis:
+            for lm in leads:
+                if lm != g.leading_monomial():
+                    assert not any(all(a <= b for a, b in zip(lm, m))
+                                   for m in g.terms), trial
+        assert basis == textbook_basis(gens), trial
 
 
 # the heap reducer that the matrix kernel replaced over F_p, kept as the
@@ -612,13 +600,13 @@ def test_engine_cross_check(field, monkeypatch):
 # reductions and so cannot change a reduced basis)
 
 def _heap_reduce(f, entries, packing, mod):
-    down, guards = packing.down, packing.guards
+    guards = packing.guards
     work = dict(f)
-    heap = [down * m for m in work]
+    heap = list(work)
     heapq.heapify(heap)
     rem = {}
     while heap:
-        mono = down * heapq.heappop(heap)
+        mono = heapq.heappop(heap)
         coeff = work.pop(mono) % mod
         if not coeff:
             continue
@@ -635,7 +623,7 @@ def _heap_reduce(f, entries, packing, mod):
             c = work.get(m)
             if c is None:
                 work[m] = q * c2
-                heapq.heappush(heap, down * m)
+                heapq.heappush(heap, m)
             else:
                 work[m] = c + q * c2
     if rem:
@@ -644,13 +632,13 @@ def _heap_reduce(f, entries, packing, mod):
     return rem
 
 
-def _heap_basis(polys, key):
+def _heap_basis(polys):
     """Reduced basis over F_p by the heap reducer, one S-pair at a time."""
     polys = [p for p in polys if not p.is_zero()]
     nvars, field, mod = polys[0].nvars, polys[0].field, polys[0].field.p
     one = [Polynomial.constant(1, nvars, field)]
-    packing = ccv.groebner._Packing(nvars, key is grevlex_key)
-    down, guards = packing.down, packing.guards
+    packing = ccv.groebner._Packing(nvars)
+    guards = packing.guards
 
     def entry(r):
         items = iter(r.items())
@@ -658,7 +646,7 @@ def _heap_basis(polys, key):
         return lm, lc, list(items)
 
     entries, exps = [], []
-    for p in sorted(polys, key=lambda q: key(q.leading_monomial(key))):
+    for p in sorted(polys, key=lambda q: grevlex_key(q.leading_monomial())):
         r = _heap_reduce(packing.terms(p, mod), entries, packing, mod)
         if r:
             if list(r) == [0]:
@@ -670,7 +658,7 @@ def _heap_basis(polys, key):
     def push_pairs(k):
         for t in range(k):
             lcm = packing.pack(tuple(map(max, exps[t], exps[k])))
-            heapq.heappush(heap, (-down * lcm, t, k, lcm))
+            heapq.heappush(heap, (-lcm, t, k, lcm))
             pending.add((t, k))
 
     for k in range(len(entries)):
@@ -697,7 +685,7 @@ def _heap_basis(polys, key):
             exps.append(packing.unpack(entries[-1][0]))
             push_pairs(len(entries) - 1)
     kept = []
-    for e in sorted(entries, key=lambda e: -down * e[0]):
+    for e in sorted(entries, key=lambda e: -e[0]):
         if all((e[0] - k[0]) & guards for k in kept):
             kept.append(e)
     basis = []
@@ -712,22 +700,20 @@ def _heap_basis(polys, key):
 
 @pytest.mark.parametrize("p", [2, 101, 32003, 2147483647])
 def test_matrix_kernel_matches_the_heap_reducer(p):
-    """Seeded ideals over F_p, homogeneous or not, in both orders, and the
-    unit ideal: the matrix kernel returns the heap reducer's basis, term
-    for term and in the same order."""
+    """Seeded ideals over F_p, homogeneous or not, and the unit ideal: the
+    matrix kernel returns the heap reducer's basis, term for term and in
+    the same order."""
     field = GF(p)
     rng = random.Random(f"kernel:{p}")
     cases = [[P("x0*x1 - 1", 2, field), P("x0^2", 2, field)]]
     cases += [_random_ideal(rng, rng.randint(2, 5), field, trial % 2 == 0)
               for trial in range(40)]
     for trial, gens in enumerate(cases):
-        for key in (grevlex_key, lex_key):
-            basis = groebner_basis(gens, key=key)
-            expected = _heap_basis(gens, key)
-            assert [list(g.terms.items()) for g in basis] == [
-                list(g.terms.items()) for g in expected], (trial, key)
-            if trial == 0:
-                assert basis == [Polynomial.constant(1, 2, field)]
+        basis = groebner_basis(gens)
+        assert [list(g.terms.items()) for g in basis] == [
+            list(g.terms.items()) for g in _heap_basis(gens)], trial
+        if trial == 0:
+            assert basis == [Polynomial.constant(1, 2, field)]
 
 
 def test_generator_at_the_exponent_limit_is_its_own_basis():
@@ -735,8 +721,7 @@ def test_generator_at_the_exponent_limit_is_its_own_basis():
         f = Polynomial.from_terms(
             {(MAX_EXPONENT, 0, 0): field(1),
              (0, 1, MAX_EXPONENT - 1): field(-2)}, 3, field)
-        for key in (grevlex_key, lex_key):
-            assert groebner_basis([f], key=key) == [f]
+        assert groebner_basis([f]) == [f]
 
 
 def test_exponents_past_the_packed_fields_are_refused():
@@ -744,16 +729,20 @@ def test_exponents_past_the_packed_fields_are_refused():
     f = Polynomial.from_terms({(limit, 0): 1, (0, 1): 1}, 2)
     with pytest.raises(OracleRefusal, match="a generator"):
         groebner_basis([f])
-    # x0 - x2^(D^2) is the basis; substituting x1 = x2^D grows the
-    # multiplier past the field before it gets there
-    gens = [P(f"x0 - x1^{MAX_EXPONENT}", 3), P(f"x1 - x2^{MAX_EXPONENT}", 3)]
-    with pytest.raises(OracleRefusal, match="multiplier"):
-        groebner_basis(gens, key=lex_key)
+    # x0^(limit + 1) by the lead x0 needs the multiplier x0^limit, in both
+    # reductions (a sum of packed monomials is their product)
+    packing = ccv.groebner._Packing(2)
+    x0 = packing.pack((1, 0))
+    row = {2 * packing.pack((limit // 2, 0)) + x0: 1}
+    entry = (x0, 1, [(packing.pack((0, 1)), -1)])  # x0 - x1
+    for mod in (None, 101):
+        with pytest.raises(OracleRefusal, match="multiplier"):
+            ccv.groebner._reduce_rows([row], [entry], packing, mod)
 
 
-def test_other_orders_are_rejected():
-    with pytest.raises(ValueError):
-        groebner_basis(twisted_cubic(), key=lambda m: m)
+def test_groebner_basis_takes_no_order():
+    with pytest.raises(TypeError):
+        groebner_basis(twisted_cubic(), key=lex_key)
 
 
 # the certificate over Q from one basis mod 32003

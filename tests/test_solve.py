@@ -10,16 +10,17 @@ from math import gcd
 import pytest
 
 from ccv import (GF, QQ, Polynomial, conic_system, find_singular_conics,
-                 groebner_basis, lex_key, load_variety, normal_form,
+                 groebner_basis, load_variety, normal_form,
                  over_prime, parse_polynomial, projective_rational_solutions,
                  rational_roots)
 from ccv import solve
 from ccv.groebner import _dimension_and_degree
+from ccv.linalg import kernel_basis
 from ccv.solve import (_eval_mod, _minimal_polynomial,
                        _remainder_squarefree_part, _roots_mod,
                        _squarefree_part, _substitute, _univariate_roots)
 
-from conftest import VARIETIES, qpt
+from conftest import VARIETIES, qpt, textbook_basis
 
 
 def P(text, nvars, field=QQ):
@@ -258,49 +259,50 @@ def test_substitute_equals_the_three_references(field):
     assert nones and kept
 
 
-def _coefficients(uni, var):
-    """Coefficients, lowest first, of a polynomial in x_var alone, as the
-    solver's minimal polynomial gives them: ints mod p, or Fractions."""
-    field = uni.field
-    coeffs = [field.zero] * (uni.degree() + 1)
-    for m, c in uni.terms.items():
-        coeffs[m[var]] = c
-    return [c.value for c in coeffs] if field.is_prime_field else coeffs
-
-
 def _flip(polys):
     """The polynomials with their variables in reverse order."""
     return [Polynomial(g.nvars, g.field, {m[::-1]: c for m, c in
                                           g.terms.items()}) for g in polys]
 
 
-# The lex route the grevlex cells replaced, kept as the reference: a lex
-# basis, its univariate element in the last live variable, and the same
-# back-substitution.
+# The reference for the solver's minimal polynomials and points, sharing no
+# code with the packed engine, the multiplication map or the Krylov and CRT
+# steps: a textbook basis, the eliminant from its normal forms, and
+# back-substitution of each root.
 
-def _lex_affine_points(gens, live, field):
+def _eliminant(basis, var):
+    """Coefficients, lowest first, of the monic generator of I and k[x_var]
+    for the zero-dimensional ideal I of a Groebner basis (not the unit
+    ideal), as the solver gives them: ints mod p, or Fractions.  It is the
+    first linear dependency among the normal forms of 1, x, x^2, ...
+    (FGLM), found as a kernel vector, which is 1 at the newest power."""
+    field = basis[0].field
+    x = Polynomial.variable(var, basis[0].nvars, field)
+    forms = [normal_form(Polynomial.constant(1, x.nvars, field), basis)]
+    while True:
+        monos = sorted(set().union(*(f.terms for f in forms)))
+        kernel = kernel_basis([[f.terms.get(m, field.zero) for f in forms]
+                               for m in monos], field.one, field.zero)
+        if kernel:
+            return ([c.value for c in kernel[0]] if field.is_prime_field
+                    else kernel[0])
+        forms.append(normal_form(forms[-1] * x, basis))
+
+
+def _eliminant_affine_points(gens, live, field):
     if not live:
         return [{}] if not gens else []
-    if not gens:
-        raise ValueError("system is not zero-dimensional")
-    basis = groebner_basis(gens, key=lex_key)
-    if basis and basis[0].is_constant():
+    basis = textbook_basis(gens)
+    if basis[0].is_constant():
         return []
-    last = live[-1]
-    uni = next((g for g in basis if g.support() <= {last}), None)
-    if uni is None:
-        raise ValueError("system is not zero-dimensional")
+    last, rest = live[-1], live[:-1]
     out = []
-    rest = live[:-1]
-    for root in _univariate_roots(_coefficients(uni, last), field):
+    for root in _univariate_roots(_eliminant(basis, last), field):
         sub = [_specialize(g, {last: root}) for g in basis]
         sub = [g for g in sub if not g.is_zero()]
         if any(g.is_constant() for g in sub):
             continue
-        if not rest:
-            out.append({last: root})
-            continue
-        for sol in _lex_affine_points(sub, rest, field):
+        for sol in _eliminant_affine_points(sub, rest, field):
             sol[last] = root
             out.append(sol)
     return out
@@ -339,36 +341,26 @@ def _grid_cell(rng, field, nvars):
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "F101"])
-def test_minimal_polynomial_is_the_lex_univariate(field):
+def test_minimal_polynomial_is_the_normal_form_eliminant(field):
     rng = random.Random(f"ccv-fglm:{field!r}")
     for _ in range(30):
         gens, live, planted = _grid_cell(rng, field, rng.choice((3, 4)))
         basis = groebner_basis(gens)
         last = live[-1]
-        lex = next(g for g in groebner_basis(gens, key=lex_key)
-                   if g.support() <= {last})
-        got = _minimal_polynomial(basis, live, last)
-        assert got == _coefficients(lex, last)
-        assert normal_form(lex, basis).is_zero()
+        assert (_minimal_polynomial(basis, last)
+                == _eliminant(textbook_basis(gens), last))
         points = solve._affine_points(basis, live, field)
-        assert points == _lex_affine_points(gens, live, field)
+        assert points == _eliminant_affine_points(gens, live, field)
         assert len(points) == len(planted)
         assert ({frozenset(pt.items()) for pt in points}
                 == {frozenset(pt.items()) for pt in planted})
-
-
-def test_minimal_polynomial_refuses_a_free_variable():
-    # x1*x2 - 1 and x3 in the cell: x1 has no pure power among the leads
-    gens = [P("x1*x2 - 1", 4), P("x3", 4)]
-    with pytest.raises(ValueError, match="not zero-dimensional"):
-        _minimal_polynomial(groebner_basis(gens), [1, 2, 3], 3)
 
 
 @pytest.mark.parametrize("name, n, prime", [
     ("quadric_p3", 3, None), ("two_quadrics_p6", 6, None),
     ("ci_2_2_p6", 6, None), ("ci_3_p5", 5, None),
     ("two_quadrics_p6", 6, 101), ("ci_3_p5", 5, 101)])
-def test_vertices_match_the_lex_route(name, n, prime, monkeypatch):
+def test_vertices_match_the_eliminant_route(name, n, prime, monkeypatch):
     variety = load_variety(VARIETIES / f"{name}.json")
     x, y = qpt(1, *[0] * n), qpt(*[0] * n, 1)
     if prime is not None:
@@ -380,16 +372,16 @@ def test_vertices_match_the_lex_route(name, n, prime, monkeypatch):
     # ... = x_{j-1} = 0 and x_j = 1, in the original variables
     cells, routed = [], []
 
-    def lex_route(basis, live, field):
+    def eliminant_route(basis, live, field):
         routed.append(basis)
         j, rest = n - len(live), [g.terms for g in gens]
         for i in range(j):
             rest = _hyperplane(rest, i)
         return [{n - i: v for i, v in sol.items()} for sol in
-                _lex_affine_points(_cell(rest, j, n + 1, field),
-                                   [n - i for i in live], field)]
+                _eliminant_affine_points(_cell(rest, j, n + 1, field),
+                                         [n - i for i in live], field)]
 
-    monkeypatch.setattr(solve, "_affine_points", lex_route)
+    monkeypatch.setattr(solve, "_affine_points", eliminant_route)
     _spy(monkeypatch, "_substitute", lambda args, out: cells.append(out)
          if args[2] == 1 and out is not None else None)
     assert got == projective_rational_solutions(gens)
@@ -436,15 +428,14 @@ def test_the_exact_check_refuses_agreeing_unlucky_primes(monkeypatch):
     gens = [P(f"x2^2 - x2 - {n}*x1", 3), P("x1*x2 - 2*x1", 3),
             P(f"{n}*x1^2 - 2*x1", 3)]
     basis = groebner_basis(gens)
-    lex = next(g for g in groebner_basis(gens, key=lex_key)
-               if g.support() <= {2})
-    assert lex == P("x2^3 - 3*x2^2 + 2*x2", 3)
+    eliminant = _eliminant(textbook_basis(gens), 2)
+    assert eliminant == [0, 2, -3, 1]  # x2^3 - 3*x2^2 + 2*x2
     checks = []
     _spy(monkeypatch, "_annihilates", lambda _, ok: checks.append(ok))
-    assert _minimal_polynomial(basis, [1, 2], 2) == _coefficients(lex, 2)
+    assert _minimal_polynomial(basis, 2) == eliminant
     assert checks == [False, True]
     monkeypatch.setattr(solve, "_annihilates", lambda *args: True)
-    assert _minimal_polynomial(basis, [1, 2], 2) == [0, -1, 1]
+    assert _minimal_polynomial(basis, 2) == [0, -1, 1]
 
 
 # The list echelon and the Fraction map that packed Krylov vectors and
@@ -533,7 +524,7 @@ def test_integer_columns_equal_the_fraction_map(monkeypatch):
         rng = random.Random(f"ccv-fglm:{field!r}")
         for _ in range(30):
             gens, live, _ = _grid_cell(rng, field, rng.choice((3, 4)))
-            _minimal_polynomial(groebner_basis(gens), live, live[-1])
+            _minimal_polynomial(groebner_basis(gens), live[-1])
     assert sum(args[3] is None for args, _ in maps) > 30
     for (reducers, step, guards, mod), columns in maps:
         tails = [(lead, [(m, a % mod if mod else Fraction(a, lc))
@@ -544,7 +535,7 @@ def test_integer_columns_equal_the_fraction_map(monkeypatch):
 
 
 # full conics on the rungs of the enumerate benchmark and on the systems of
-# test_vertices_match_the_lex_route
+# test_vertices_match_the_eliminant_route
 ENUMERATE_CASES = [("ci_2_2_p6", 6, None), ("ci_3_p5", 5, None),
                    ("ci_2_2_2_p9", 9, None), ("ci_2_2_p6", 6, 32003),
                    ("ci_3_p5", 5, 32003), ("quadric_p3", 3, None),
@@ -709,14 +700,15 @@ def test_hilbert_degree_is_the_staircase_of_the_grid_cells(field):
 
 def test_hilbert_degree_is_the_staircase_of_the_conic_cells(monkeypatch):
     cells = []
-    minimal_polynomial = solve._minimal_polynomial
+    affine_points = solve._affine_points
 
-    def spy(basis, live, var):
-        cells.append((basis, live))
-        return minimal_polynomial(basis, live, var)
+    def spy(basis, live, field):
+        if live and not basis[0].is_constant():  # a minimal polynomial
+            cells.append((basis, live))
+        return affine_points(basis, live, field)
 
-    monkeypatch.setattr(solve, "_minimal_polynomial", spy)
-    # the systems of test_vertices_match_the_lex_route
+    monkeypatch.setattr(solve, "_affine_points", spy)
+    # the systems of test_vertices_match_the_eliminant_route
     for name, n, prime in [("quadric_p3", 3, None),
                            ("two_quadrics_p6", 6, None),
                            ("ci_2_2_p6", 6, None), ("ci_3_p5", 5, None),
