@@ -555,6 +555,32 @@ def test_randomized_corpus_properties():
             assert normal_form(nf, basis) == nf
 
 
+def test_kept_numerator_is_that_of_the_minimal_leads():
+    """Seeded ideals over Q and F_101, homogeneous or not, many with more
+    generators than variables (no complete-intersection bound): the
+    numerator _minimal_basis returns is the one rebuilt from the leading
+    monomials of its basis, so the summary needs no rebuild."""
+    assert ccv.groebner._minimal_basis([])[2] == {0: 1}
+    unit = ccv.groebner._minimal_basis([P("x0^2 - 1", 2), P("x0^2 + 1", 2)])
+    assert unit[1] == [(0, 1, [])] and unit[2] == {}
+    rng = random.Random("kept-numerator")
+    unbounded = 0
+    for trial in range(60):
+        field = (QQ, GF(101))[trial % 2]
+        nvars = rng.randint(2, 4)
+        gens = _random_ideal(rng, nvars, field, trial % 4 < 2)
+        unbounded += len(gens) > nvars or trial % 4 >= 2
+        packing, kept, numerator = ccv.groebner._minimal_basis(gens)
+        leads = [packing.unpack(e[0]) for e in kept]
+        if not any(leads[0]):
+            assert numerator == {}, (trial, gens)
+            continue
+        assert numerator == _rebuilt(leads, nvars, {}), (trial, gens)
+        assert (ccv.groebner._pole_order(numerator, nvars)
+                == ccv.groebner._dimension_and_degree(leads, nvars))
+    assert unbounded > 30
+
+
 # the packed engine against the field-scalar layer
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "F101"])
