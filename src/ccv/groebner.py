@@ -31,8 +31,9 @@ tail coefficients (Faugere and Lachartre, PASCO 2010).  The rows are
 eliminated together in column order: a column is one int with a slot per
 row, so a step on every row is one multiply-add, and a residue is reduced
 mod p only when read.  A nonzero result becomes a monic basis element and a
-pivot for the rows after it.  At the end every reducer column holds 0 in
-every row, so the results are read off the other columns.
+pivot for the rows after it.  A reducer column is eliminated as it is
+read and, the loop only moving right, never read again, so it is not
+written back and the results are read off the other columns.
 
 The same reduction, one matrix mod p and one division after another over
 Q, echelons the generators and inter-reduces the final basis, one leading
@@ -98,6 +99,29 @@ Q (Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*, ch. 9;
 Traverso, cited above).  Its degree must then be the product of the
 generator degrees, which is checked.  Any other outcome, and any input
 that is not homogeneous, falls back to the basis over Q.
+
+Before either basis, r = nvars - 1 nonzero forms f_1, ..., f_r (over Q,
+their primitive forms modulo p) are cut by x_N = 0, x_N = x_(nvars-1) the
+smallest variable: each form drops its terms in x_N, the substitution the
+solver relies on (Bayer and Stillman, "A criterion for detecting
+m-regularity", Invent. Math. 87, 1987).  R / (I + (x_N)) is
+k[x_0..x_(N-1)] modulo this section, and x_N is absent from it, so when
+its basis shows affine dimension 1 in all nvars variables the section is
+Artinian in the other r.  Then f_1, ..., f_r, x_N are N + 1 forms that
+generate an ideal primary to the irrelevant ideal, so they are a regular
+sequence in the Cohen-Macaulay ring k[x_0..x_N], and a homogeneous
+regular sequence stays regular in any order: f_1, ..., f_r is a complete
+intersection, with numerator prod(1 - t^d_i) (Bruns and Herzog,
+*Cohen-Macaulay Rings*, CUP 1993, sections 1.5 and 4.1).  The section's
+forms have the same degrees and are a complete intersection too, so the
+numerator its loop keeps is that same product, and the dimension and
+degree read off it, after the same Bezout check, are the system's; over
+Q the argument above carries them from p to Q.  A section of larger
+dimension proves nothing, and the routes above run as before: that
+happens when a point of V(I) lies on x_N = 0, or when I is not a
+complete intersection.  So do a form that x_N divides, whose section is
+0, and any other r: r = nvars - 1 is the shape of every conic system on
+the boundary, and exactly the case in which the section can be Artinian.
 """
 
 from __future__ import annotations
@@ -304,7 +328,6 @@ def _echelon(rows, entries, packing, mod):
         cs = [(v >> s & mask) % mod for s in shifts]
         if k in pivots:  # every row takes away its multiple of the reducer
             if q := sum(mod - c << s for c, s in zip(cs, shifts) if c):
-                packed[k] += q
                 for j, a in zip(*pivots[k]):
                     packed[j] += a * q
             continue
@@ -319,7 +342,8 @@ def _echelon(rows, entries, packing, mod):
         for j in range(k, len(order)) if q else ():
             if a := (packed[j] >> shifts[r] & mask) % mod:
                 packed[j] += a * q
-    # every reducer column is now 0 in every row: read the others only
+    # a reducer column is never read again once passed (its zeros are not
+    # written back): the results are read off the columns without one
     return [_entry({order[j]: c * inv % mod for j in free[f:]
                     if (c := (packed[j] >> shifts[r] & mask) % mod)}, packing)
             for r, (f, inv) in sorted(leads.items())]
@@ -547,28 +571,45 @@ class IdealSummary:
 def ideal_dimension_and_degree(polys) -> IdealSummary:
     """Dimension and degree of the projective scheme cut out by the ideal.
 
-    Over the rationals, homogeneous generators are first tried modulo
-    32003: when that basis shows a complete intersection, its summary is
-    the one over Q (see the module docstring).  Otherwise, and over a prime
-    field, one grevlex basis of the generators themselves gives both
-    numbers.
+    r = nvars - 1 homogeneous generators are first cut by x_N = 0: when
+    that section shows affine dimension 1, the generators are a complete
+    intersection and its basis gives both numbers.  Next, over the
+    rationals, homogeneous generators are tried modulo 32003: when that
+    basis shows a complete intersection, its summary is the one over Q.
+    Otherwise, and over a prime field, one grevlex basis of the generators
+    themselves gives both numbers (see the module docstring for each).
     """
     polys = list(polys)
     if not polys:
         raise ValueError("no generators")
     nvars = polys[0].nvars
     live = [p for p in polys if not p.is_zero()]
-    if live and _common_ring(live)[1] == QQ and all(
-            p.is_homogeneous() for p in live):
-        field = GF(_CERTIFICATE_PRIME)
-        dim, degree = _leading_dimension_and_degree(
-            [_primitive_mod(p, field) for p in live], nvars)
-        if dim == nvars - len(live):
-            if degree != prod(p.degree() for p in live):
-                raise ArithmeticError("a complete intersection modulo "
-                                      f"{_CERTIFICATE_PRIME} broke Bezout")
-            return _summary(dim, degree)
+    if live and all(p.is_homogeneous() for p in live):
+        rational = _common_ring(live)[1] == QQ
+        forms = ([_primitive_mod(p, GF(_CERTIFICATE_PRIME)) for p in live]
+                 if rational else live)
+        if len(forms) == nvars - 1:  # the section by x_N = 0
+            section = [Polynomial(nvars, f.field, {
+                m: c for m, c in f.terms.items() if not m[-1]})
+                for f in forms]
+            if all(section) and (summary := _complete_intersection(section)):
+                return summary
+        if rational and (summary := _complete_intersection(forms)):
+            return summary
     return _summary(*_leading_dimension_and_degree(live, nvars))
+
+
+def _complete_intersection(forms):
+    """The summary of nonzero forms whose basis shows affine dimension
+    nvars - len(forms), a complete intersection, or None; such a summary
+    must have degree prod(d_i), which is checked."""
+    nvars = forms[0].nvars
+    dim, degree = _leading_dimension_and_degree(forms, nvars)
+    if dim != nvars - len(forms):
+        return None
+    if degree != prod(f.degree() for f in forms):
+        raise ArithmeticError("a complete intersection broke Bezout")
+    return _summary(dim, degree)
 
 
 def _leading_dimension_and_degree(polys, nvars: int) -> tuple:

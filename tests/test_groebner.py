@@ -9,7 +9,7 @@ import tracemalloc
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, prod
 from operator import le
 from pathlib import Path
 
@@ -781,12 +781,16 @@ def _fraction_free_summary(gens):
 
 def _spy_fields(monkeypatch):
     """Record the field of every basis that ideal_dimension_and_degree
-    computes."""
+    computes, as ("section", field) for a basis of the section by x_N = 0,
+    recognized by having no term in the last variable."""
     fields = []
     basis = ccv.groebner._leading_dimension_and_degree
 
     def spy(polys, *args, **kwargs):
-        fields.append(polys[0].field)
+        field = polys[0].field
+        if not any(m[-1] for p in polys for m in p.terms):
+            field = ("section", field)
+        fields.append(field)
         return basis(polys, *args, **kwargs)
 
     monkeypatch.setattr(ccv.groebner, "_leading_dimension_and_degree", spy)
@@ -808,7 +812,7 @@ def _random_form(rng, nvars, degree):
 def test_certificate_matches_the_fraction_free_summary(monkeypatch):
     rng = random.Random(32003)
     shapes = ("ci", "few", "shared", "repeated", "extra")
-    certified = fallen_back = 0
+    certified = fallen_back = sectioned = section_certified = 0
     for trial in range(60):
         nvars = rng.randint(2, 5)
         shape = shapes[trial % len(shapes)]
@@ -824,12 +828,18 @@ def test_certificate_matches_the_fraction_free_summary(monkeypatch):
         fields = _spy_fields(monkeypatch)
         assert ideal_dimension_and_degree(gens) == expected, (trial, gens)
         monkeypatch.undo()
+        if fields[0] == ("section", GF(32003)):  # r = nvars - 1 only
+            assert len(gens) == nvars - 1, trial
+            sectioned += 1
+            section_certified += fields == [("section", GF(32003))]
+            fields = fields[1:] or [GF(32003)]
         if fields == [GF(32003)]:
             certified += 1
         else:
             assert fields == [GF(32003), QQ], trial
             fallen_back += 1
     assert certified >= 15 and fallen_back >= 15  # both routes ran
+    assert 0 < section_certified < sectioned  # the section certified or not
 
 
 def test_certificate_falls_back_when_the_prime_adds_a_component(monkeypatch):
@@ -846,7 +856,8 @@ def test_certificate_uses_the_primitive_form(monkeypatch):
             P("x0", 3) * Fraction(1, 32003) + P("x1", 3)]
     fields = _spy_fields(monkeypatch)
     assert ideal_dimension_and_degree(gens) == IdealSummary(0, 2)
-    assert fields == [GF(32003)]
+    # the section by x2 = 0 is (x0^2, x0), a line, so the certificate runs
+    assert fields == [("section", GF(32003)), GF(32003)]
 
 
 def test_prime_field_and_inhomogeneous_input_skip_the_certificate(
@@ -855,3 +866,104 @@ def test_prime_field_and_inhomogeneous_input_skip_the_certificate(
     ideal_dimension_and_degree([P("x0*x1", 2, GF(7))])
     ideal_dimension_and_degree([P("x0^2 - x1", 2)])
     assert fields == [GF(7), QQ]
+
+
+# the section by x_N = 0: r = nvars - 1 forms with their terms in x_N dropped
+
+SECTION_FIELDS = (GF(2), GF(101), GF(32003), QQ)
+
+
+def _basis_field(field):
+    """The field of the bases a summary takes: 32003 for forms over Q."""
+    return GF(32003) if field == QQ else field
+
+
+def _sparse_form(rng, nvars, degree, field, keep=0.6):
+    """x_0^degree plus, with probability ``keep``, a random multiple of
+    each other monomial of the degree: a form whose section is not 0."""
+    terms = {(degree,) + (0,) * (nvars - 1): field.one}
+    for factors in combinations_with_replacement(range(nvars), degree):
+        mono = tuple(map(factors.count, range(nvars)))
+        if mono not in terms and rng.random() < keep:
+            terms[mono] = field(rng.choice([-3, -2, -1, 1, 2, 3]))
+    return Polynomial(nvars, field, {m: c for m, c in terms.items() if c})
+
+
+@pytest.mark.parametrize("field", SECTION_FIELDS, ids=str)
+def test_section_certifies_complete_intersections(field, monkeypatch):
+    """Seeded r = nvars - 1 forms: every summary equals the one from the
+    basis of the forms themselves, and on many of them (7 of 16 over F_2,
+    where the cut often meets the zero set) the section alone answers,
+    with the Bezout number."""
+    rng = random.Random(f"section-{field}")
+    answered = 0
+    for trial in range(16):
+        nvars = rng.randint(2, 5)
+        gens = [_sparse_form(rng, nvars, rng.randint(1, 3 if nvars < 5 else 2),
+                             field) for _ in range(nvars - 1)]
+        expected = _fraction_free_summary(gens)
+        fields = _spy_fields(monkeypatch)
+        assert ideal_dimension_and_degree(gens) == expected, (trial, gens)
+        monkeypatch.undo()
+        if fields == [("section", _basis_field(field))]:
+            answered += 1
+            assert expected == IdealSummary(0, prod(g.degree() for g in gens))
+    assert answered >= 6
+
+
+@pytest.mark.parametrize("field", SECTION_FIELDS, ids=str)
+def test_section_falls_back_on_a_point_of_the_cut(field, monkeypatch):
+    # [1:0:0] lies on x2 = 0, where the section x1^2, x0*x1 cuts out the
+    # line x1 = 0; the other point is [0:0:1]
+    gens = [P("x0*x2 + x1^2", 3, field), P("x0*x1", 3, field)]
+    fields = _spy_fields(monkeypatch)
+    assert (ideal_dimension_and_degree(gens) == _fraction_free_summary(gens)
+            == IdealSummary(0, 4))
+    assert fields == [("section", _basis_field(field)), _basis_field(field)]
+
+
+@pytest.mark.parametrize("field", SECTION_FIELDS, ids=str)
+def test_section_falls_back_on_a_shared_factor(field, monkeypatch):
+    """Two of the forms share a linear factor that keeps x_0, so the
+    section is too large and the old routes answer."""
+    rng = random.Random(f"shared-{field}")
+    for trial in range(6):
+        nvars = rng.randint(3, 5)
+        h = _sparse_form(rng, nvars, 1, field)
+        gens = [_sparse_form(rng, nvars, rng.randint(1, 2), field)
+                for _ in range(nvars - 1)]
+        gens[0], gens[1] = gens[0] * h, gens[1] * h
+        expected = _fraction_free_summary(gens)
+        fields = _spy_fields(monkeypatch)
+        assert ideal_dimension_and_degree(gens) == expected, (trial, gens)
+        monkeypatch.undo()
+        assert expected.projective_dimension > 0, (trial, gens)
+        assert fields[0] == ("section", _basis_field(field)), trial
+        assert fields[1:] in ([_basis_field(field)], [GF(32003), QQ]), trial
+
+
+@pytest.mark.parametrize("field", SECTION_FIELDS, ids=str)
+def test_no_section_when_x_N_divides_a_form(field, monkeypatch):
+    """The section of x_N * f is 0, so no section basis is taken."""
+    rng = random.Random(f"divides-{field}")
+    for trial in range(6):
+        nvars = rng.randint(2, 5)
+        gens = [_sparse_form(rng, nvars, rng.randint(1, 2), field)
+                for _ in range(nvars - 1)]
+        gens[-1] = gens[-1] * Polynomial.variable(nvars - 1, nvars, field)
+        fields = _spy_fields(monkeypatch)
+        assert (ideal_dimension_and_degree(gens)
+                == _fraction_free_summary(gens)), (trial, gens)
+        monkeypatch.undo()
+        assert fields in ([_basis_field(field)], [GF(32003), QQ]), trial
+
+
+def test_the_count_ladder_is_answered_by_its_section(monkeypatch):
+    """Every count rung, [3,3] and [4,2] included, is certified by one
+    basis of its section by x_N = 0 and takes no basis of the system."""
+    fields = _spy_fields(monkeypatch)
+    for degrees in LADDER:
+        fields.clear()
+        summary = ideal_dimension_and_degree(_count_system(degrees))
+        assert summary.degree == _specs().formula_value(degrees), degrees
+        assert fields == [("section", GF(32003))], degrees
