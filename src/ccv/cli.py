@@ -111,7 +111,7 @@ def _point_cap() -> int:
 
 # a signed integer, fraction or plain decimal; Fraction would also take an
 # exponent, and expand 1e9999999 into a ten-million-digit integer
-_COORDINATE = re.compile(r"[+-]?(\d+(/\d+|\.\d*)?|\.\d+)")
+_COORDINATE = re.compile(r"[+-]?([0-9]+(/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
 
 
 def _parse_point(text: str, variety) -> ProjectivePoint:

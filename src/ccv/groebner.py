@@ -73,10 +73,10 @@ as N(J + m) = N(J) - t^|m| N(J : m), where J : m is generated by the
 g / gcd(g, m) (Bigatti, "Computation of Hilbert-Poincare series", J. Pure
 Appl. Algebra 119, 1997); J then drops the exponents that m divides and
 takes m.  The room left in a degree is read off that N, and so are the
-dimension and degree once the loop ends.  Any other N, that of a colon
-among them, comes from a pivot recursion on the monomial ideal that splits
-on the smallest positive power of a shared variable, so exponents near the
-field limit cost no more than small ones.  N vanishes
+dimension and degree once the loop ends.  The N of each colon comes
+from a pivot recursion on the monomial ideal that splits on the smallest
+positive power of a shared variable, so exponents near the field limit
+cost no more than small ones.  N vanishes
 at t = 1 to the codimension m, the first order with a nonzero N^(m)(1) /
 m! = sum_k c_k C(k, m), and (-1)^m times that sum is the degree (Bayer and
 Stillman, "Computation of Hilbert functions", J. Symbolic Comput. 14,
@@ -135,7 +135,7 @@ from operator import le, lshift, or_, sub
 
 from .fields import GF, QQ, FieldMismatchError
 from .ffutil import OracleRefusal
-from .poly import Polynomial, grevlex_key
+from .poly import Polynomial
 
 __all__ = [
     "groebner_basis",
@@ -494,16 +494,16 @@ def groebner_basis(polys):
 
 # field-scalar checking layer ----------------------------------------------
 
-def normal_form(f: Polynomial, basis, key=grevlex_key) -> Polynomial:
+def normal_form(f: Polynomial, basis) -> Polynomial:
     """Remainder of f on division by the basis, computed with field scalars."""
     basis = [g for g in basis if not g.is_zero()]
     rem = Polynomial.zero(f.nvars, f.field)
     work = f
-    leads = [(g.leading_monomial(key), g.leading_coefficient(key), g)
+    leads = [(g.leading_monomial(), g.leading_coefficient(), g)
              for g in basis]
     while work:
-        mono = work.leading_monomial(key)
-        coeff = work.leading_coefficient(key)
+        mono = work.leading_monomial()
+        coeff = work.leading_coefficient()
         hit = next(((lm, lc, g) for lm, lc, g in leads if _divides(lm, mono)),
                    None)
         if hit is None:
@@ -519,20 +519,20 @@ def normal_form(f: Polynomial, basis, key=grevlex_key) -> Polynomial:
     return rem
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, key=grevlex_key) -> Polynomial:
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """S-polynomial (lcm/lt(f)) f - (lcm/lt(g)) g."""
-    lmf, lmg = f.leading_monomial(key), g.leading_monomial(key)
+    lmf, lmg = f.leading_monomial(), g.leading_monomial()
     lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
     mf = Polynomial.from_terms(
-        {tuple(a - b for a, b in zip(lcm, lmf)): 1 / f.leading_coefficient(key)},
+        {tuple(a - b for a, b in zip(lcm, lmf)): 1 / f.leading_coefficient()},
         f.nvars, f.field)
     mg = Polynomial.from_terms(
-        {tuple(a - b for a, b in zip(lcm, lmg)): 1 / g.leading_coefficient(key)},
+        {tuple(a - b for a, b in zip(lcm, lmg)): 1 / g.leading_coefficient()},
         g.nvars, g.field)
     return mf * f - mg * g
 
 
-def verify_groebner(basis, key=grevlex_key, generators=None) -> bool:
+def verify_groebner(basis, generators=None) -> bool:
     """Check the Groebner property from first principles.
 
     Every pairwise S-polynomial must reduce to zero against the basis, and,
@@ -543,12 +543,12 @@ def verify_groebner(basis, key=grevlex_key, generators=None) -> bool:
     basis = [g for g in basis if not g.is_zero()]
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            if not normal_form(s_polynomial(basis[i], basis[j], key),
-                               basis, key).is_zero():
+            if not normal_form(s_polynomial(basis[i], basis[j]),
+                               basis).is_zero():
                 return False
     if generators is not None:
         for f in generators:
-            if not normal_form(f, basis, key).is_zero():
+            if not normal_form(f, basis).is_zero():
                 return False
     return True
 
@@ -613,8 +613,8 @@ def _complete_intersection(forms):
 
 
 def _leading_dimension_and_degree(polys, nvars: int) -> tuple:
-    """:func:`_dimension_and_degree` of the minimal grevlex basis of
-    nonzero polynomials, read off the numerator that the loop kept."""
+    """(affine dimension, degree) of the minimal grevlex basis of nonzero
+    polynomials, read off the numerator that the loop kept."""
     return _pole_order(_minimal_basis(polys)[2], nvars)
 
 
@@ -624,15 +624,6 @@ def _primitive_mod(poly: Polynomial, field) -> Polynomial:
     ints = _normalize(_integral(poly))
     return Polynomial(poly.nvars, field,
                       {m: r for m, c in ints.items() if (r := field(c))})
-
-
-def _dimension_and_degree(leads, nvars: int) -> tuple:
-    """(affine dimension, degree) of an ideal with these grevlex leading
-    exponents: the pole order of its Hilbert series at t = 1 and the
-    numerator left there.  The unit ideal, whose series is 0, gives
-    (-1, 0)."""
-    return _pole_order(_hilbert_numerator(
-        tuple(sorted(_minimalize_monos(leads))), nvars, {}), nvars)
 
 
 def _pole_order(numerator: dict, nvars: int) -> tuple:

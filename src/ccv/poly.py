@@ -118,15 +118,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self._terms)
 
-    def support(self):
-        """Indices of variables that actually appear."""
-        used = set()
-        for mono in self._terms:
-            for i, e in enumerate(mono):
-                if e:
-                    used.add(i)
-        return used
-
     # arithmetic
 
     def __add__(self, other):
@@ -229,13 +220,13 @@ class Polynomial:
 
     # leading data
 
-    def leading_monomial(self, key=grevlex_key):
+    def leading_monomial(self):
         if not self._terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self._terms, key=key)
+        return max(self._terms, key=grevlex_key)
 
-    def leading_coefficient(self, key=grevlex_key):
-        return self._terms[self.leading_monomial(key)]
+    def leading_coefficient(self):
+        return self._terms[self.leading_monomial()]
 
     # evaluation
 
@@ -306,10 +297,6 @@ class ProjectivePoint:
         inv = field.inv(lead)
         self.field = field
         self.coords = tuple(inv * c for c in coords)
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.coords) - 1
 
     def __eq__(self, other):
         if not isinstance(other, ProjectivePoint):

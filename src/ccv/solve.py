@@ -24,10 +24,13 @@ So no cell or hyperplane takes a basis of its own, and a cell with no
 point shows a nonzero constant at once.  A cell's basis need be neither
 reduced nor minimal, since the multiplication map below reduces as it
 goes.  Only the system left after a root substitution takes a fresh
-basis.  The Hilbert series of the leading monomials of G refuses, once, a
-system whose affine dimension is more than 1 (Bayer and Stillman, J.
-Symbolic Comput. 14, 1992); every cell of a finite projective scheme, and
-every fiber of a cell over a root, is then finite.
+basis.  The leading monomials of G refuse, once, a system whose affine
+dimension is more than 1: the dimension of R/I is that of R/in(I), the
+largest coordinate subspace on which every leading monomial vanishes
+(Cox, Little and O'Shea, ch. 9 sections 1 and 3), so it is at most 1
+exactly when each pair of variables holds the support of some leading
+monomial.  Every cell of a finite projective scheme, and every fiber of a
+cell over a root, is then finite.
 
 The monic generator of I and k[x], for the last live variable x, is the
 minimal polynomial of 1 under the map M of multiplication by x on k[x]/I
@@ -68,12 +71,12 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import reduce
-from itertools import count, islice, takewhile
+from itertools import combinations, compress, count, islice, takewhile
 from math import gcd, isqrt, lcm
 
 from .fields import FpElement, is_prime
 from .poly import Polynomial, ProjectivePoint
-from .groebner import _Packing, _dimension_and_degree, groebner_basis
+from .groebner import _Packing, groebner_basis
 
 __all__ = ["projective_rational_solutions", "rational_roots"]
 
@@ -101,8 +104,10 @@ def projective_rational_solutions(gens) -> list:
     last = nvars - 1  # x_j is x_{last - j} in the basis (module docstring)
     basis = groebner_basis([Polynomial(nvars, field, {
         m[::-1]: c for m, c in g.terms.items()}) for g in gens])
-    if _dimension_and_degree([g.leading_monomial() for g in basis],
-                             nvars)[0] > 1:
+    supports = {frozenset(compress(range(nvars), g.leading_monomial()))
+                for g in basis}
+    if not all(any(s <= {i, k} for s in supports)
+               for i, k in combinations(range(nvars), 2)):
         raise ValueError("system is not zero-dimensional")
     points = []
     for j in range(nvars):

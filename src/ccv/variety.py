@@ -18,7 +18,6 @@ import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
-from pathlib import Path
 
 from .fields import QQ, GF, Record, field_from_spec
 from .parser import parse_polynomial
@@ -155,14 +154,11 @@ def build_variety(data: dict) -> VarietySpec:
 
 
 def load_variety(source) -> VarietySpec:
-    """Build a VarietySpec from a dict, a JSON file path, or JSON text."""
+    """Build a VarietySpec from a dict or a JSON file path."""
     if isinstance(source, dict):
         return build_variety(source)
-    if isinstance(source, Path) or (isinstance(source, str)
-                                    and not source.lstrip().startswith("{")):
-        with open(source, "r", encoding="utf-8") as fh:
-            return build_variety(json.load(fh))
-    return build_variety(json.loads(source))
+    with open(source, "r", encoding="utf-8") as fh:
+        return build_variety(json.load(fh))
 
 
 def variety_dimension(variety: VarietySpec):

@@ -219,6 +219,9 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
         # an exponent would expand into a huge integer before any check
         ("lines", QUADRIC, "--point", "1,0,0,1e99999999"),
         ("lines", QUADRIC, "--point", "0e99999999,1,0,0"),
+        # coordinates take ASCII digits only, as equations do
+        ("lines", QUADRIC, "--point", "\uff11,0,0,0"),
+        ("lines", QUADRIC, "--point", "\u0661,0,0,0"),
     ]
     for argv in cases:
         code, out, err = run_cli(capsys, *argv)

@@ -73,10 +73,6 @@ def test_homogeneity():
     assert Polynomial.zero(3).is_homogeneous()
 
 
-def test_support():
-    assert P("x0*x2 + x2^2", 4).support() == {0, 2}
-
-
 def test_evaluate():
     p = P("x0*x3 - x1*x2", 4)
     assert p.evaluate([QQ(1), QQ(0), QQ(0), QQ(0)]) == 0
@@ -90,7 +86,6 @@ def test_monic_and_leading_data():
     p = P("2*x0*x3 - 2*x1*x2", 4)
     assert p.leading_monomial() == (0, 1, 1, 0)
     assert p.leading_coefficient() == -2
-    assert p.leading_monomial(lex_key) == (1, 0, 0, 1)
 
 
 def test_str_uses_grevlex_descending():
@@ -124,7 +119,6 @@ def test_zero_vector_is_not_a_point():
 def test_point_hash_respects_scaling():
     assert len({qpt(1, 2), qpt(2, 4), qpt(3, 6)}) == 1
     assert qpt(1, 2) != qpt(2, 1)
-    assert qpt(1, 2).ambient_dim == 1
 
 
 # --- pencil expansion ---

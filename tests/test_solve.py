@@ -14,7 +14,7 @@ from ccv import (GF, QQ, Polynomial, conic_system, find_singular_conics,
                  over_prime, parse_polynomial, projective_rational_solutions,
                  rational_roots)
 from ccv import solve
-from ccv.groebner import _dimension_and_degree
+from ccv.groebner import _hilbert_numerator, _minimalize_monos, _pole_order
 from ccv.linalg import kernel_basis
 from ccv.solve import (_eval_mod, _minimal_polynomial,
                        _remainder_squarefree_part, _roots_mod,
@@ -120,6 +120,48 @@ def test_positive_dimensional_system_is_refused():
         projective_rational_solutions([P("x0*x1", 3)])
     with pytest.raises(ValueError, match="not zero-dimensional"):
         projective_rational_solutions([P("0", 2)])
+
+
+def test_support_refusal_agrees_with_the_hilbert_series(monkeypatch):
+    """Seeded sets of monomials of one degree, each a homogeneous system
+    and its own Groebner basis: the solver refuses exactly the sets whose
+    Hilbert series shows affine dimension above 1.  Degree 0 is the unit
+    ideal.  The refusal is read with the cells stubbed out, since a cell
+    of positive dimension would never finish; the sets it keeps are then
+    solved in full."""
+    rng = random.Random("support-refusal")
+    affine_points = solve._affine_points
+    refused, kept, shapes = 0, 0, set()
+    for trial in range(120):
+        field = (QQ, GF(101))[trial % 2]
+        nvars, degree = rng.randint(1, 6), rng.randint(0, 3)
+        monos = {tuple(degree * (i == v) for i in range(nvars))
+                 for v in range(nvars) if rng.random() < 0.4}
+        for _ in range(rng.randint(1, 3)):
+            m = [0] * nvars
+            for _ in range(degree):
+                m[rng.randrange(nvars)] += 1
+            monos.add(tuple(m))
+        gens = [Polynomial(nvars, field, {m: field.one}) for m in monos]
+        dim = _series_dimension_and_degree(monos, nvars)[0]
+        monkeypatch.setattr(solve, "_affine_points", lambda *args: [])
+        try:
+            projective_rational_solutions(gens)
+        except ValueError as exc:
+            assert dim > 1 and "not zero-dimensional" in str(exc), (
+                trial, monos)
+            refused += 1
+        else:
+            assert dim <= 1, (trial, monos)
+            monkeypatch.setattr(solve, "_affine_points", affine_points)
+            points = projective_rational_solutions(gens)
+            assert all(g.evaluate(p.coords) == 0 for p in points
+                       for g in gens), (trial, monos)
+            kept += 1
+        shapes.add((nvars == 1, degree == 0, dim > 1))
+    assert refused >= 30 and kept >= 30
+    assert {(True, False, False), (False, True, False),
+            (False, False, True)} <= shapes
 
 
 def test_inhomogeneous_system_is_refused():
@@ -669,6 +711,13 @@ def _standard_count(leads, live, one) -> int:
     return len(seen)
 
 
+def _series_dimension_and_degree(monos, nvars):
+    """(affine dimension, degree) read off the Hilbert series of the
+    monomial ideal that these exponents generate."""
+    return _pole_order(_hilbert_numerator(
+        tuple(sorted(_minimalize_monos(monos))), nvars, {}), nvars)
+
+
 def _check_the_hilbert_count(basis, live):
     """The Hilbert series of a cell basis, and of the leads left when one
     element is dropped, against the reference; returns how many of them
@@ -680,7 +729,7 @@ def _check_the_hilbert_count(basis, live):
         monos = [g.leading_monomial() for g in leads]
         pure = all(any(lm[v] and lm[v] == sum(lm) for lm in monos)
                    for v in live)
-        dim, degree = _dimension_and_degree(monos, nvars)
+        dim, degree = _series_dimension_and_degree(monos, nvars)
         assert (dim == nvars - len(live)) == pure, monos
         if pure:
             assert degree == _standard_count(monos, live, (0,) * nvars)

@@ -10,6 +10,7 @@ from ccv import (GF, QQ, ProjectivePoint, build_variety, classify_line_family,
                  criteria_report, load_variety,
                  over_prime, parse_polynomial, point_on_variety,
                  reduce_point_mod, reduce_variety_mod, variety_dimension)
+from ccv.cli import entry
 from ccv.variety import VarietySpec
 
 from conftest import VARIETIES, qpt
@@ -17,14 +18,19 @@ from conftest import VARIETIES, qpt
 
 # building and loading specs
 
-def test_load_from_dict_path_and_text():
+def test_load_from_dict_and_path(tmp_path, monkeypatch, capsys):
     data = {"ambient_dim": 3, "equations": ["x0*x3 - x1*x2"]}
     from_dict = load_variety(data)
-    from_text = load_variety(json.dumps(data))
     from_path = load_variety(VARIETIES / "quadric_p3.json")
-    assert from_dict.equations == from_text.equations == from_path.equations
+    # a path is never read as JSON text, whatever its first character
+    (tmp_path / "{quadric}.json").write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    from_braced = load_variety("{quadric}.json")
+    assert from_dict.equations == from_path.equations == from_braced.equations
     assert from_dict.name == "variety"  # default
     assert from_path.name == "quadric-surface"
+    assert entry(["check", "{quadric}.json"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_rejects_malformed_specs():
