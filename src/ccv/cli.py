@@ -28,6 +28,14 @@ from .variety import (classify_line_family, criteria_report, load_variety,
 __all__ = ["entry", "build_arg_parser"]
 
 
+def _integer(text: str) -> int:
+    # int() alone also takes other decimal digits, such as "５", and "_"
+    # separators, such as "1_1"
+    if not re.fullmatch(r"[+-]?[0-9]+", text := text.strip()):
+        raise ValueError(f"{text!r} is not an integer in ASCII digits")
+    return int(text)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccv",
@@ -63,33 +71,33 @@ def build_arg_parser() -> argparse.ArgumentParser:
                           dest="count_only",
                           help="report the ideal degree and the count "
                                "formula without enumerating vertices")
-    p_conics.add_argument("--prime", type=int, default=None,
+    p_conics.add_argument("--prime", type=_integer, default=None,
                           help="work over F_p (reduces a rational variety)")
     add_json(p_conics)
 
     p_oracle = sub.add_parser(
         "oracle", help="brute-force census of conic connections over F_p")
     p_oracle.add_argument("variety", help="variety-spec JSON file")
-    p_oracle.add_argument("--prime", type=int, required=True,
+    p_oracle.add_argument("--prime", type=_integer, required=True,
                           help="prime p for the brute-force field")
-    p_oracle.add_argument("--pairs", type=int, default=50,
+    p_oracle.add_argument("--pairs", type=_integer, default=50,
                           help="number of point pairs to sample (default 50)")
-    p_oracle.add_argument("--seed", type=int, default=0,
+    p_oracle.add_argument("--seed", type=_integer, default=0,
                           help="seed for the pinned generator (default 0)")
     add_json(p_oracle)
 
     p_classify = sub.add_parser(
         "classify", help="classify a line-family dimension report (n, c, a)")
-    p_classify.add_argument("--n", type=int, required=True,
+    p_classify.add_argument("--n", type=_integer, required=True,
                             help="dimension of the variety")
-    p_classify.add_argument("--c", type=int, required=True,
+    p_classify.add_argument("--c", type=_integer, required=True,
                             help="codimension in the ambient space")
-    p_classify.add_argument("--a", type=int, required=True,
+    p_classify.add_argument("--a", type=_integer, required=True,
                             help="dimension of the family of lines "
                                  "through a general point")
-    p_classify.add_argument("--delta", type=int, default=None,
+    p_classify.add_argument("--delta", type=_integer, default=None,
                             help="secant defect, if known")
-    p_classify.add_argument("--index", type=int, default=None,
+    p_classify.add_argument("--index", type=_integer, default=None,
                             help="Fano index, if known")
     add_json(p_classify)
 
@@ -101,7 +109,7 @@ def _point_cap() -> int:
     if raw is None:
         return DEFAULT_POINT_CAP
     try:
-        value = int(raw)
+        value = _integer(raw)
     except ValueError:
         raise ValueError(f"CCV_POINT_CAP must be an integer, got {raw!r}")
     if value <= 0:

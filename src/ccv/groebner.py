@@ -15,7 +15,12 @@ quotient ``-``, and b divides a exactly when ``(a - b) & guards`` is 0 (a
 field that borrows sets its guard bit).  Basis exponents and reduction
 multipliers must stay below 2^_HALF, half the field, which keeps every sum
 below the guard bits; anything larger raises :class:`ExponentOverflow`
-rather than risk a wrong basis.
+rather than risk a wrong basis.  The lcm is the maximum field by field:
+with the degree masked off, ``((a | guards) - b) & guards`` keeps a
+field's guard exactly when a_i >= b_i, and no field borrows, since each
+exponent is below 2^_HALF; the guard, spread over its field, picks a_i or
+b_i by xor.  The lcm's degree is the top field of its exponents times the
+int with a one in every field.
 
 Over the rationals division pops monomials off a heap (Monagan and Pearce,
 "Sparse polynomial division using a heap", J. Symbolic Comput. 46, 2011):
@@ -73,8 +78,13 @@ as N(J + m) = N(J) - t^|m| N(J : m), where J : m is generated by the
 g / gcd(g, m) (Bigatti, "Computation of Hilbert-Poincare series", J. Pure
 Appl. Algebra 119, 1997); J then drops the exponents that m divides and
 takes m.  The room left in a degree is read off that N, and so are the
-dimension and degree once the loop ends.  The N of each colon comes
-from a pivot recursion on the monomial ideal that splits on the smallest
+dimension and degree once the loop ends.  Each colon generator is
+lcm(g, m) / m, and one of degree 1 is a variable x_v: with V the set of
+these, J : m = (x_v : v in V) + I', where I' is generated by the colon
+generators free of every x_v in V.  The two parts share no variable, so
+N((x_V) + I') = (1 - t)^|V| N(I'), with N(0) = 1; on the count ladder
+I' is always 0.  Only a nonzero I' is unpacked, and its N comes from a
+pivot recursion on the monomial ideal that splits on the smallest
 positive power of a shared variable, so exponents near the field limit
 cost no more than small ones.  N vanishes
 at t = 1 to the codimension m, the first order with a nonzero N^(m)(1) /
@@ -131,7 +141,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
 from math import comb, gcd, lcm, prod
-from operator import le, lshift, or_, sub
+from operator import le, lshift, or_
 
 from .fields import GF, QQ, FieldMismatchError
 from .ffutil import OracleRefusal
@@ -175,10 +185,21 @@ class _Packing:
     def __init__(self, nvars: int):
         self.top = _WIDTH * nvars
         self.offsets = tuple(range(0, self.top, _WIDTH))
-        ones = sum(1 << o for o in self.offsets)
-        self.guards = ones << (_WIDTH - 1)
-        self.overflow = ones * ((1 << _WIDTH) - (1 << _HALF))
+        self.ones = sum(1 << o for o in self.offsets)
+        self.guards = self.ones << (_WIDTH - 1)
+        self.overflow = self.ones * ((1 << _WIDTH) - (1 << _HALF))
         self.mask = (1 << _WIDTH) - 1
+        self.low = (1 << self.top) - 1  # the exponent fields, no degree
+
+    def lcm(self, a: int, b: int) -> tuple:
+        """(lcm, its degree) of two packed monomials with exponents below
+        2^_HALF: each field the larger, picked through the guard bits."""
+        ea, eb = a & self.low, b & self.low
+        # a field keeps its guard exactly when a_i >= b_i; none borrows
+        keep = ((ea | self.guards) - eb) & self.guards
+        e = eb ^ ((ea ^ eb) & (keep >> (_WIDTH - 1)) * self.mask)
+        degree = (e * self.ones >> (self.top - _WIDTH)) & self.mask
+        return e - (degree << self.top), degree
 
     def pack(self, mono) -> int:
         if mono and max(mono) >> _HALF:
@@ -390,8 +411,8 @@ def _minimal_basis(polys):
     nvars, field = _common_ring(polys)
     mod = field.p if field.is_prime_field else None
     packing = _Packing(nvars)
-    guards, offsets, top = packing.guards, packing.offsets, packing.top
-    entries, exps = [], []  # exps: exponents of each leading monomial
+    guards, pair_lcm = packing.guards, packing.lcm
+    entries = []
     heap, pending = [], set()  # pairs (lcm degree, priority, i, j, lcm)
     # the numerator of the minimal leading exponents so far, and for the
     # Hilbert-driven skip (module docstring) the complete-intersection
@@ -406,15 +427,12 @@ def _minimal_basis(polys):
             if not e[0]:
                 return False
             k = len(entries)
-            entries.append(e)
-            exps.append(packing.unpack(e[0]))
-            _add_lead(numerator, minimal, exps[k], nvars)
-            for t in range(k):  # _entry checked the exponents: no overflow
-                lcm = tuple(map(max, exps[t], exps[k]))
-                deg = sum(lcm)
-                packed = sum(map(lshift, lcm, offsets)) - (deg << top)
-                heapq.heappush(heap, (deg, -packed, t, k, packed))
+            _add_lead(numerator, minimal, e[0], packing)
+            for t, f in enumerate(entries):  # _entry checked the exponents
+                lcm, deg = pair_lcm(f[0], e[0])
+                heapq.heappush(heap, (deg, -lcm, t, k, lcm))
                 pending.add((t, k))
+            entries.append(e)
         return True
 
     # one matrix per leading degree, ascending
@@ -454,11 +472,10 @@ def _minimal_basis(polys):
             if bound is not None:
                 room -= len(new)
 
-    # minimalize: keep only minimal leading monomials, in ascending order
-    kept = []
-    for e in sorted(entries, key=lambda e: -e[0]):
-        if all((e[0] - k[0]) & guards for k in kept):
-            kept.append(e)
+    # the entries with minimal leading monomials, which _add_lead kept,
+    # in ascending order
+    leads = set(minimal)
+    kept = sorted((e for e in entries if e[0] in leads), key=lambda e: -e[0])
     return packing, kept, numerator
 
 
@@ -656,16 +673,28 @@ def _minimalize_monos(monos):
     return out
 
 
-def _add_lead(numerator: dict, minimal: list, m: tuple, nvars: int) -> None:
-    """Add m, which no exponent in ``minimal`` divides, to the ideal J they
-    generate, updating ``minimal`` and J's Hilbert numerator in place:
-    N(J + m) = N(J) - t^|m| N(J : m) (module docstring)."""
-    colon = [tuple(map(sub, map(max, g, m), m)) for g in minimal]
-    degree = sum(m)
-    for k, c in _hilbert_numerator(tuple(sorted(_minimalize_monos(colon))),
-                                   nvars, {}).items():
+def _add_lead(numerator: dict, minimal: list, m: int, packing) -> None:
+    """Add the packed lead m, which no lead in ``minimal`` divides, to the
+    ideal J they generate, updating ``minimal`` and J's Hilbert numerator
+    in place: N(J + m) = N(J) - t^|m| N(J : m), where J : m = (x_v : v in
+    V) + I' and N(J : m) = (1 - t)^|V| N(I') (module docstring)."""
+    degree, low = -(m >> packing.top), packing.low
+    variables, rest = 0, []  # the x_v of V as one bit each; I''s generators
+    for g in minimal:
+        lcm, d = packing.lcm(g, m)
+        if d - degree == 1:
+            variables |= (lcm - m) & low
+        else:
+            rest.append(lcm - m)
+    colon = {0: 1}  # N(I'), 1 for I' = 0
+    if rest := [q for q in rest if not q & variables * packing.mask]:
+        colon = _hilbert_numerator(
+            tuple(sorted(_minimalize_monos(map(packing.unpack, rest)))),
+            len(packing.offsets), {})
+    colon = _one_minus_powers([1] * variables.bit_count(), colon)
+    for k, c in colon.items():
         _add_term(numerator, k + degree, -c)
-    minimal[:] = [g for g in minimal if not _divides(m, g)]
+    minimal[:] = [g for g in minimal if (g - m) & packing.guards]
     minimal.append(m)
 
 
@@ -713,9 +742,10 @@ def _shared_variable(monos, nvars: int):
     return best if best is not None and counts[best] > 1 else None
 
 
-def _one_minus_powers(degrees) -> dict:
-    """prod(1 - t^d) over the degrees, as a sparse {degree: coeff} map."""
-    result = {0: 1}
+def _one_minus_powers(degrees, result=None) -> dict:
+    """prod(1 - t^d) over the degrees, times ``result`` when given, as a
+    sparse {degree: coeff} map."""
+    result = {0: 1} if result is None else result
     for d in degrees:
         out = dict(result)
         for e, c in result.items():

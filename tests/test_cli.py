@@ -230,6 +230,36 @@ def test_invalid_inputs_exit_2(capsys, tmp_path):
         assert out == ""
 
 
+def test_integer_options_take_ascii_digits_only(capsys, monkeypatch):
+    """All nine integer options and CCV_POINT_CAP exit 2 on full-width and
+    Arabic-Indic digits and on "_" separators, which int() alone takes."""
+    options = [("conics", QUADRIC, "--x", "1,0,0,0", "--y", "0,0,0,1",
+                "--count-only", "--prime"),
+               ("oracle", QUADRIC, "--prime"),
+               ("oracle", QUADRIC, "--prime", "5", "--pairs"),
+               ("oracle", QUADRIC, "--prime", "5", "--seed")]
+    classify = {"--n": "6", "--c": "3", "--a": "2"}
+    for name in ("--n", "--c", "--a", "--delta", "--index"):
+        rest = [item for key, value in classify.items() if key != name
+                for item in (key, value)]
+        options.append(("classify", *rest, name))
+    for bad in ("\uff15", "\u0665", "1_1"):
+        for argv in options:
+            with pytest.raises(SystemExit) as exit_:
+                entry([*argv, bad])
+            assert exit_.value.code == 2, (argv, bad)
+            assert argv[-1] in capsys.readouterr().err
+        monkeypatch.setenv("CCV_POINT_CAP", bad)
+        code, out, err = run_cli(capsys, "check", QUADRIC)
+        assert (code, out) == (2, ""), bad
+        assert "CCV_POINT_CAP" in err
+    monkeypatch.setenv("CCV_POINT_CAP", " +500 ")
+    code, out, _ = run_cli(capsys, "oracle", QUADRIC, "--prime", " 5 ",
+                           "--pairs", "+2")
+    assert code == 0
+    assert "prime=5 pairs=2 seed=0 point_cap=500" in out.splitlines()[0]
+
+
 def test_refusals_exit_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "conics", FERMAT4,
                            "--x", "1,-1,0,0,0", "--y", "0,1,-1,0,0",

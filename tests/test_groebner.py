@@ -440,11 +440,12 @@ def test_kept_numerator_matches_the_rebuild_on_the_ladder(monkeypatch):
     keeps is the one rebuilt from all leads so far, and J stays minimal."""
     add_lead, seen, memo = ccv.groebner._add_lead, [], {}
 
-    def spy(numerator, minimal, m, nvars):
-        add_lead(numerator, minimal, m, nvars)
-        seen.append(m)
+    def spy(numerator, minimal, m, packing):
+        add_lead(numerator, minimal, m, packing)
+        seen.append(packing.unpack(m))
+        nvars = len(packing.offsets)
         assert numerator == _rebuilt(seen, nvars, memo), len(seen)
-        assert sorted(minimal) == sorted(
+        assert sorted(map(packing.unpack, minimal)) == sorted(
             ccv.groebner._minimalize_monos(seen))
 
     monkeypatch.setattr(ccv.groebner, "_add_lead", spy)
@@ -456,56 +457,94 @@ def test_kept_numerator_matches_the_rebuild_on_the_ladder(monkeypatch):
         assert seen, degrees
 
 
-def test_kept_numerator_drops_the_leads_a_new_one_divides():
+def test_kept_numerator_drops_the_leads_a_new_one_divides(monkeypatch):
     """Seeded monomial sequences in which later monomials divide earlier
     ones: the update drops the divided leads and keeps the numerator of
-    the whole sequence."""
+    the whole sequence, both when the colon J : m is generated by variables
+    alone (I' = 0) and when something remains (I' != 0)."""
+    numerator_of = ccv.groebner._hilbert_numerator
+    calls = []
+
+    def numerator_spy(monos, nvars, memo):
+        calls.append(monos)
+        return numerator_of(monos, nvars, memo)
+
+    monkeypatch.setattr(ccv.groebner, "_hilbert_numerator", numerator_spy)
     rng = random.Random("add-lead")
-    dropped = 0
+    dropped, branches = 0, [0, 0]  # updates with I' = 0, with I' != 0
     for trial in range(60):
         nvars = rng.randint(1, 5)
+        packing = ccv.groebner._Packing(nvars)
         numerator, minimal, seen = {0: 1}, [], []
         for _ in range(rng.randint(1, 12)):
-            if minimal and rng.random() < 0.4:  # a divisor of a lead
-                m = tuple(rng.randint(0, e) for e in rng.choice(minimal))
+            leads = [packing.unpack(g) for g in minimal]
+            if leads and rng.random() < 0.4:  # a divisor of a lead
+                m = tuple(rng.randint(0, e) for e in rng.choice(leads))
             else:
                 m = tuple(rng.randint(0, 4) for _ in range(nvars))
-            if not any(m) or any(all(map(le, g, m)) for g in minimal):
+            if not any(m) or any(all(map(le, g, m)) for g in leads):
                 continue  # m must be a new minimal generator
-            before = len(minimal)
-            ccv.groebner._add_lead(numerator, minimal, m, nvars)
-            dropped += len(minimal) <= before
+            before = len(calls)
+            ccv.groebner._add_lead(numerator, minimal, packing.pack(m),
+                                   packing)
+            branches[len(calls) > before] += bool(leads)
+            dropped += len(minimal) <= len(leads)
             seen.append(m)
             assert numerator == _rebuilt(seen, nvars, {}), (trial, seen)
-            assert sorted(minimal) == sorted(
+            assert sorted(map(packing.unpack, minimal)) == sorted(
                 ccv.groebner._minimalize_monos(seen)), (trial, seen)
     assert dropped > 20
+    assert min(branches) >= 20, branches
 
 
 def test_the_summary_never_rebuilds_the_numerator(monkeypatch):
-    """On the count ladder the summary is read off the kept numerator:
-    _hilbert_numerator runs only inside the update, on no more generators
-    than the colon J : m has."""
+    """On the count ladder the summary is read off the kept numerator, and
+    every colon J : m is generated by variables alone, so its numerator is
+    (1 - t)^|V| and _hilbert_numerator never runs."""
     add_lead = ccv.groebner._add_lead
     numerator = ccv.groebner._hilbert_numerator
-    sizes, calls = [], []  # |J| while an update runs; the colon sizes
+    leads, calls = [], []  # leads added on each rung; numerator calls
 
-    def lead_spy(kept, minimal, m, nvars):
-        sizes.append(len(minimal))
-        add_lead(kept, minimal, m, nvars)
-        sizes.pop()
+    def lead_spy(kept, minimal, m, packing):
+        leads[-1] += 1
+        add_lead(kept, minimal, m, packing)
 
     def numerator_spy(monos, nvars, memo):
-        assert sizes and len(monos) <= sizes[-1]
-        calls.append(len(monos))
+        calls.append(monos)
         return numerator(monos, nvars, memo)
 
     monkeypatch.setattr(ccv.groebner, "_add_lead", lead_spy)
     monkeypatch.setattr(ccv.groebner, "_hilbert_numerator", numerator_spy)
     for degrees in LADDER:
+        leads.append(0)
         summary = ideal_dimension_and_degree(_count_system(degrees))
         assert summary.degree == _specs().formula_value(degrees), degrees
-    assert calls
+    assert all(leads), leads
+    assert calls == []
+
+
+def test_packed_lcm_is_the_fieldwise_maximum():
+    """_Packing.lcm against the maximum of the exponent tuples, packed, and
+    its degree: seeded exponents in 1-12 variables, with fields at 0 and at
+    2^_HALF - 1, equal fields, and a == b."""
+    rng = random.Random("packed-lcm")
+    largest = (1 << ccv.groebner._HALF) - 1
+    for trial in range(600):
+        nvars = rng.randint(1, 12)
+        packing = ccv.groebner._Packing(nvars)
+
+        def draw():
+            return tuple(rng.choice((0, 1, largest - 1, largest,
+                                     rng.randint(0, largest)))
+                         for _ in range(nvars))
+
+        a = draw()
+        b = a if trial % 10 == 0 else tuple(
+            x if rng.random() < 0.3 else y for x, y in zip(a, draw()))
+        want = tuple(map(max, a, b))
+        got = packing.lcm(packing.pack(a), packing.pack(b))
+        assert got == (packing.pack(want), sum(want)), (a, b)
+        assert packing.lcm(packing.pack(b), packing.pack(a)) == got
 
 
 def test_reduced_bases_on_the_ladder_are_pinned():
