@@ -32,7 +32,8 @@ def _integer(text: str) -> int:
     # int() alone also takes other decimal digits, such as "５", and "_"
     # separators, such as "1_1"
     if not re.fullmatch(r"[+-]?[0-9]+", text := text.strip()):
-        raise ValueError(f"{text!r} is not an integer in ASCII digits")
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer in ASCII digits")
     return int(text)
 
 
@@ -110,7 +111,7 @@ def _point_cap() -> int:
         return DEFAULT_POINT_CAP
     try:
         value = _integer(raw)
-    except ValueError:
+    except argparse.ArgumentTypeError:
         raise ValueError(f"CCV_POINT_CAP must be an integer, got {raw!r}")
     if value <= 0:
         raise ValueError("CCV_POINT_CAP must be positive")

@@ -678,12 +678,12 @@ def _add_lead(numerator: dict, minimal: list, m: int, packing) -> None:
     ideal J they generate, updating ``minimal`` and J's Hilbert numerator
     in place: N(J + m) = N(J) - t^|m| N(J : m), where J : m = (x_v : v in
     V) + I' and N(J : m) = (1 - t)^|V| N(I') (module docstring)."""
-    degree, low = -(m >> packing.top), packing.low
-    variables, rest = 0, []  # the x_v of V as one bit each; I''s generators
+    degree = -(m >> packing.top)
+    variables, rest = 0, []  # V, one bit per x_v; the other colon generators
     for g in minimal:
         lcm, d = packing.lcm(g, m)
         if d - degree == 1:
-            variables |= (lcm - m) & low
+            variables |= (lcm - m) & packing.low
         else:
             rest.append(lcm - m)
     colon = {0: 1}  # N(I'), 1 for I' = 0

@@ -248,7 +248,9 @@ def test_integer_options_take_ascii_digits_only(capsys, monkeypatch):
             with pytest.raises(SystemExit) as exit_:
                 entry([*argv, bad])
             assert exit_.value.code == 2, (argv, bad)
-            assert argv[-1] in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"argument {argv[-1]}: " in err
+            assert "not an integer in ASCII digits" in err
         monkeypatch.setenv("CCV_POINT_CAP", bad)
         code, out, err = run_cli(capsys, "check", QUADRIC)
         assert (code, out) == (2, ""), bad
