@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+from functools import cache
 
 from .conics import (conic_system, count_conics, find_singular_conics,
                      lines_dimension_report)
@@ -103,6 +104,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
     add_json(p_classify)
 
     return parser
+
+
+# entry's parser, built on the first call: parse_args keeps no state in
+# the parser, so every later call in the process can reuse it
+_shared_parser = cache(build_arg_parser)
 
 
 def _point_cap() -> int:
@@ -350,8 +356,7 @@ _HANDLERS = {
 
 
 def entry(argv=None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         cap = _point_cap()
         config = _run_config(args, cap)

@@ -226,12 +226,6 @@ class PrimeField:
                 raise FieldMismatchError(
                     f"cannot coerce an F_{value.p} scalar into F_{self.p}")
             return value
-        if isinstance(value, bool):
-            raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
-        if isinstance(value, int):
-            return FpElement(value, self.p)
-        if isinstance(value, float):
-            raise TypeError("floats are not exact; pass int, str, or Fraction")
         if isinstance(value, str):
             value = Fraction(value)
         if isinstance(value, Fraction):  # num * den^-1, one residue
@@ -240,6 +234,12 @@ class PrimeField:
                 raise ZeroDivisionError(
                     f"denominator of {value} vanishes modulo {self.p}")
             return FpElement(value.numerator * pow(den, -1, self.p), self.p)
+        if isinstance(value, bool):
+            raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
+        if isinstance(value, int):
+            return FpElement(value, self.p)
+        if isinstance(value, float):
+            raise TypeError("floats are not exact; pass int, str, or Fraction")
         raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
 
     def inv(self, value) -> FpElement:

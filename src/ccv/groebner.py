@@ -439,7 +439,7 @@ def _minimal_basis(polys):
     gens = [(min(terms), terms)
             for terms in (packing.terms(p, mod) for p in polys)]
     gens.sort(key=lambda g: -g[0])
-    for _, group in groupby(gens, key=lambda g: sum(packing.unpack(g[0]))):
+    for _, group in groupby(gens, key=lambda g: -(g[0] >> packing.top)):
         if not add(_reduce_rows([terms for _, terms in group], entries,
                                 packing, mod)):
             return packing, [(0, 1, [])], {}
@@ -494,7 +494,7 @@ def groebner_basis(polys):
 
     # inter-reduce the tails one leading degree at a time (module docstring)
     start = 0
-    for _, run in groupby([sum(packing.unpack(e[0])) for e in entries]):
+    for _, run in groupby([-(e[0] >> packing.top) for e in entries]):
         stop = start + len(list(run))
         rows = [dict([e[:2], *e[2]]) for e in entries[start:stop]]
         entries[start:stop] = _reduce_rows(rows, entries[:start], packing, mod)

@@ -79,29 +79,20 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Recursive descent over the token list; ``pos`` indexes the next
+    token, and the closing "end" token stops every loop."""
+
     def __init__(self, tokens, nvars, field):
         self.tokens = tokens
         self.pos = 0
         self.nvars = nvars
         self.field = field
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def accept_op(self, *ops):
-        kind, _, _ = self.peek()
-        if kind in ops:
-            return self.advance()[0]
-        return None
-
     def expr(self) -> Polynomial:
         terms = {}  # every term of the sum, added in place
-        negate = self.accept_op("-") is not None
+        tokens = self.tokens
+        negate = tokens[self.pos][0] == "-"
+        self.pos += negate
         while True:
             for mono, coeff in self.term(negate):
                 acc = terms.get(mono)
@@ -111,9 +102,10 @@ class _Parser:
                     terms[mono] = acc
                 else:
                     del terms[mono]
-            op = self.accept_op("+", "-")
-            if op is None:
+            op = tokens[self.pos][0]
+            if op != "+" and op != "-":
                 return Polynomial(self.nvars, self.field, terms)
+            self.pos += 1
             negate = op == "-"
 
     def term(self, negate: bool):
@@ -121,24 +113,37 @@ class _Parser:
         negated if asked.  Numbers and variable powers go straight into one
         coefficient and one exponent list; only a parenthesized factor is
         a Polynomial."""
-        field = self.field
+        field, tokens, i = self.field, self.tokens, self.pos
         # an int until a power of a number makes it a field scalar
         coeff, mono, product = -1 if negate else 1, [0] * self.nvars, None
         while True:
-            kind, value, pos = self.advance()
+            kind, value, pos = tokens[i]
+            i += 1
             if kind == "var":
                 if value >= self.nvars:
                     raise ParseError(
                         f"variable x{value} out of range; ring has "
                         f"x0..x{self.nvars - 1}", pos)
             elif kind == "(":
+                self.pos = i
                 value = self.expr()
-                close, _, pos = self.advance()
+                close, _, pos = tokens[self.pos]
+                i = self.pos + 1
                 if close != ")":
                     raise ParseError("expected ')'", pos)
             elif kind != "int":
                 raise ParseError("expected a number, variable, or '('", pos)
-            exponent = self.exponent() if self.accept_op("^") else 1
+            exponent = 1
+            if tokens[i][0] == "^":
+                kind_e, exponent, pos = tokens[i + 1]
+                i += 2
+                if kind_e != "int":
+                    raise ParseError("exponent must be an unsigned integer",
+                                     pos)
+                if exponent > MAX_EXPONENT:
+                    raise ParseError(
+                        f"exponent {exponent} exceeds limit {MAX_EXPONENT}",
+                        pos)
             if kind == "var":
                 mono[value] += exponent
             elif kind == "int":
@@ -146,8 +151,10 @@ class _Parser:
             else:
                 value = value if exponent == 1 else value ** exponent
                 product = value if product is None else product * value
-            if not self.accept_op("*"):
+            if tokens[i][0] != "*":
                 break
+            i += 1
+        self.pos = i
         if not (coeff := field(coeff)):
             return ()
         if product is None:
@@ -155,21 +162,12 @@ class _Parser:
         return ((tuple(map(add, m, mono)), c * coeff)
                 for m, c in product.terms.items())
 
-    def exponent(self) -> int:
-        kind, value, pos = self.advance()
-        if kind != "int":
-            raise ParseError("exponent must be an unsigned integer", pos)
-        if value > MAX_EXPONENT:
-            raise ParseError(
-                f"exponent {value} exceeds limit {MAX_EXPONENT}", pos)
-        return value
-
 
 def parse_polynomial(text: str, nvars: int, field=QQ) -> Polynomial:
     """Parse polynomial text in variables x0..x{nvars-1} over ``field``."""
     parser = _Parser(_tokenize(text), nvars, field)
     result = parser.expr()
-    kind, _, pos = parser.peek()
+    kind, _, pos = parser.tokens[parser.pos]
     if kind != "end":
         raise ParseError("trailing input after polynomial", pos)
     return result

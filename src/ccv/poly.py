@@ -9,8 +9,9 @@ Variables are x0, x1, ... both in code (``Polynomial.variable``) and in text
 
 from __future__ import annotations
 
+from itertools import compress
 from math import comb
-from operator import neg
+from operator import itemgetter, neg
 from types import MappingProxyType
 
 from .fields import QQ, FieldMismatchError
@@ -46,6 +47,9 @@ def _check_same_ring(a: "Polynomial", b: "Polynomial"):
         raise FieldMismatchError("polynomials over different fields")
 
 
+_reversed = itemgetter(slice(None, None, -1))
+
+
 class Polynomial:
     """Immutable sparse polynomial.
 
@@ -54,7 +58,8 @@ class Polynomial:
     trusts its input and keeps the ``terms`` dict it is given.
     """
 
-    __slots__ = ("nvars", "field", "_terms", "_hash", "_str")
+    __slots__ = ("nvars", "field", "_terms", "_hash", "_str", "_degree",
+                 "_homogeneous")
 
     def __init__(self, nvars: int, field, terms: dict):
         self.nvars = nvars
@@ -62,6 +67,7 @@ class Polynomial:
         self._terms = terms
         self._hash = None
         self._str = None
+        self._degree = None  # with _homogeneous, set by _grade on first use
 
     @classmethod
     def zero(cls, nvars: int, field=QQ) -> "Polynomial":
@@ -103,20 +109,26 @@ class Polynomial:
     def __bool__(self):
         return bool(self._terms)
 
+    def _grade(self):
+        """Degree and homogeneity from one pass over the terms, kept: the
+        terms never change after construction."""
+        degrees = set(map(sum, self._terms))
+        self._degree = max(degrees, default=-1)
+        self._homogeneous = len(degrees) <= 1
+
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(m) for m in self._terms)
+        if self._degree is None:
+            self._grade()
+        return self._degree
 
     def is_homogeneous(self) -> bool:
-        if not self._terms:
-            return True
-        degrees = {sum(m) for m in self._terms}
-        return len(degrees) == 1
+        if self._degree is None:
+            self._grade()
+        return self._homogeneous
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self._terms)
+        return self.degree() <= 0
 
     # arithmetic
 
@@ -235,15 +247,17 @@ class Polynomial:
         if len(values) != self.nvars:
             raise ValueError(f"expected {self.nvars} values, got {len(values)}")
         values = [self.field(v) for v in values]
+        zero = [not v for v in values]
+        nonzero = [not z for z in zero]
+        live = list(compress(values, nonzero))
         total = self.field.zero
         for mono, coeff in self._terms.items():
-            for v, e in zip(values, mono):
+            if any(compress(mono, zero)):
+                continue  # a zero coordinate kills the term
+            for v, e in zip(live, compress(mono, nonzero)):
                 if e:
-                    if not v:
-                        break  # a zero coordinate kills the term
                     coeff = coeff * (v if e == 1 else v ** e)
-            else:
-                total = total + coeff
+            total = total + coeff
         return total
 
     # rendering
@@ -251,27 +265,27 @@ class Polynomial:
     def __str__(self):
         """Terms in descending grevlex order; rendered once and kept."""
         if self._str is None:
+            terms = self._terms
+            # descending grevlex: by degree, descending, then by the
+            # reversed exponents, ascending (two stable sorts)
+            order = sorted(sorted(terms, key=_reversed), key=sum, reverse=True)
+            names = [f"x{i}" for i in range(self.nvars)]
             out = []
-            for mono in sorted(self._terms, key=grevlex_key, reverse=True):
-                factors = [f"x{i}" + (f"^{e}" if e > 1 else "")
-                           for i, e in enumerate(mono) if e]
-                cs = str(self._terms[mono])
-                if factors:
+            for mono in order:
+                cs = str(terms[mono])
+                if factors := "*".join([names[i] if e == 1 else
+                                        f"{names[i]}^{e}"
+                                        for i, e in enumerate(mono) if e]):
                     if cs == "1":
-                        body = "*".join(factors)
+                        cs = factors
                     elif cs == "-1":
-                        body = "-" + "*".join(factors)
+                        cs = "-" + factors
                     else:
-                        body = "*".join([cs] + factors)
-                else:
-                    body = cs
-                if not out:
-                    out.append(body)
-                elif body.startswith("-"):
-                    out.append(" - " + body[1:])
-                else:
-                    out.append(" + " + body)
-            self._str = "".join(out) or "0"
+                        cs = cs + "*" + factors
+                out.append(cs)
+            # no term's text holds a space, so " + -" only joins a
+            # negative term to the one before it
+            self._str = " + ".join(out).replace(" + -", " - ") or "0"
         return self._str
 
     def __repr__(self):
@@ -336,19 +350,20 @@ def expand_line_pencil(hypersurface: Polynomial, point: ProjectivePoint):
         raise ValueError("base point not on hypersurface")
     field = hypersurface.field
     # for each coordinate where p is nonzero and each exponent e, the
-    # expansion of (c_i + t*p_i)^e: pairs (e - j, C(e, j) * p_i^j)
-    moving = [(i, [[(e - j, comb(e, j) * p_i ** j) for j in range(e + 1)]
+    # expansion of (c_i + t*p_i)^e: triples (e - j, j, C(e, j) * p_i^j)
+    moving = [(i, [[(e - j, j, comb(e, j) * p_i ** j) for j in range(e + 1)]
                    for e in range(d + 1)])
               for i, p_i in enumerate(point.coords) if p_i]
     buckets = [{} for _ in range(d)]  # by degree in c, below d
-    for mono, coeff in hypersurface.terms.items():
-        expanded = [(mono, coeff)]
+    for mono, coeff in hypersurface._terms.items():
+        expanded = [(mono, coeff, d)]  # (monomial, scalar, degree in c)
         for i, pencil in moving:
-            if e := mono[i]:  # keep c_i^(e-j) and the scalar
-                expanded = [(m[:i] + (r,) + m[i + 1:], c * s)
-                            for m, c in expanded for r, s in pencil[e]]
-        for m, c in expanded:
-            if (k := sum(m)) < d:  # degree d adds up to G's own terms
+            if e := mono[i]:  # keep c_i^(e-j) and the scalar, 1 for j = 0
+                expanded = [(m[:i] + (r,) + m[i + 1:], c * s, k - j) if j
+                            else (m, c, k)
+                            for m, c, k in expanded for r, j, s in pencil[e]]
+        for m, c, k in expanded:
+            if k < d:  # degree d adds up to G's own terms
                 acc = buckets[k].get(m)
                 buckets[k][m] = c if acc is None else acc + c
     if buckets[0].get((0,) * n):

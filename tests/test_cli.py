@@ -161,6 +161,29 @@ def test_conics_canonicalizes_input_points(capsys):
     assert "y = [0:0:0:1]" in out
 
 
+def test_reused_parser_leaks_nothing_between_calls(capsys, monkeypatch):
+    # entry keeps one parser per process; an option given to one call must
+    # not reach the next call, which echoes its defaults
+    assert ccv.cli._shared_parser() is ccv.cli._shared_parser()
+    runs = [(["conics", QUADRIC, "--x", "1,0,0,0", "--y", "0,0,0,1",
+              "--prime", "5", "--count-only", "--json"],
+             ["conics", QUADRIC, "--x", "1,0,0,0", "--y", "0,0,0,1",
+              "--json"]),
+            (["oracle", QUADRIC, "--prime", "5", "--pairs", "3", "--json"],
+             ["oracle", QUADRIC, "--prime", "5", "--json"])]
+    seconds = []
+    for first, second in runs:
+        assert run_cli(capsys, *first)[0] == 0
+        code, out, _ = run_cli(capsys, *second)
+        assert code == 0
+        seconds.append(out)
+    conics, oracle = (json.loads(out)["config"] for out in seconds)
+    assert (conics["prime"], conics["count_only"]) == (None, False)
+    assert oracle["pairs"] == 50
+    monkeypatch.setattr(ccv.cli, "_shared_parser", ccv.cli.build_arg_parser)
+    assert [run_cli(capsys, *second)[1] for _, second in runs] == seconds
+
+
 def test_oracle_frozen_census(capsys):
     code, out, _ = run_cli(capsys, "oracle", QUADRIC,
                            "--prime", "5", "--pairs", "50", "--seed", "1")

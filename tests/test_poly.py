@@ -94,6 +94,62 @@ def test_str_uses_grevlex_descending():
     assert str(Polynomial.zero(3)) == "0"
 
 
+def _reference_str(poly):
+    """The renderer as a grevlex_key sort and per-term text."""
+    out = []
+    for mono in sorted(poly.terms, key=grevlex_key, reverse=True):
+        factors = [f"x{i}" + (f"^{e}" if e > 1 else "")
+                   for i, e in enumerate(mono) if e]
+        cs = str(poly.terms[mono])
+        if not factors:
+            body = cs
+        elif cs in ("1", "-1"):
+            body = cs[:-1] + "*".join(factors)
+        else:
+            body = "*".join([cs] + factors)
+        if out and body.startswith("-"):
+            body = " - " + body[1:]
+        elif out:
+            body = " + " + body
+        out.append(body)
+    return "".join(out) or "0"
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "F7"])
+def test_kept_text_degree_and_homogeneity_match_recomputation(field):
+    rng = random.Random(20261020)
+    polys = [Polynomial.zero(3, field), Polynomial.constant(-4, 2, field)]
+    for _ in range(150):
+        nvars = rng.randint(1, 5)
+        homogeneous = rng.random() < 0.5
+        top = rng.randint(0, 6)
+        terms = {}
+        for _ in range(rng.randint(0, 12)):
+            mono = [0] * nvars
+            for _ in range(top if homogeneous else rng.randint(0, top)):
+                mono[rng.randrange(nvars)] += rng.choice([1, 1, 2, 12])
+            coeff = rng.choice([-1, 1, rng.randint(-30, 30)])
+            terms[tuple(mono)] = (Fraction(coeff, rng.randint(1, 4))
+                                  if field == QQ else coeff)
+        polys.append(Polynomial.from_terms(terms, nvars, field))
+    assert any(p.is_homogeneous() and p.degree() > 1 for p in polys)
+    assert any(not p.is_homogeneous() for p in polys)
+    for p in polys:
+        degrees = {sum(m) for m in p.terms}
+        for _ in range(2):  # the second call reads the kept values
+            assert str(p) == _reference_str(p)
+            assert p.degree() == max(degrees, default=-1)
+            assert p.is_homogeneous() == (len(degrees) <= 1)
+            assert p.is_constant() == (degrees <= {0})
+        values = [field(rng.choice([0, 0, 1, -2, 3])) for _ in range(p.nvars)]
+        expected = field.zero
+        for mono, coeff in p.terms.items():
+            for v, e in zip(values, mono):
+                coeff = coeff * v ** e
+            expected = expected + coeff
+        assert p.evaluate(values) == expected
+
+
 def test_cross_ring_operations_fail():
     with pytest.raises(ValueError):
         P("x0", 2) + P("x0", 3)
