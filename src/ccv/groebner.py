@@ -4,23 +4,37 @@ The Buchberger engine computes grevlex bases only, and keeps integer
 coefficients internally: content-free with positive leading coefficient
 over the rationals (no Fraction churn), monic residues modulo p.  Pair
 selection is normal strategy (smallest lcm first, ties by pair index) with
-the coprime-lm and chain criteria.  Public results are monic polynomials
-sorted by ascending leading monomial.
+the coprime-lm and chain criteria: the pairs wait in one bucket per lcm
+degree, and the loop takes the lowest degree, sorts its bucket once, and
+walks it in order (a pair found meanwhile in that degree or a lower one,
+which only inhomogeneous input makes, waits in a new bucket).  Public
+results are monic polynomials sorted by ascending leading monomial.
 
-Inside :func:`groebner_basis` a monomial is one Python int with a
-fixed-width field per exponent, whose top bit is a guard.  The fields hold
+Inside :func:`groebner_basis` a monomial is one Python int with a field of
+2 * half bits per exponent, whose top bit is a guard.  The fields hold
 x_N ... x_0 from the top down, and the total degree is subtracted above
 them, so a smaller int is a larger monomial.  A product is ``+``, a
 quotient ``-``, and b divides a exactly when ``(a - b) & guards`` is 0 (a
 field that borrows sets its guard bit).  Basis exponents and reduction
-multipliers must stay below 2^_HALF, half the field, which keeps every sum
-below the guard bits; anything larger raises :class:`ExponentOverflow`
-rather than risk a wrong basis.  The lcm is the maximum field by field:
-with the degree masked off, ``((a | guards) - b) & guards`` keeps a
-field's guard exactly when a_i >= b_i, and no field borrows, since each
-exponent is below 2^_HALF; the guard, spread over its field, picks a_i or
-b_i by xor.  The lcm's degree is the top field of its exponents times the
-int with a one in every field.
+multipliers must stay below 2^half, which keeps every sum below the guard
+bits; anything larger raises :class:`ExponentOverflow` rather than risk a
+wrong basis.  The lcm is the maximum field by field: with the degree
+masked off, ``((a | guards) - b) & guards`` keeps a field's guard exactly
+when a_i >= b_i, and no field borrows, since each exponent is below
+2^half; the guard, spread over the bits below it, picks a_i or b_i by
+xor.  The lcm's degree is the top field of its exponents times the int
+with a one in every field, which is exact because the degree, at most
+nvars (2^half - 1), stays below 2^(2 half) - 1 when nvars < 2^half.
+
+Each basis first takes the narrow fields, half = max(8, bit length of
+nvars): 16 bits up to 255 variables, so a monomial in 16 variables is
+an int of about 260 bits, not 700.  If any step in them, the loop or the
+inter-reduction of :func:`groebner_basis`, raises ExponentOverflow, the
+basis is taken once more from the start in the wide fields, half = 22,
+and only there does the overflow refuse (exit 3).  An overflow can meet
+the inter-reduction alone: a tail reduced by an element found after it
+can take an exponent that no step of the loop formed.  The solver's
+multiplication maps keep the wide fields.
 
 Over the rationals division pops monomials off a heap (Monagan and Pearce,
 "Sparse polynomial division using a heap", J. Symbolic Comput. 46, 2011):
@@ -67,8 +81,14 @@ lcm degree, so when it reaches degree d the leading monomials so far span
 lt(I) below d, and each new basis element adds exactly one degree-d
 monomial to <lt G>.  Once <lt G> has ci_d of them it is all of lt(I)_d,
 and every remaining pair of degree d reduces to zero and is skipped (mod
-p, a matrix takes at most as many).  Only zero reductions are skipped, so
-the reduced basis, which is unique, does not change.
+p, a matrix takes at most as many); a degree that has no room when it is
+reached is dropped whole.  The loop stops as soon as the numerator it
+keeps for <lt G> (below) equals prod(1 - t^d_i), the bound's: then
+HF_ci <= HF(R/I) <= HF(R/<lt G>) = HF_ci in every degree, the second
+because <lt G> is inside lt(I), so <lt G> = lt(I) and G is already a
+Groebner basis; every pair still queued would reduce to zero.  Only zero
+reductions are skipped, so the reduced basis, which is unique, does not
+change.
 
 Dimension and degree of a homogeneous ideal both come from the Hilbert
 series N(t)/(1-t)^nvars of its leading-term ideal, N a sparse
@@ -83,7 +103,8 @@ lcm(g, m) / m, and one of degree 1 is a variable x_v: with V the set of
 these, J : m = (x_v : v in V) + I', where I' is generated by the colon
 generators free of every x_v in V.  The two parts share no variable, so
 N((x_V) + I') = (1 - t)^|V| N(I'), with N(0) = 1; on the count ladder
-I' is always 0.  Only a nonzero I' is unpacked, and its N comes from a
+I' is always 0, and N(J : m) is the binomial row sum_k (-1)^k C(|V|, k)
+t^k.  Only a nonzero I' is unpacked, and its N comes from a
 pivot recursion on the monomial ideal that splits on the smallest
 positive power of a shared variable, so exponents near the field limit
 cost no more than small ones.  N vanishes
@@ -140,7 +161,7 @@ import heapq
 from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, inf, lcm, prod
 from operator import le, lshift, or_
 
 from .fields import GF, QQ, FieldMismatchError
@@ -180,29 +201,35 @@ def _divides(a, b) -> bool:
 
 class _Packing:
     """Layout of grevlex exponent tuples as ints, in which a smaller int is
-    a larger monomial (see the module docstring)."""
+    a larger monomial (see the module docstring), with fields of 2 * half
+    bits whose exponents stay below 2^half."""
 
-    def __init__(self, nvars: int):
-        self.top = _WIDTH * nvars
-        self.offsets = tuple(range(0, self.top, _WIDTH))
+    def __init__(self, nvars: int, half: int = _HALF):
+        self.half, self.width = half, 2 * half
+        self.top = self.width * nvars
+        self.offsets = tuple(range(0, self.top, self.width))
         self.ones = sum(1 << o for o in self.offsets)
-        self.guards = self.ones << (_WIDTH - 1)
-        self.overflow = self.ones * ((1 << _WIDTH) - (1 << _HALF))
-        self.mask = (1 << _WIDTH) - 1
+        self.guards = self.ones << (self.width - 1)
+        self.overflow = self.ones * ((1 << self.width) - (1 << half))
+        self.mask = (1 << self.width) - 1
         self.low = (1 << self.top) - 1  # the exponent fields, no degree
 
-    def lcm(self, a: int, b: int) -> tuple:
-        """(lcm, its degree) of two packed monomials with exponents below
-        2^_HALF: each field the larger, picked through the guard bits."""
-        ea, eb = a & self.low, b & self.low
-        # a field keeps its guard exactly when a_i >= b_i; none borrows
-        keep = ((ea | self.guards) - eb) & self.guards
-        e = eb ^ ((ea ^ eb) & (keep >> (_WIDTH - 1)) * self.mask)
-        degree = (e * self.ones >> (self.top - _WIDTH)) & self.mask
-        return e - (degree << self.top), degree
+    def lcms(self, m: int, others):
+        """The packed lcm of m and each of ``others`` in turn, all with
+        exponents below 2^half: each field the larger, picked through the
+        guards."""
+        low, guards, ones, mask = self.low, self.guards, self.ones, self.mask
+        top, below, spread = self.top, self.top - self.width, self.width - 1
+        guarded = (em := m & low) | guards
+        for g in others:
+            eg = g & low
+            # a field keeps its guard exactly when m_i >= g_i; none borrows
+            keep = (guarded - eg) & guards
+            e = eg ^ ((em ^ eg) & (keep - (keep >> spread)))
+            yield e - ((e * ones >> below & mask) << top)
 
     def pack(self, mono) -> int:
-        if mono and max(mono) >> _HALF:
+        if mono and max(mono) >> self.half:
             _overflow("a generator")
         return sum(map(lshift, mono, self.offsets)) - (sum(mono) << self.top)
 
@@ -402,18 +429,29 @@ def _reduce_rows(rows, entries, packing, mod):
     return new
 
 
-def _minimal_basis(polys):
+def _minimal_basis(polys, reduce_tails=False):
     """(packing, entries, numerator): the minimal Groebner basis of nonzero
-    polynomials, ascending, tails not inter-reduced (1 for the unit ideal),
-    and the Hilbert numerator of its leading monomials."""
+    polynomials, ascending, tails inter-reduced only if asked (1 for the
+    unit ideal), and the Hilbert numerator of its leading monomials.  The
+    fields are sized to the ring, and wide only if an exponent outgrows
+    them (module docstring); only the wide fields refuse."""
     if not polys:
         return None, [], {0: 1}
+    nvars = polys[0].nvars
+    try:
+        return _buchberger(polys, _Packing(nvars, max(8, nvars.bit_length())),
+                           reduce_tails)
+    except ExponentOverflow:
+        return _buchberger(polys, _Packing(nvars), reduce_tails)
+
+
+def _buchberger(polys, packing, reduce_tails):
+    """:func:`_minimal_basis` in the given layout."""
     nvars, field = _common_ring(polys)
     mod = field.p if field.is_prime_field else None
-    packing = _Packing(nvars)
-    guards, pair_lcm = packing.guards, packing.lcm
-    entries = []
-    heap, pending = [], set()  # pairs (lcm degree, priority, i, j, lcm)
+    guards, top = packing.guards, packing.top
+    entries, leads = [], []
+    buckets, pending = {}, set()  # lcm degree -> [(-lcm, i, j)]; unwalked
     # the numerator of the minimal leading exponents so far, and for the
     # Hilbert-driven skip (module docstring) the complete-intersection
     # bound: ``room`` is how many more degree-d leading monomials it allows
@@ -428,54 +466,65 @@ def _minimal_basis(polys):
                 return False
             k = len(entries)
             _add_lead(numerator, minimal, e[0], packing)
-            for t, f in enumerate(entries):  # _entry checked the exponents
-                lcm, deg = pair_lcm(f[0], e[0])
-                heapq.heappush(heap, (deg, -lcm, t, k, lcm))
+            for t, lcm in enumerate(packing.lcms(e[0], leads)):
+                buckets.setdefault(-(lcm >> top), []).append((-lcm, t, k))
                 pending.add((t, k))
             entries.append(e)
+            leads.append(e[0])
         return True
 
     # one matrix per leading degree, ascending
     gens = [(min(terms), terms)
             for terms in (packing.terms(p, mod) for p in polys)]
     gens.sort(key=lambda g: -g[0])
-    for _, group in groupby(gens, key=lambda g: -(g[0] >> packing.top)):
+    for _, group in groupby(gens, key=lambda g: -(g[0] >> top)):
         if not add(_reduce_rows([terms for _, terms in group], entries,
                                 packing, mod)):
             return packing, [(0, 1, [])], {}
 
-    degree = room = None
-    while heap:
-        d = heap[0][0]
-        if bound is not None and d != degree:
-            degree = d
-            room = (_hilbert_function(numerator, nvars, d)
-                    - _hilbert_function(bound, nvars, d))
-        # over Q one pair at a time; mod p one matrix of degree d, <= room
-        cap = (room or len(heap)) if mod is not None else 1
-        rows = []
-        while heap and heap[0][0] == d and len(rows) < cap:
-            _, _, i, j, lcm = heapq.heappop(heap)
-            pending.discard((i, j))
-            if room == 0 or lcm == entries[i][0] + entries[j][0]:
-                continue  # no room left, or coprime leading monomials
-            if any(t != i and t != j and not (lcm - entries[t][0]) & guards
-                   and (min(i, t), max(i, t)) not in pending
-                   and (min(j, t), max(j, t)) not in pending
-                   for t in range(len(entries))):
-                continue  # both companion pairs already handled
-            rows.append(_spair(entries[i], entries[j], lcm, mod))
-        if rows:
+    # one lcm degree at a time, until the leads meet the bound (docstring)
+    while buckets and numerator != bound:
+        d = min(buckets)
+        walk = iter(sorted(buckets.pop(d)))
+        room = (_hilbert_function(numerator, nvars, d)
+                - _hilbert_function(bound, nvars, d)) if bound else inf
+        while room != 0:
+            # over Q one pair at a time; mod p one matrix of degree d, <= room
+            cap = room if mod is not None else 1
+            rows = []
+            for lcm, i, j in walk:
+                lcm = -lcm
+                pending.discard((i, j))
+                if lcm == leads[i] + leads[j]:
+                    continue  # coprime leading monomials
+                if any(t != i and t != j and not (lcm - lt) & guards
+                       and (min(i, t), max(i, t)) not in pending
+                       and (min(j, t), max(j, t)) not in pending
+                       for t, lt in enumerate(leads)):
+                    continue  # both companion pairs already handled
+                rows.append(_spair(entries[i], entries[j], lcm, mod))
+                if len(rows) == cap:
+                    break
+            if not rows:  # the degree is walked
+                break
             new = _reduce_rows(rows, entries, packing, mod)
             if not add(new):
                 return packing, [(0, 1, [])], {}
-            if bound is not None:
-                room -= len(new)
+            room -= len(new)
+        # the rest of a degree left without room reduces to zero
+        pending.difference_update((i, j) for _, i, j in walk)
 
     # the entries with minimal leading monomials, which _add_lead kept,
     # in ascending order
-    leads = set(minimal)
-    kept = sorted((e for e in entries if e[0] in leads), key=lambda e: -e[0])
+    kept = set(minimal)
+    kept = sorted((e for e in entries if e[0] in kept), key=lambda e: -e[0])
+    if reduce_tails:  # one leading degree at a time (module docstring)
+        start = 0
+        for _, run in groupby([-(e[0] >> top) for e in kept]):
+            stop = start + len(list(run))
+            rows = [dict([e[:2], *e[2]]) for e in kept[start:stop]]
+            kept[start:stop] = _reduce_rows(rows, kept[:start], packing, mod)
+            start = stop
     return packing, kept, numerator
 
 
@@ -489,17 +538,7 @@ def groebner_basis(polys):
     if not polys:
         return []
     nvars, field = _common_ring(polys)
-    packing, entries, _ = _minimal_basis(polys)
-    mod = field.p if field.is_prime_field else None
-
-    # inter-reduce the tails one leading degree at a time (module docstring)
-    start = 0
-    for _, run in groupby([-(e[0] >> packing.top) for e in entries]):
-        stop = start + len(list(run))
-        rows = [dict([e[:2], *e[2]]) for e in entries[start:stop]]
-        entries[start:stop] = _reduce_rows(rows, entries[:start], packing, mod)
-        start = stop
-
+    packing, entries, _ = _minimal_basis(polys, reduce_tails=True)
     basis = []
     while entries:  # free each entry as its polynomial is built
         lm, lc, tail = entries.pop()
@@ -678,20 +717,22 @@ def _add_lead(numerator: dict, minimal: list, m: int, packing) -> None:
     ideal J they generate, updating ``minimal`` and J's Hilbert numerator
     in place: N(J + m) = N(J) - t^|m| N(J : m), where J : m = (x_v : v in
     V) + I' and N(J : m) = (1 - t)^|V| N(I') (module docstring)."""
-    degree = -(m >> packing.top)
+    top = packing.top
     variables, rest = 0, []  # V, one bit per x_v; the other colon generators
-    for g in minimal:
-        lcm, d = packing.lcm(g, m)
-        if d - degree == 1:
-            variables |= (lcm - m) & packing.low
+    for q in packing.lcms(m, minimal):
+        q -= m
+        if q >> top == -1:  # of degree 1
+            variables |= q & packing.low
         else:
-            rest.append(lcm - m)
-    colon = {0: 1}  # N(I'), 1 for I' = 0
+            rest.append(q)
+    n = variables.bit_count()
     if rest := [q for q in rest if not q & variables * packing.mask]:
-        colon = _hilbert_numerator(
+        colon = _one_minus_powers([1] * n, _hilbert_numerator(
             tuple(sorted(_minimalize_monos(map(packing.unpack, rest)))),
-            len(packing.offsets), {})
-    colon = _one_minus_powers([1] * variables.bit_count(), colon)
+            len(packing.offsets), {}))
+    else:  # I' = 0: the binomial row of (1 - t)^|V|
+        colon = {k: (-1) ** k * comb(n, k) for k in range(n + 1)}
+    degree = -(m >> top)
     for k, c in colon.items():
         _add_term(numerator, k + degree, -c)
     minimal[:] = [g for g in minimal if (g - m) & packing.guards]

@@ -225,9 +225,10 @@ class Polynomial:
                 and self._terms == other._terms)
 
     def __hash__(self):
+        # the monomials only: equal polynomials have equal monomial sets,
+        # and no coefficient is hashed
         if self._hash is None:
-            self._hash = hash((self.nvars, self.field,
-                               frozenset(self._terms.items())))
+            self._hash = hash(frozenset(self._terms))
         return self._hash
 
     # leading data

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 
-from .fields import QQ, GF, Record, field_from_spec
+from .fields import QQ, GF, FpElement, Record, field_from_spec
 from .parser import parse_polynomial
 from .poly import Polynomial, ProjectivePoint
 from .groebner import ideal_dimension_and_degree
@@ -189,10 +189,13 @@ def reduce_variety_mod(variety: VarietySpec, p: int) -> VarietySpec:
     fld = GF(p)
     eqs = []
     for eq in variety.equations:
-        try:
-            terms = {m: r for m, c in eq.terms.items() if (r := fld(c))}
-        except ZeroDivisionError as exc:
-            raise ValueError(f"cannot reduce {eq} modulo {p}: {exc}") from exc
+        terms = {}  # num * den^-1 mod p, an FpElement only when nonzero
+        for m, c in eq.terms.items():
+            if not (den := c.denominator % p):
+                raise ValueError(f"cannot reduce {eq} modulo {p}: "
+                                 f"denominator of {c} vanishes modulo {p}")
+            if r := c.numerator * pow(den, -1, p) % p:
+                terms[m] = FpElement(r, p)
         reduced = Polynomial(eq.nvars, fld, terms)
         if reduced.is_zero():
             raise ValueError(f"equation {eq} vanishes identically modulo {p}")

@@ -524,14 +524,16 @@ def test_the_summary_never_rebuilds_the_numerator(monkeypatch):
 
 
 def test_packed_lcm_is_the_fieldwise_maximum():
-    """_Packing.lcm against the maximum of the exponent tuples, packed, and
-    its degree: seeded exponents in 1-12 variables, with fields at 0 and at
-    2^_HALF - 1, equal fields, and a == b."""
+    """_Packing.lcms against the maximum of the exponent tuples, packed, and
+    its degree, in the narrow layout and the wide one: seeded exponents in
+    1-12 variables and in 255 at half 8, with fields at 0, 1, 2^half - 2
+    and 2^half - 1, equal fields, and a == b, one batch per monomial."""
     rng = random.Random("packed-lcm")
-    largest = (1 << ccv.groebner._HALF) - 1
-    for trial in range(600):
-        nvars = rng.randint(1, 12)
-        packing = ccv.groebner._Packing(nvars)
+    for trial in range(400):
+        nvars = 255 if trial % 40 == 0 else rng.randint(1, 12)
+        half = (8, ccv.groebner._HALF)[trial % 2 and nvars < 255]
+        packing = ccv.groebner._Packing(nvars, half)
+        largest = (1 << half) - 1
 
         def draw():
             return tuple(rng.choice((0, 1, largest - 1, largest,
@@ -539,12 +541,15 @@ def test_packed_lcm_is_the_fieldwise_maximum():
                          for _ in range(nvars))
 
         a = draw()
-        b = a if trial % 10 == 0 else tuple(
-            x if rng.random() < 0.3 else y for x, y in zip(a, draw()))
-        want = tuple(map(max, a, b))
-        got = packing.lcm(packing.pack(a), packing.pack(b))
-        assert got == (packing.pack(want), sum(want)), (a, b)
-        assert packing.lcm(packing.pack(b), packing.pack(a)) == got
+        others = [a] + [tuple(x if rng.random() < 0.3 else y
+                              for x, y in zip(a, draw())) for _ in range(4)]
+        got = list(packing.lcms(packing.pack(a), map(packing.pack, others)))
+        for b, lcm in zip(others, got, strict=True):
+            want = tuple(map(max, a, b))
+            assert lcm == packing.pack(want), (half, a, b)
+            assert -(lcm >> packing.top) == sum(want), (half, a, b)
+            swapped = packing.lcms(packing.pack(b), [packing.pack(a)])
+            assert list(swapped) == [lcm]
 
 
 def test_reduced_bases_on_the_ladder_are_pinned():
@@ -624,25 +629,28 @@ def test_engine_cross_check(field, monkeypatch):
     """Seeded ideals, homogeneous or not: each basis is a reduced Groebner
     basis by the field-scalar checks, and it is the textbook basis.  On
     homogeneous input, normal strategy takes the S-pairs in order of
-    non-decreasing lcm degree."""
-    lcms = []
-    spair = ccv.groebner._spair
+    non-decreasing lcm degree, read in the layout the engine used."""
+    degrees, layouts = [], []
+    spair, packing = ccv.groebner._spair, ccv.groebner._Packing
+
+    def layout(*args):
+        layouts.append(packing(*args))
+        return layouts[-1]
 
     def spy(ei, ej, lcm, mod):
-        lcms.append(lcm)
+        degrees.append(-(lcm >> layouts[-1].top))
         return spair(ei, ej, lcm, mod)
 
+    monkeypatch.setattr(ccv.groebner, "_Packing", layout)
     monkeypatch.setattr(ccv.groebner, "_spair", spy)
     rng = random.Random(f"engine-2:{field}")
     for trial in range(80):
         nvars = rng.randint(2, 5)
         homogeneous = trial % 2 == 0
         gens = _random_ideal(rng, nvars, field, homogeneous)
-        lcms.clear()
+        degrees.clear()
         basis = groebner_basis(gens)
         if homogeneous:
-            packing = ccv.groebner._Packing(nvars)
-            degrees = [sum(packing.unpack(m)) for m in lcms]
             assert degrees == sorted(degrees), trial
         assert verify_groebner(basis, generators=gens), trial
         leads = [g.leading_monomial() for g in basis]
@@ -800,6 +808,93 @@ def test_exponents_past_the_packed_fields_are_refused():
     for mod in (None, 101):
         with pytest.raises(OracleRefusal, match="multiplier"):
             ccv.groebner._reduce_rows([row], [entry], packing, mod)
+
+
+def _spy_layouts(monkeypatch):
+    """Record (half, "ran" or "refused") for every run of the loop."""
+    runs, buchberger = [], ccv.groebner._buchberger
+
+    def spy(polys, packing, reduce_tails):
+        try:
+            result = buchberger(polys, packing, reduce_tails)
+        except ccv.groebner.ExponentOverflow:
+            runs.append((packing.half, "refused"))
+            raise
+        runs.append((packing.half, "ran"))
+        return result
+
+    monkeypatch.setattr(ccv.groebner, "_buchberger", spy)
+    return runs
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "F101"])
+def test_an_exponent_past_the_narrow_fields_takes_the_wide(field,
+                                                           monkeypatch):
+    """x1^300 outgrows the 16-bit fields: the narrow layout refuses once,
+    the wide one runs once, and the basis is the textbook one.  The first
+    ideal meets x1^300 in the loop, as x0 - x1 reduces the second
+    generator.  The second meets it only in the inter-reduction of the
+    tails: x0 - x1 comes from the S-pair of the first two generators, and
+    every pair of the third has coprime leading monomials, so the loop
+    never reduces its tail x0^200*x1^100, and the minimal basis alone
+    runs in the narrow layout."""
+    runs = _spy_layouts(monkeypatch)
+    gens = [P("x0 - x1", 4, field), P("x0^200*x1^100 - x2^150*x3^150", 4,
+                                      field)]
+    basis = groebner_basis(gens)
+    assert runs == [(8, "refused"), (22, "ran")]
+    assert basis == textbook_basis(gens)
+    assert basis == [gens[0], P("x1^300 - x2^150*x3^150", 4, field)]
+
+    gens = [P(t, 7, field) for t in ("x3*x4 - 1", "x0*x3 - x1*x3",
+                                     "x5^151*x6^150 + x0^200*x1^100")]
+    runs.clear()
+    ccv.groebner._minimal_basis(gens)
+    assert runs == [(8, "ran")]
+    runs.clear()
+    basis = groebner_basis(gens)
+    assert runs == [(8, "refused"), (22, "ran")]
+    assert basis == textbook_basis(gens)
+    assert P("x5^151*x6^150 + x1^300", 7, field) in basis
+
+
+def test_the_loop_stops_once_the_leads_meet_the_bound(monkeypatch):
+    """On the count ladder the kept numerator reaches the complete-
+    intersection bound with pairs of a higher lcm degree still queued, the
+    loop walks no further degree, and the basis passes the field-scalar
+    check.  On the twisted cubic the numerator never meets (1 - t^2)^3,
+    and the loop walks every lcm degree of its pairs."""
+    leads, walked = [], []  # each new lead; each lcm degree walked
+    add_lead = ccv.groebner._add_lead
+    hilbert_function = ccv.groebner._hilbert_function
+
+    def lead_spy(numerator, minimal, m, packing):
+        leads.append(packing.unpack(m))
+        add_lead(numerator, minimal, m, packing)
+
+    def walk_spy(numerator, nvars, d):
+        walked.append(d)
+        return hilbert_function(numerator, nvars, d)
+
+    monkeypatch.setattr(ccv.groebner, "_add_lead", lead_spy)
+    monkeypatch.setattr(ccv.groebner, "_hilbert_function", walk_spy)
+
+    def pair_degrees():
+        return {sum(map(max, a, b)) for k, b in enumerate(leads)
+                for a in leads[:k]}
+
+    for degrees in LADDER[:2]:
+        gens = _count_system(degrees)
+        leads.clear(), walked.clear()
+        basis = groebner_basis(gens)
+        assert max(pair_degrees()) > max(walked), degrees
+        assert verify_groebner(basis, generators=gens), degrees
+    leads.clear(), walked.clear()
+    basis = groebner_basis(twisted_cubic())
+    assert set(walked) == pair_degrees() and basis == textbook_basis(
+        twisted_cubic())
+    packing, _, numerator = ccv.groebner._minimal_basis(twisted_cubic())
+    assert numerator != ccv.groebner._one_minus_powers([2, 2, 2])
 
 
 def test_groebner_basis_takes_no_order():
