@@ -810,23 +810,6 @@ def test_exponents_past_the_packed_fields_are_refused():
             ccv.groebner._reduce_rows([row], [entry], packing, mod)
 
 
-def _spy_layouts(monkeypatch):
-    """Record (half, "ran" or "refused") for every run of the loop."""
-    runs, buchberger = [], ccv.groebner._buchberger
-
-    def spy(polys, packing, reduce_tails):
-        try:
-            result = buchberger(polys, packing, reduce_tails)
-        except ccv.groebner.ExponentOverflow:
-            runs.append((packing.half, "refused"))
-            raise
-        runs.append((packing.half, "ran"))
-        return result
-
-    monkeypatch.setattr(ccv.groebner, "_buchberger", spy)
-    return runs
-
-
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "F101"])
 def test_an_exponent_past_the_narrow_fields_takes_the_wide(field,
                                                            monkeypatch):
@@ -838,7 +821,18 @@ def test_an_exponent_past_the_narrow_fields_takes_the_wide(field,
     every pair of the third has coprime leading monomials, so the loop
     never reduces its tail x0^200*x1^100, and the minimal basis alone
     runs in the narrow layout."""
-    runs = _spy_layouts(monkeypatch)
+    runs, buchberger = [], ccv.groebner._buchberger  # (half, outcome)
+
+    def spy(polys, packing, reduce_tails):
+        try:
+            result = buchberger(polys, packing, reduce_tails)
+        except ccv.groebner.ExponentOverflow:
+            runs.append((packing.half, "refused"))
+            raise
+        runs.append((packing.half, "ran"))
+        return result
+
+    monkeypatch.setattr(ccv.groebner, "_buchberger", spy)
     gens = [P("x0 - x1", 4, field), P("x0^200*x1^100 - x2^150*x3^150", 4,
                                       field)]
     basis = groebner_basis(gens)

@@ -15,7 +15,7 @@ Prints the median peak RSS with its range, then the median self time of
 each module over the runs, largest first: every ``ccv`` module, and the
 TOP largest of the others.
 
-Usage: python tools/import_peak.py [--runs RUNS] [--top TOP] [--src DIR]
+Usage: python tools/import_peak.py [--runs RUNS] [--src DIR]
                                    [--module MODULE] [--no-stdlib-bytecode]
 """
 
@@ -31,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TOP = 10
 PROBE = ("import resource, sys; import {module}; "
          "sys.stdout.write(str(resource.getrusage("
          "resource.RUSAGE_SELF).ru_maxrss))")
@@ -66,7 +67,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="peak RSS and per-module self time of an import")
     parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--top", type=int, default=10)
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--module", default="ccv.cli")
     parser.add_argument("--no-stdlib-bytecode", action="store_true")
@@ -84,7 +84,7 @@ def main(argv=None) -> int:
     medians = sorted(((statistics.median(v), k) for k, v in times.items()),
                      reverse=True)
     others = [k for _, k in medians if k.split(".")[0] != "ccv"]
-    shown = set(others[:args.top])
+    shown = set(others[:TOP])
     print(f"{'module':<32}{'self ms':>10}")
     for us, name in medians:
         if name in shown or name.split(".")[0] == "ccv":
