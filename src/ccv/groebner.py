@@ -178,7 +178,7 @@ __all__ = [
     "ideal_dimension_and_degree",
 ]
 
-_WIDTH = 44  # bits per exponent field, the top one a guard
+_WIDTH = 44  # bits per exponent in the wide fields, the top one a guard
 _HALF = _WIDTH // 2  # basis exponents and multipliers stay below 2^_HALF
 _CERTIFICATE_PRIME = 32003
 

@@ -531,7 +531,7 @@ def test_packed_lcm_is_the_fieldwise_maximum():
     rng = random.Random("packed-lcm")
     for trial in range(400):
         nvars = 255 if trial % 40 == 0 else rng.randint(1, 12)
-        half = (8, ccv.groebner._HALF)[trial % 2 and nvars < 255]
+        half = ccv.groebner._HALF if trial % 2 and nvars < 255 else 8
         packing = ccv.groebner._Packing(nvars, half)
         largest = (1 << half) - 1
 
@@ -879,15 +879,17 @@ def test_the_loop_stops_once_the_leads_meet_the_bound(monkeypatch):
 
     for degrees in LADDER[:2]:
         gens = _count_system(degrees)
-        leads.clear(), walked.clear()
+        leads.clear()
+        walked.clear()
         basis = groebner_basis(gens)
         assert max(pair_degrees()) > max(walked), degrees
         assert verify_groebner(basis, generators=gens), degrees
-    leads.clear(), walked.clear()
+    leads.clear()
+    walked.clear()
     basis = groebner_basis(twisted_cubic())
     assert set(walked) == pair_degrees() and basis == textbook_basis(
         twisted_cubic())
-    packing, _, numerator = ccv.groebner._minimal_basis(twisted_cubic())
+    numerator = ccv.groebner._minimal_basis(twisted_cubic())[2]
     assert numerator != ccv.groebner._one_minus_powers([2, 2, 2])
 
 
