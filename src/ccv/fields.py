@@ -228,12 +228,8 @@ class PrimeField:
             return value
         if isinstance(value, str):
             value = Fraction(value)
-        if isinstance(value, Fraction):  # num * den^-1, one residue
-            den = value.denominator % self.p
-            if not den:
-                raise ZeroDivisionError(
-                    f"denominator of {value} vanishes modulo {self.p}")
-            return FpElement(value.numerator * pow(den, -1, self.p), self.p)
+        if isinstance(value, Fraction):
+            return FpElement(self.residue(value), self.p)
         if isinstance(value, bool):
             raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
         if isinstance(value, int):
@@ -241,6 +237,14 @@ class PrimeField:
         if isinstance(value, float):
             raise TypeError("floats are not exact; pass int, str, or Fraction")
         raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
+
+    def residue(self, value: Fraction) -> int:
+        """num * den^-1 modulo p, in [0, p), as a plain int."""
+        den = value.denominator % self.p
+        if not den:
+            raise ZeroDivisionError(
+                f"denominator of {value} vanishes modulo {self.p}")
+        return value.numerator * pow(den, -1, self.p) % self.p
 
     def inv(self, value) -> FpElement:
         return self(value).inverse()

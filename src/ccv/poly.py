@@ -225,10 +225,13 @@ class Polynomial:
                 and self._terms == other._terms)
 
     def __hash__(self):
-        # the monomials only: equal polynomials have equal monomial sets,
-        # and no coefficient is hashed
+        # the monomials and one coefficient, that of the least monomial in
+        # tuple order: equal polynomials agree on both, and polynomials of
+        # one support such as x - c still spread out
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms))
+            terms = self._terms
+            self._hash = hash((frozenset(terms),
+                               terms.get(min(terms, default=None))))
         return self._hash
 
     # leading data

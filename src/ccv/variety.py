@@ -189,13 +189,13 @@ def reduce_variety_mod(variety: VarietySpec, p: int) -> VarietySpec:
     fld = GF(p)
     eqs = []
     for eq in variety.equations:
-        terms = {}  # num * den^-1 mod p, an FpElement only when nonzero
-        for m, c in eq.terms.items():
-            if not (den := c.denominator % p):
-                raise ValueError(f"cannot reduce {eq} modulo {p}: "
-                                 f"denominator of {c} vanishes modulo {p}")
-            if r := c.numerator * pow(den, -1, p) % p:
-                terms[m] = FpElement(r, p)
+        terms = {}  # an FpElement only for a nonzero residue
+        try:
+            for m, c in eq.terms.items():
+                if r := fld.residue(c):
+                    terms[m] = FpElement(r, p)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"cannot reduce {eq} modulo {p}: {exc}") from exc
         reduced = Polynomial(eq.nvars, fld, terms)
         if reduced.is_zero():
             raise ValueError(f"equation {eq} vanishes identically modulo {p}")

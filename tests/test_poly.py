@@ -150,6 +150,24 @@ def test_kept_text_degree_and_homogeneity_match_recomputation(field):
         assert p.evaluate(values) == expected
 
 
+@pytest.mark.parametrize("field", [QQ, GF(211)], ids=["QQ", "F211"])
+def test_hash_spreads_one_support_and_keeps_equal_polynomials_together(field):
+    # x0 - c for 200 values of c share their monomials; the hash must still
+    # tell them apart, and dedup must keep one copy of each, first seen first
+    pencil = [Polynomial(2, field, {(1, 0): field.one, (0, 1): field(-c)})
+              for c in range(1, 201)]
+    # (CPython hashes the integers -1 and -2 alike, hence one shared value)
+    assert len({hash(q) for q in pencil}) >= 199
+    # the same polynomials rebuilt with their terms in the other order
+    again = [Polynomial(2, field, dict(reversed(q.terms.items())))
+             for q in pencil]
+    assert [hash(q) for q in again] == [hash(q) for q in pencil]
+    kept = list(dict.fromkeys(pencil[:150] + again[50:] + pencil[::-7]))
+    assert kept == pencil and all(a is b for a, b in zip(kept, pencil[:150]))
+    zero = Polynomial(2, field, {})
+    assert hash(zero) == hash(Polynomial(2, field, {}))
+
+
 def test_cross_ring_operations_fail():
     with pytest.raises(ValueError):
         P("x0", 2) + P("x0", 3)

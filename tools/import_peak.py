@@ -7,16 +7,13 @@ once the import is done.  So no ``ccv`` bytecode is read or written and
 every ``ccv`` module is compiled from source, as in a fresh checkout run
 without bytecode (the benchmark runs that way); compiling costs memory,
 so source lines alone can move the peak.  The standard library reads its
-installed bytecode, as it does there.  ``--no-stdlib-bytecode`` adds
-``-X pycache_prefix=<an empty directory>``, so that the standard library
-is compiled from source too (about 4 MB more on Python 3.11).
+installed bytecode, as it does there.
 
 Prints the median peak RSS with its range, then the median self time of
 each module over the runs, largest first: every ``ccv`` module, and the
 TOP largest of the others.
 
 Usage: python tools/import_peak.py [--runs RUNS] [--src DIR]
-                                   [--module MODULE] [--no-stdlib-bytecode]
 """
 
 from __future__ import annotations
@@ -32,12 +29,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOP = 10
-PROBE = ("import resource, sys; import {module}; "
+MODULE = "ccv.cli"
+PROBE = (f"import resource, sys; import {MODULE}; "
          "sys.stdout.write(str(resource.getrusage("
          "resource.RUSAGE_SELF).ru_maxrss))")
 
 
-def one_run(module: str, src: Path, stdlib_bytecode: bool) -> tuple:
+def one_run(src: Path) -> tuple:
     """(peak RSS in MB, {module: self time in us}) of one fresh import."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "src"
@@ -46,12 +44,8 @@ def one_run(module: str, src: Path, stdlib_bytecode: bool) -> tuple:
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                    PYTHONPATH=str(copy))
         env.pop("PYTHONPYCACHEPREFIX", None)
-        flags = ["-X", "importtime"]
-        if not stdlib_bytecode:
-            (empty := Path(tmp) / "empty").mkdir()
-            flags += ["-X", f"pycache_prefix={empty}"]
         done = subprocess.run(
-            [sys.executable, *flags, "-c", PROBE.format(module=module)],
+            [sys.executable, "-X", "importtime", "-c", PROBE],
             env=env, capture_output=True, text=True, check=True)
     times = {}
     for line in done.stderr.splitlines():
@@ -65,20 +59,17 @@ def one_run(module: str, src: Path, stdlib_bytecode: bool) -> tuple:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="peak RSS and per-module self time of an import")
+        description=f"peak RSS and per-module self time of import {MODULE}")
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--module", default="ccv.cli")
-    parser.add_argument("--no-stdlib-bytecode", action="store_true")
     args = parser.parse_args(argv)
     peaks, times = [], {}
     for _ in range(args.runs):
-        peak, run = one_run(args.module, args.src.resolve(),
-                            not args.no_stdlib_bytecode)
+        peak, run = one_run(args.src.resolve())
         peaks.append(peak)
         for name, us in run.items():
             times.setdefault(name, []).append(us)
-    print(f"import {args.module}: peak RSS median "
+    print(f"import {MODULE}: peak RSS median "
           f"{statistics.median(peaks):.2f} MB, range {min(peaks):.2f}-"
           f"{max(peaks):.2f} MB, {args.runs} runs")
     medians = sorted(((statistics.median(v), k) for k, v in times.items()),
