@@ -34,21 +34,24 @@ class FieldMismatchError(TypeError):
     """Scalars (or polynomials, points, ...) from different fields were mixed."""
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality: Miller-Rabin to the bases 2, 3, 5 and 7,
-    which no composite below 3,215,031,751 passes (Pomerance, Selfridge and
-    Wagstaff, Math. Comp. 35, 1980), and trial division above that."""
-    if n < 2:
+    """Deterministic primality: Miller-Rabin to the twelve prime bases 2 to
+    37, which no composite below 318,665,857,834,031,151,167,461 passes
+    (Sorenson and Webster, Math. Comp. 86, 2017), and trial division above
+    that."""
+    if n <= 37:
+        return n in _BASES
+    if not all(n % q for q in _BASES):
         return False
-    for q in (2, 3, 5, 7):
-        if n % q == 0:
-            return n == q
-    if n >= 3215031751:
-        return all(n % d for d in range(11, isqrt(n) + 1, 2))
+    if n >= 318665857834031151167461:
+        return all(n % d for d in range(41, isqrt(n) + 1, 2))
     d, s = n - 1, 0
     while not d & 1:
         d, s = d >> 1, s + 1
-    for a in (2, 3, 5, 7):  # n passes when a^d = 1 or some a^(d 2^r) = -1
+    for a in _BASES:  # n passes when a^d = 1 or some a^(d 2^r) = -1
         x = pow(a, d, n)
         if x == 1:
             continue

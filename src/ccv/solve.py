@@ -32,29 +32,35 @@ exactly when each pair of variables holds the support of some leading
 monomial.  Every cell of a finite projective scheme, and every fiber of a
 cell over a root, is then finite.
 
-The monic generator of I and k[x], for the last live variable x, is the
-minimal polynomial of 1 under the map M of multiplication by x on k[x]/I
-(FGLM restricted to one variable: Faugere, Gianni, Lazard and Mora, J.
-Symbolic Comput. 16, 1993).  It depends on I alone, so the reversed
-names change neither it nor the order of the roots.  The columns of M are
-the normal forms of x*s for the standard monomials s reachable from 1,
-reduced by the cell's basis, its leads taken once; over Q each column is
-integers over one denominator.  In a cell x = x_N is the largest
-variable, whose map is dense, so the Krylov vectors 1, M 1, M^2 1, ...
-are residues packed into one int each, echeloned in turn until the first
-dependency.  Over Q that echelon runs modulo primes below 2^31 that
-divide no denominator of M; a prime that gives a lower degree than another is
-unlucky and is dropped.  The residues are combined by the Chinese
-remainder theorem and each coefficient is reconstructed as a fraction
-(P. S. Wang, 1981); once two reconstructions in a row agree, g is
-accepted only if g(M) 1 = 0 in exact integer arithmetic.  The true
-minimal polynomial f then divides g, while deg g <= deg f, since the
-Krylov rank can only drop modulo p; so g = f.  Its coefficients go to
-the root finder as they are; each root r is substituted into the cell's
-basis, and the smaller system takes its own basis and is solved the same
-way.  The generator is the univariate
-element of the lex basis, so points come out in the order a lex solve
-gives.
+The monic generator of I and k[x], for a variable x, is the minimal
+polynomial of 1 under the map M of multiplication by x on k[x]/I (FGLM
+restricted to one variable: Faugere, Gianni, Lazard and Mora, J.
+Symbolic Comput. 16, 1993).  Its roots are the values of x on the points,
+so fixing each root and solving the rest gives the same points whichever
+variable comes first.  The solver fixes the smallest live variable first:
+in grevlex x*s is again a standard monomial for most standard s, so most
+columns of its map are unit columns, where the largest variable's map is
+dense (Faugere and Mou, ISSAC 2011).  The columns of M are the normal
+forms of x*s for the standard monomials s reachable from 1, reduced by
+the cell's basis, its leads taken once; over Q each column is integers
+over one denominator.  The Krylov vectors 1, M 1, M^2 1, ... are residues
+packed into one int each, echeloned in turn until the first dependency.
+Over Q that echelon runs modulo primes counted down from 2^62 - 57, the
+first eight pinned and the others found when first needed, skipping any
+that divides a denominator of M; a prime that gives a lower degree than
+another is unlucky and is dropped.  The residues are combined by the
+Chinese remainder theorem and each coefficient is reconstructed as a
+fraction (P. S. Wang, 1981).  The first reconstruction of every
+coefficient that differs from the last one checked is accepted only if
+g(M) 1 = 0 in exact integer arithmetic.  The true minimal polynomial f
+then divides g, while deg g <= deg f, since the Krylov rank can only drop
+modulo p; so g = f, however many unlucky primes agreed on a wrong g.
+Its coefficients go to the root finder as they are; each root r is
+substituted into the cell's basis, and the smaller system takes its own
+basis and is solved the same way.  The points of a cell are then sorted
+once into the order a lex solve gives, x_N first, then x_{N-1}, and so
+on: a coordinate by its residue over F_p, and over Q by (|numerator|,
+denominator), the positive one of a pair first, the order of the roots.
 
 Univariate roots over a prime field are the residues where the polynomial
 vanishes; gcd(f, t^p - t) counts them first, so a scan that can find none
@@ -84,8 +90,10 @@ __all__ = ["projective_rational_solutions", "rational_roots"]
 # divides disc(f), so a square-free f nearly always skips the remainders.
 _SQUAREFREE_PRIME = 32003
 
-# The primes below 2^31 in descending order, each found when first needed
-_PRIMES = []
+# The primes below 2^62 in descending order: the first eight, which every
+# cell of the benchmark stays within, and the others found when first needed
+_PRIMES = [2**62 - 57, 2**62 - 87, 2**62 - 117, 2**62 - 143, 2**62 - 153,
+           2**62 - 167, 2**62 - 171, 2**62 - 195]
 
 
 def projective_rational_solutions(gens) -> list:
@@ -109,11 +117,13 @@ def projective_rational_solutions(gens) -> list:
     if not all(any(s <= {i, k} for s in supports)
                for i, k in combinations(range(nvars), 2)):
         raise ValueError("system is not zero-dimensional")
+    key = (lambda v: v.value) if field.is_prime_field else _rational_key
     points = []
     for j in range(nvars):
         if (cell := _substitute(basis, last - j, field.one)) is not None:
             live = list(range(last - j - 1, -1, -1))  # x_{j+1}, ..., x_last
-            for sol in _affine_points(cell, live, field):
+            for sol in sorted(_affine_points(cell, live, field),  # x_N first
+                              key=lambda s: [key(s[i]) for i in live[::-1]]):
                 coords = [field.zero] * j + [field.one]
                 coords += [sol[i] for i in live]
                 points.append(ProjectivePoint(coords, field))
@@ -157,14 +167,14 @@ def _affine_points(basis, live, field):
         return [{}] if not basis else []
     if basis[0].is_constant():
         return []  # unit ideal
-    last, rest = live[-1], live[:-1]
+    var, rest = live[0], live[1:]  # the smallest live variable first
     out = []
-    for root in _univariate_roots(_minimal_polynomial(basis, last), field):
-        if (sub := _substitute(basis, last, root)) is None:
+    for root in _univariate_roots(_minimal_polynomial(basis, var), field):
+        if (sub := _substitute(basis, var, root)) is None:
             continue
         for sol in _affine_points(groebner_basis(sub) if rest else sub,
                                   rest, field):
-            sol[last] = root
+            sol[var] = root
             out.append(sol)
     return out
 
@@ -279,7 +289,7 @@ def _rational_minimal_polynomial(columns) -> list:
     under a matrix over Q with these sparse columns (den, ints), from
     residues checked exactly (module docstring)."""
     dens, ints = zip(*columns)
-    residues, modulus, last = [], 1, None
+    residues, modulus, checked = [], 1, None
     for p in map(_prime, count()):
         if any(d % p == 0 for d in dens):
             continue
@@ -297,16 +307,16 @@ def _rational_minimal_polynomial(columns) -> list:
         bound = isqrt(modulus // 2)
         cand = list(takewhile(lambda q: q is not None, (
             _reconstruct(r, modulus, bound) for r in residues)))
-        if (cand == last and len(cand) == len(g)
-                and _annihilates(cand, ints, dens)):
-            return cand
-        last = cand
+        if len(cand) == len(g) and cand != checked:
+            if _annihilates(cand, ints, dens):
+                return cand
+            checked = cand
 
 
 def _prime(k: int) -> int:
-    """The k-th prime below 2^31, counting down from 2^31 - 1 as 0."""
+    """The k-th prime below 2^62, counting down from 2^62 - 57 as 0."""
     while len(_PRIMES) <= k:
-        p = _PRIMES[-1] - 2 if _PRIMES else 2**31 - 1
+        p = _PRIMES[-1] - 2
         while not is_prime(p):
             p -= 2
         _PRIMES.append(p)
@@ -385,7 +395,12 @@ def rational_roots(coeffs: dict) -> list:
         if cand is not None and not reduce(lambda acc, c: acc * cand + c,
                                            reversed(g), 0):
             roots.append(cand)
-    return sorted(roots, key=lambda q: (abs(q.numerator), q.denominator, q < 0))
+    return sorted(roots, key=_rational_key)
+
+
+def _rational_key(q: Fraction) -> tuple:
+    """(|numerator|, denominator), the positive one of a pair first."""
+    return abs(q.numerator), q.denominator, q < 0
 
 
 def _eval_mod(dense: list, t: int, m: int) -> int:

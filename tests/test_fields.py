@@ -69,6 +69,14 @@ def test_is_prime_refuses_strong_pseudoprimes_and_carmichael_numbers():
     # 3215031751 = 151 * 751 * 28351, a strong pseudoprime to 2, 3, 5, 7
     assert not is_prime(3215031751)
     assert is_prime(2**31 - 1)
+    # 3825123056546413051 = 149491 * 747451 * 34233211, a strong
+    # pseudoprime to every prime base up to 31: only base 37 refuses it
+    factors = [149491, 747451, 34233211]
+    n = 3825123056546413051
+    assert n == factors[0] * factors[1] * factors[2]
+    assert all(map(_trial_division, factors))
+    assert not is_prime(n)
+    assert is_prime(2**62 - 57) and not is_prime(2**62 - 55)
     for n in CARMICHAEL:  # Korselt: square-free, p - 1 | n - 1
         factors = _prime_factors(n)
         assert len(set(factors)) == len(factors) > 1

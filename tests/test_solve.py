@@ -14,6 +14,7 @@ from ccv import (GF, QQ, Polynomial, conic_system, find_singular_conics,
                  over_prime, parse_polynomial, projective_rational_solutions,
                  rational_roots)
 from ccv import solve
+from ccv.fields import is_prime
 from ccv.groebner import _hilbert_numerator, _minimalize_monos, _pole_order
 from ccv.linalg import kernel_basis
 from ccv.solve import (_eval_mod, _minimal_polynomial,
@@ -388,14 +389,47 @@ def test_minimal_polynomial_is_the_normal_form_eliminant(field):
     for _ in range(30):
         gens, live, planted = _grid_cell(rng, field, rng.choice((3, 4)))
         basis = groebner_basis(gens)
-        last = live[-1]
-        assert (_minimal_polynomial(basis, last)
-                == _eliminant(textbook_basis(gens), last))
+        var = live[0]  # the variable the solver fixes first
+        assert (_minimal_polynomial(basis, var)
+                == _eliminant(textbook_basis(gens), var))
+        # the list order comes from the sort in projective_rational_solutions
         points = solve._affine_points(basis, live, field)
-        assert points == _eliminant_affine_points(gens, live, field)
         assert len(points) == len(planted)
-        assert ({frozenset(pt.items()) for pt in points}
-                == {frozenset(pt.items()) for pt in planted})
+        assert (_point_set(points)
+                == _point_set(_eliminant_affine_points(gens, live, field))
+                == _point_set(planted))
+
+
+def _point_set(points):
+    return {frozenset(pt.items()) for pt in points}
+
+
+def _homogenized(f):
+    """The form x0^deg(f) * f(x1/x0, ...) of a polynomial free of x0."""
+    return Polynomial(f.nvars, f.field, {
+        (f.degree() - sum(m),) + m[1:]: c for m, c in f.terms.items()})
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "F101"])
+def test_points_come_in_the_order_of_the_lex_solve(field):
+    # the grid cells homogenized by x0 have no point on x0 = 0 (the leading
+    # forms are powers of triangular linear forms), so the solver lists the
+    # planted points alone, in the order in which the eliminant route,
+    # which fixes x_N first, finds them
+    rng = random.Random(f"ccv-order:{field!r}")
+    reordered = 0
+    for _ in range(40):  # two live variables, so up to four points
+        gens, live, planted = _grid_cell(rng, field, 3)
+        got = projective_rational_solutions(list(map(_homogenized, gens)))
+        lex = [qpt(1, *(pt[i] for i in live), field=field)
+               for pt in _eliminant_affine_points(gens, live, field)]
+        assert got == lex
+        assert set(got) == {qpt(1, *(pt[i] for i in live), field=field)
+                            for pt in planted}
+        reordered += [qpt(1, *(pt[i] for i in live), field=field) for pt in
+                      solve._affine_points(groebner_basis(gens), live,
+                                           field)] != lex
+    assert reordered  # the smallest variable alone gives another order
 
 
 @pytest.mark.parametrize("name, n, prime", [
@@ -431,9 +465,9 @@ def test_vertices_match_the_eliminant_route(name, n, prime, monkeypatch):
 
 
 # The minimal polynomial over Q comes from residues modulo primes counted
-# down from 2^31 - 1 and is accepted only after an exact check.
+# down from 2^62 - 57 and is accepted only after an exact check.
 
-P1, P2 = 2**31 - 1, 2**31 - 19  # the first two primes taken
+P1, P2 = 2**62 - 57, 2**62 - 87  # the first two primes taken
 
 
 def _spy(monkeypatch, name, record):
@@ -465,19 +499,44 @@ def test_the_exact_check_refuses_agreeing_unlucky_primes(monkeypatch):
     # the points (0, 0), (0, 1) and (2/N, 2) of the (x1, x2)-plane, with
     # x2^2 - x2 = N*x1 on them: modulo P1 and P2, which divide N, the
     # Krylov vectors of x2 give x2^2 - x2, two agreeing reconstructions of
-    # a polynomial that does not lie in the ideal
+    # a polynomial that does not lie in the ideal; the first is checked
+    # and refused, the second is not checked again, and the third prime
+    # gives the eliminant
     n = P1 * P2
     gens = [P(f"x2^2 - x2 - {n}*x1", 3), P("x1*x2 - 2*x1", 3),
             P(f"{n}*x1^2 - 2*x1", 3)]
     basis = groebner_basis(gens)
     eliminant = _eliminant(textbook_basis(gens), 2)
     assert eliminant == [0, 2, -3, 1]  # x2^3 - 3*x2^2 + 2*x2
-    checks = []
+    checks, degrees = [], []
     _spy(monkeypatch, "_annihilates", lambda _, ok: checks.append(ok))
+    _spy(monkeypatch, "_minimal_polynomial_mod",
+         lambda args, g: degrees.append((args[1], len(g) - 1)))
     assert _minimal_polynomial(basis, 2) == eliminant
     assert checks == [False, True]
+    assert degrees == [(P1, 2), (P2, 2), (2**62 - 117, 3)]
     monkeypatch.setattr(solve, "_annihilates", lambda *args: True)
     assert _minimal_polynomial(basis, 2) == [0, -1, 1]
+
+
+def test_a_linear_cell_is_accepted_after_one_prime(monkeypatch):
+    # x1 - 2/3 reconstructs from its residues modulo P1 alone, and the
+    # exact check accepts that first reconstruction
+    primes, checks = [], []
+    _spy(monkeypatch, "_minimal_polynomial_mod",
+         lambda args, _: primes.append(args[1]))
+    _spy(monkeypatch, "_annihilates", lambda _, ok: checks.append(ok))
+    assert projective_rational_solutions([P("3*x1 - 2*x0", 2)]) == [
+        qpt(1, Fraction(2, 3))]
+    assert primes == [P1] and checks == [True]
+
+
+def test_the_pinned_primes_are_the_first_below_2_to_the_62():
+    pinned = list(solve._PRIMES[:8])
+    assert pinned == sorted(pinned, reverse=True)
+    assert [p for p in range(2**62 - 1, pinned[-1] - 1, -2)
+            if is_prime(p)] == pinned
+    assert [solve._prime(k) for k in range(8)] == pinned
 
 
 # The list echelon and the Fraction map that packed Krylov vectors and
