@@ -410,6 +410,11 @@ def _homogenized(f):
         (f.degree() - sum(m),) + m[1:]: c for m, c in f.terms.items()})
 
 
+def _in_the_cell(points, live, field):
+    """The points {var: value} of the cell x0 = 1 as projective points."""
+    return [qpt(1, *(pt[i] for i in live), field=field) for pt in points]
+
+
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "F101"])
 def test_points_come_in_the_order_of_the_lex_solve(field):
     # the grid cells homogenized by x0 have no point on x0 = 0 (the leading
@@ -421,14 +426,12 @@ def test_points_come_in_the_order_of_the_lex_solve(field):
     for _ in range(40):  # two live variables, so up to four points
         gens, live, planted = _grid_cell(rng, field, 3)
         got = projective_rational_solutions(list(map(_homogenized, gens)))
-        lex = [qpt(1, *(pt[i] for i in live), field=field)
-               for pt in _eliminant_affine_points(gens, live, field)]
+        lex = _in_the_cell(_eliminant_affine_points(gens, live, field), live,
+                           field)
         assert got == lex
-        assert set(got) == {qpt(1, *(pt[i] for i in live), field=field)
-                            for pt in planted}
-        reordered += [qpt(1, *(pt[i] for i in live), field=field) for pt in
-                      solve._affine_points(groebner_basis(gens), live,
-                                           field)] != lex
+        assert set(got) == set(_in_the_cell(planted, live, field))
+        reordered += _in_the_cell(solve._affine_points(
+            groebner_basis(gens), live, field), live, field) != lex
     assert reordered  # the smallest variable alone gives another order
 
 
