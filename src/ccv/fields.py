@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 
 __all__ = [
     "QQ",
@@ -40,14 +39,15 @@ _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     """Deterministic primality: Miller-Rabin to the twelve prime bases 2 to
     37, which no composite below 318,665,857,834,031,151,167,461 passes
-    (Sorenson and Webster, Math. Comp. 86, 2017), and trial division above
-    that."""
+    (Sorenson and Webster, Math. Comp. 86, 2017).  A larger n raises
+    ValueError."""
+    if n >= 318665857834031151167461:
+        raise ValueError("primality is decided only below "
+                         f"318,665,857,834,031,151,167,461, got {n}")
     if n <= 37:
         return n in _BASES
     if not all(n % q for q in _BASES):
         return False
-    if n >= 318665857834031151167461:
-        return all(n % d for d in range(41, isqrt(n) + 1, 2))
     d, s = n - 1, 0
     while not d & 1:
         d, s = d >> 1, s + 1

@@ -104,15 +104,18 @@ these, J : m = (x_v : v in V) + I', where I' is generated by the colon
 generators free of every x_v in V.  The two parts share no variable, so
 N((x_V) + I') = (1 - t)^|V| N(I'), with N(0) = 1; on the count ladder
 I' is always 0, and N(J : m) is the binomial row sum_k (-1)^k C(|V|, k)
-t^k.  Only a nonzero I' is unpacked, and its N comes from a
-pivot recursion on the monomial ideal that splits on the smallest
-positive power of a shared variable, so exponents near the field limit
-cost no more than small ones.  N vanishes
-at t = 1 to the codimension m, the first order with a nonzero N^(m)(1) /
-m! = sum_k c_k C(k, m), and (-1)^m times that sum is the degree (Bayer and
-Stillman, "Computation of Hilbert functions", J. Symbolic Comput. 14,
-1992).  Only the leading monomials of a minimal basis are needed, so the
-summary neither inter-reduces the tails nor builds polynomials.
+t^k.  Otherwise N(I') takes the same update: the generators of I' are
+added one by one to the zero ideal, in ascending degree, and one that an
+earlier one divides is skipped, so each is new and divides none before
+it.  I' has at most as many generators as J, and the k-th one added meets
+k - 1 leads, so each nested call starts from fewer leads than its caller:
+the recursion is at most as deep as J has minimal generators, and no step
+depends on the size of an exponent.  N vanishes at t = 1 to the
+codimension m, the first order with a nonzero N^(m)(1) / m! = sum_k c_k
+C(k, m), and (-1)^m times that sum is the degree (Bayer and Stillman,
+"Computation of Hilbert functions", J. Symbolic Comput. 14, 1992).  Only
+the leading monomials of a minimal basis are needed, so the summary
+neither inter-reduces the tails nor builds polynomials.
 
 Over the rationals that basis is first taken modulo p = 32003, which skips
 the coefficient swell of the fraction-free engine.  Each of the r nonzero
@@ -703,21 +706,14 @@ def _summary(affine_dim: int, degree: int) -> IdealSummary:
     return IdealSummary(affine_dim - 1, degree)
 
 
-def _minimalize_monos(monos):
-    monos = sorted(set(monos), key=lambda m: (sum(m), m))
-    out = []
-    for m in monos:
-        if not any(_divides(b, m) for b in out):
-            out.append(m)
-    return out
-
-
 def _add_lead(numerator: dict, minimal: list, m: int, packing) -> None:
     """Add the packed lead m, which no lead in ``minimal`` divides, to the
     ideal J they generate, updating ``minimal`` and J's Hilbert numerator
     in place: N(J + m) = N(J) - t^|m| N(J : m), where J : m = (x_v : v in
-    V) + I' and N(J : m) = (1 - t)^|V| N(I') (module docstring)."""
-    top = packing.top
+    V) + I' and N(J : m) = (1 - t)^|V| N(I').  N(I') takes the same update,
+    so the recursion is at most as deep as J has minimal generators (module
+    docstring)."""
+    top, guards = packing.top, packing.guards
     variables, rest = 0, []  # V, one bit per x_v; the other colon generators
     for q in packing.lcms(m, minimal):
         q -= m
@@ -727,60 +723,18 @@ def _add_lead(numerator: dict, minimal: list, m: int, packing) -> None:
             rest.append(q)
     n = variables.bit_count()
     if rest := [q for q in rest if not q & variables * packing.mask]:
-        colon = _one_minus_powers([1] * n, _hilbert_numerator(
-            tuple(sorted(_minimalize_monos(map(packing.unpack, rest)))),
-            len(packing.offsets), {}))
+        inner, leads = {0: 1}, []
+        for q in sorted(rest, reverse=True):  # ascending degree
+            if all((q - g) & guards for g in leads):
+                _add_lead(inner, leads, q, packing)
+        colon = _one_minus_powers([1] * n, inner)
     else:  # I' = 0: the binomial row of (1 - t)^|V|
         colon = {k: (-1) ** k * comb(n, k) for k in range(n + 1)}
     degree = -(m >> top)
     for k, c in colon.items():
         _add_term(numerator, k + degree, -c)
-    minimal[:] = [g for g in minimal if (g - m) & packing.guards]
+    minimal[:] = [g for g in minimal if (g - m) & guards]
     minimal.append(m)
-
-
-def _hilbert_numerator(monos, nvars: int, cache: dict) -> dict:
-    """Numerator of the Hilbert series of R/(monomial ideal) over (1-t)^nvars,
-    as a sparse {degree: nonzero coefficient} map.
-
-    Pairwise-coprime generators give the closed form prod(1 - t^deg); any
-    shared variable v splits the ideal on x_v^k, k the smallest positive
-    exponent of v, as N(I) = N(I + x_v^k) + t^k * N(I : x_v^k).  Unwinding
-    the recursion reproduces inclusion-exclusion over generator subsets,
-    just with shared subproblems cached in ``cache``, which the caller
-    keeps for as long as it likes.  ``monos`` is minimal and sorted.
-    """
-    hit = cache.get(monos)
-    if hit is not None:
-        return hit
-    if monos and sum(monos[0]) == 0:
-        result = {}
-    else:
-        pivot = _shared_variable(monos, nvars)
-        if pivot is None:
-            result = _one_minus_powers(sum(m) for m in monos)
-        else:
-            k = min(m[pivot] for m in monos if m[pivot])
-            plus = [tuple(k if i == pivot else 0 for i in range(nvars))]
-            plus += [m for m in monos if not m[pivot]]
-            colon = [tuple(max(e - k, 0) if i == pivot else e
-                           for i, e in enumerate(m)) for m in monos]
-            result = dict(_hilbert_numerator(tuple(sorted(plus)), nvars,
-                                             cache))
-            right = _hilbert_numerator(
-                tuple(sorted(_minimalize_monos(colon))), nvars, cache)
-            for e, c in right.items():
-                _add_term(result, e + k, c)
-    cache[monos] = result
-    return result
-
-
-def _shared_variable(monos, nvars: int):
-    """A variable in more than one generator's support, or None if the
-    generators are pairwise coprime.  Picks the most shared one."""
-    counts = [sum(1 for m in monos if m[i]) for i in range(nvars)]
-    best = max(range(nvars), key=counts.__getitem__, default=None)
-    return best if best is not None and counts[best] > 1 else None
 
 
 def _one_minus_powers(degrees, result=None) -> dict:

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: rationals and prime fields never mix silently."""
 
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -82,6 +83,17 @@ def test_is_prime_refuses_strong_pseudoprimes_and_carmichael_numbers():
         assert len(set(factors)) == len(factors) > 1
         assert all((n - 1) % (q - 1) == 0 for q in factors)
         assert not is_prime(n)
+
+
+def test_is_prime_refuses_past_the_bound_of_its_bases():
+    """The twelve bases decide primality below 318665857834031151167461;
+    from there on is_prime raises at once, even on a probable prime."""
+    assert not is_prime(318665857834031151167461 - 1)  # even
+    for n in (318665857834031151167461, 318665857834031151167483, 2**80):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="only below"):
+            is_prime(n)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_fp_arithmetic_mod_7():

@@ -208,26 +208,35 @@ def test_dimension_matches_a_subset_search_on_monomial_ideals():
 
 # the dense Hilbert numerator that the sparse one replaced, kept as the
 # reference: coefficient tuples, split on the first power of a shared
-# variable
+# variable, memoized on the set of minimal generators
 
-def _dense_numerator(monos, nvars):
-    monos = [m for m in set(monos) if not any(
-        b != m and all(x <= y for x, y in zip(b, m)) for b in monos)]
-    if (0,) * nvars in monos:
-        return (0,)
+def _minimal_monos(monos):
+    """The minimal generators among exponent tuples, as a frozenset."""
+    return frozenset(m for m in set(monos) if not any(
+        b != m and all(map(le, b, m)) for b in monos))
+
+
+def _dense_numerator(monos, nvars, memo):
+    monos = _minimal_monos(monos)
+    if monos in memo:
+        return memo[monos]
     counts = [sum(1 for m in monos if m[i]) for i in range(nvars)]
     pivot = max(range(nvars), key=counts.__getitem__, default=None)
-    if pivot is None or counts[pivot] < 2:
+    if (0,) * nvars in monos:
+        result = (0,)
+    elif pivot is None or counts[pivot] < 2:
         result = (1,)
         for m in monos:
             result = _dense_mul(result, (1,) + (0,) * (sum(m) - 1) + (-1,))
-        return result
-    plus = [tuple(1 if i == pivot else 0 for i in range(nvars))]
-    plus += [m for m in monos if not m[pivot]]
-    colon = [tuple(e - 1 if i == pivot and e else e for i, e in enumerate(m))
-             for m in monos]
-    return _dense_add(_dense_numerator(plus, nvars),
-                      (0,) + _dense_numerator(colon, nvars))
+    else:
+        plus = [tuple(1 if i == pivot else 0 for i in range(nvars))]
+        plus += [m for m in monos if not m[pivot]]
+        colon = [tuple(e - 1 if i == pivot and e else e
+                       for i, e in enumerate(m)) for m in monos]
+        result = _dense_add(_dense_numerator(plus, nvars, memo),
+                            (0,) + _dense_numerator(colon, nvars, memo))
+    memo[monos] = result
+    return result
 
 
 def _dense_mul(a, b):
@@ -244,12 +253,29 @@ def _dense_add(a, b):
                                        b + (0,) * (n - len(b))))
 
 
+def _rebuilt(leads, nvars, memo):
+    """The sparse numerator of the ideal the exponents generate, from the
+    dense reference."""
+    dense = _dense_numerator(leads, nvars, memo)
+    return {k: c for k, c in enumerate(dense) if c}
+
+
+def _folded(monos, nvars):
+    """The numerator of the ideal the exponents generate, taken by
+    _add_lead one exponent at a time, in the given order; an exponent that
+    a kept lead divides is skipped."""
+    packing = ccv.groebner._Packing(nvars)
+    numerator, minimal = {0: 1}, []
+    for m in map(packing.pack, monos):
+        if all((m - g) & packing.guards for g in minimal):
+            ccv.groebner._add_lead(numerator, minimal, m, packing)
+    return numerator
+
+
 def test_sparse_numerator_equals_the_dense_reference():
     for nvars, monomials in _monomial_ideal_cases():
-        monos = tuple(sorted(ccv.groebner._minimalize_monos(monomials)))
-        sparse = ccv.groebner._hilbert_numerator(monos, nvars, {})
-        dense = _dense_numerator(monomials, nvars)
-        assert sparse == {k: c for k, c in enumerate(dense) if c}, monomials
+        assert (_folded(monomials, nvars)
+                == _rebuilt(monomials, nvars, {})), monomials
 
 
 def test_exponents_near_the_field_limit_summarize_quickly():
@@ -326,9 +352,8 @@ def test_hilbert_skip_keeps_the_basis_and_the_bound(field):
         leads = [g.leading_monomial() for g in basis]
         ci_leads = [tuple(g.degree() if j == i else 0 for j in range(nvars))
                     for i, g in enumerate(gens)]
-        series = [(ccv.groebner._hilbert_numerator(
-                      tuple(sorted(ccv.groebner._minimalize_monos(m))),
-                      nvars, {}), m) for m in (leads, ci_leads)]
+        series = [(_folded(m, nvars), m) for m in (leads, ci_leads)]
+        assert series[0][0] == _rebuilt(leads, nvars, {}), (trial, shape)
         assert series[1][0] == ccv.groebner._one_minus_powers(
             g.degree() for g in gens)
         for d in range(max(sum(m) for m in leads) + 2):
@@ -430,11 +455,6 @@ def _count_system(degrees):
     return tuple(conic_system(*over_prime(variety, 32003, x, y)).generators)
 
 
-def _rebuilt(leads, nvars, memo):
-    return ccv.groebner._hilbert_numerator(
-        tuple(sorted(ccv.groebner._minimalize_monos(leads))), nvars, memo)
-
-
 def test_kept_numerator_matches_the_rebuild_on_the_ladder(monkeypatch):
     """After every lead the loop adds on the count ladder, the numerator it
     keeps is the one rebuilt from all leads so far, and J stays minimal."""
@@ -445,8 +465,8 @@ def test_kept_numerator_matches_the_rebuild_on_the_ladder(monkeypatch):
         seen.append(packing.unpack(m))
         nvars = len(packing.offsets)
         assert numerator == _rebuilt(seen, nvars, memo), len(seen)
-        assert sorted(map(packing.unpack, minimal)) == sorted(
-            ccv.groebner._minimalize_monos(seen))
+        assert (frozenset(map(packing.unpack, minimal))
+                == _minimal_monos(seen))
 
     monkeypatch.setattr(ccv.groebner, "_add_lead", spy)
     for degrees in LADDER:
@@ -457,19 +477,30 @@ def test_kept_numerator_matches_the_rebuild_on_the_ladder(monkeypatch):
         assert seen, degrees
 
 
+def _spy_depths(monkeypatch):
+    """The depth of every later _add_lead call, 1 for a call from outside
+    it, in call order."""
+    add_lead, depths, depth = ccv.groebner._add_lead, [], [0]
+
+    def spy(*args):
+        depth[0] += 1
+        depths.append(depth[0])
+        try:
+            add_lead(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ccv.groebner, "_add_lead", spy)
+    return depths
+
+
 def test_kept_numerator_drops_the_leads_a_new_one_divides(monkeypatch):
     """Seeded monomial sequences in which later monomials divide earlier
     ones: the update drops the divided leads and keeps the numerator of
     the whole sequence, both when the colon J : m is generated by variables
-    alone (I' = 0) and when something remains (I' != 0)."""
-    numerator_of = ccv.groebner._hilbert_numerator
-    calls = []
-
-    def numerator_spy(monos, nvars, memo):
-        calls.append(monos)
-        return numerator_of(monos, nvars, memo)
-
-    monkeypatch.setattr(ccv.groebner, "_hilbert_numerator", numerator_spy)
+    alone (I' = 0) and when something remains (I' != 0), whose numerator
+    _add_lead takes by calling itself, at times three calls deep."""
+    calls = _spy_depths(monkeypatch)
     rng = random.Random("add-lead")
     dropped, branches = 0, [0, 0]  # updates with I' = 0, with I' != 0
     for trial in range(60):
@@ -487,40 +518,27 @@ def test_kept_numerator_drops_the_leads_a_new_one_divides(monkeypatch):
             before = len(calls)
             ccv.groebner._add_lead(numerator, minimal, packing.pack(m),
                                    packing)
-            branches[len(calls) > before] += bool(leads)
+            branches[len(calls) > before + 1] += bool(leads)
             dropped += len(minimal) <= len(leads)
             seen.append(m)
             assert numerator == _rebuilt(seen, nvars, {}), (trial, seen)
-            assert sorted(map(packing.unpack, minimal)) == sorted(
-                ccv.groebner._minimalize_monos(seen)), (trial, seen)
+            assert (frozenset(map(packing.unpack, minimal))
+                    == _minimal_monos(seen)), (trial, seen)
     assert dropped > 20
     assert min(branches) >= 20, branches
+    assert 3 in calls, max(calls)
 
 
 def test_the_summary_never_rebuilds_the_numerator(monkeypatch):
     """On the count ladder the summary is read off the kept numerator, and
     every colon J : m is generated by variables alone, so its numerator is
-    (1 - t)^|V| and _hilbert_numerator never runs."""
-    add_lead = ccv.groebner._add_lead
-    numerator = ccv.groebner._hilbert_numerator
-    leads, calls = [], []  # leads added on each rung; numerator calls
-
-    def lead_spy(kept, minimal, m, packing):
-        leads[-1] += 1
-        add_lead(kept, minimal, m, packing)
-
-    def numerator_spy(monos, nvars, memo):
-        calls.append(monos)
-        return numerator(monos, nvars, memo)
-
-    monkeypatch.setattr(ccv.groebner, "_add_lead", lead_spy)
-    monkeypatch.setattr(ccv.groebner, "_hilbert_numerator", numerator_spy)
+    (1 - t)^|V| and _add_lead never calls itself."""
+    depths = _spy_depths(monkeypatch)
     for degrees in LADDER:
-        leads.append(0)
+        depths.clear()
         summary = ideal_dimension_and_degree(_count_system(degrees))
         assert summary.degree == _specs().formula_value(degrees), degrees
-    assert all(leads), leads
-    assert calls == []
+        assert depths and set(depths) == {1}, degrees
 
 
 def test_packed_lcm_is_the_fieldwise_maximum():

@@ -15,7 +15,7 @@ from ccv import (GF, QQ, Polynomial, conic_system, find_singular_conics,
                  rational_roots)
 from ccv import solve
 from ccv.fields import is_prime
-from ccv.groebner import _hilbert_numerator, _minimalize_monos, _pole_order
+from ccv.groebner import _Packing, _add_lead, _pole_order
 from ccv.linalg import kernel_basis
 from ccv.solve import (_eval_mod, _minimal_polynomial,
                        _remainder_squarefree_part, _roots_mod,
@@ -776,8 +776,12 @@ def _standard_count(leads, live, one) -> int:
 def _series_dimension_and_degree(monos, nvars):
     """(affine dimension, degree) read off the Hilbert series of the
     monomial ideal that these exponents generate."""
-    return _pole_order(_hilbert_numerator(
-        tuple(sorted(_minimalize_monos(monos))), nvars, {}), nvars)
+    packing = _Packing(nvars)
+    numerator, minimal = {0: 1}, []
+    for m in map(packing.pack, monos):
+        if all((m - g) & packing.guards for g in minimal):
+            _add_lead(numerator, minimal, m, packing)
+    return _pole_order(numerator, nvars)
 
 
 def _check_the_hilbert_count(basis, live):
