@@ -33,8 +33,8 @@ inter-reduction of :func:`groebner_basis`, raises ExponentOverflow, the
 basis is taken once more from the start in the wide fields, half = 22,
 and only there does the overflow refuse (exit 3).  An overflow can meet
 the inter-reduction alone: a tail reduced by an element found after it
-can take an exponent that no step of the loop formed.  The solver's
-multiplication maps keep the wide fields.
+can take an exponent that no step of the loop formed.  The solver takes
+a whole solve, its bases, cells and maps, in one layout the same way.
 
 Over the rationals division pops monomials off a heap (Monagan and Pearce,
 "Sparse polynomial division using a heap", J. Symbolic Comput. 46, 2011):
@@ -165,7 +165,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import groupby
 from math import comb, gcd, inf, lcm, prod
-from operator import le, lshift, or_
+from operator import le, mul, or_
 
 from .fields import GF, QQ, FieldMismatchError
 from .ffutil import OracleRefusal
@@ -196,21 +196,21 @@ def _overflow(what):
                            "past the packed monomial fields")
 
 
-def _divides(a, b) -> bool:
-    return all(map(le, a, b))
-
-
 # packed-integer engine -----------------------------------------------------
 
 class _Packing:
     """Layout of grevlex exponent tuples as ints, in which a smaller int is
     a larger monomial (see the module docstring), with fields of 2 * half
-    bits whose exponents stay below 2^half."""
+    bits whose exponents stay below 2^half.  Reversed, the fields hold x_0
+    at the top, so that x_0 is the smallest variable."""
 
-    def __init__(self, nvars: int, half: int = _HALF):
+    def __init__(self, nvars: int, half: int = _HALF, reverse=False):
         self.half, self.width = half, 2 * half
         self.top = self.width * nvars
-        self.offsets = tuple(range(0, self.top, self.width))
+        self.offsets = tuple(range(0, self.top, self.width))[
+            ::-1 if reverse else 1]
+        # each variable packed: a field of 1 and a degree of 1
+        self.units = tuple((1 << o) - (1 << self.top) for o in self.offsets)
         self.ones = sum(1 << o for o in self.offsets)
         self.guards = self.ones << (self.width - 1)
         self.overflow = self.ones * ((1 << self.width) - (1 << half))
@@ -231,19 +231,22 @@ class _Packing:
             e = eg ^ ((em ^ eg) & (keep - (keep >> spread)))
             yield e - ((e * ones >> below & mask) << top)
 
-    def pack(self, mono) -> int:
-        if mono and max(mono) >> self.half:
-            _overflow("a generator")
-        return sum(map(lshift, mono, self.offsets)) - (sum(mono) << self.top)
-
     def unpack(self, m: int) -> tuple:
         return tuple((m >> o) & self.mask for o in self.offsets)
 
     def terms(self, poly: Polynomial, mod) -> dict:
-        """{packed monomial: int} from a polynomial, denominators cleared."""
+        """{packed monomial: int} from a nonzero polynomial, denominators
+        cleared.  Only a degree of 2^half or more can hide an exponent that
+        outgrows the fields, so only then is each monomial looked at."""
+        if poly.degree() >> self.half and any(
+                max(m) >> self.half for m in poly.terms):
+            _overflow("a generator")
+        units = self.units
         if mod is None:
-            return {self.pack(m): c for m, c in _integral(poly).items()}
-        return {self.pack(m): c.value for m, c in poly.terms.items()}
+            return {sum(map(mul, m, units)): c
+                    for m, c in _integral(poly).items()}
+        return {sum(map(mul, m, units)): c.value
+                for m, c in poly.terms.items()}
 
 
 def _integral(poly: Polynomial) -> dict:
@@ -255,14 +258,14 @@ def _integral(poly: Polynomial) -> dict:
 
 
 def _common_ring(polys):
-    nvars = polys[0].nvars
-    field = polys[0].field
+    """(nvars, field, p or None for Q) of polynomials over one ring."""
+    nvars, field = polys[0].nvars, polys[0].field
     for p in polys[1:]:
         if p.nvars != nvars:
             raise ValueError("generators live in different rings")
         if p.field != field:
             raise FieldMismatchError("generators over different fields")
-    return nvars, field
+    return nvars, field, field.p if field.is_prime_field else None
 
 
 def _normalize(terms):
@@ -435,32 +438,41 @@ def _reduce_rows(rows, entries, packing, mod):
 def _minimal_basis(polys, reduce_tails=False):
     """(packing, entries, numerator): the minimal Groebner basis of nonzero
     polynomials, ascending, tails inter-reduced only if asked (1 for the
-    unit ideal), and the Hilbert numerator of its leading monomials.  The
-    fields are sized to the ring, and wide only if an exponent outgrows
-    them (module docstring); only the wide fields refuse."""
+    unit ideal), and the Hilbert numerator of its leading monomials."""
     if not polys:
         return None, [], {0: 1}
-    nvars = polys[0].nvars
+    nvars, _, mod = _common_ring(polys)
+    return _in_fields(nvars, lambda packing: (packing, *_buchberger(
+        [packing.terms(p, mod) for p in polys], packing, mod, reduce_tails)))
+
+
+def _in_fields(nvars: int, run, reverse=False):
+    """run(packing) in the fields sized to the ring, and once more in the
+    wide fields if an exponent outgrows them (module docstring): only the
+    wide fields refuse."""
     try:
-        return _buchberger(polys, _Packing(nvars, max(8, nvars.bit_length())),
-                           reduce_tails)
+        return run(_Packing(nvars, max(8, nvars.bit_length()), reverse))
     except ExponentOverflow:
-        return _buchberger(polys, _Packing(nvars), reduce_tails)
+        return run(_Packing(nvars, _HALF, reverse))
 
 
-def _buchberger(polys, packing, reduce_tails):
-    """:func:`_minimal_basis` in the given layout."""
-    nvars, field = _common_ring(polys)
-    mod = field.p if field.is_prime_field else None
-    guards, top = packing.guards, packing.top
+def _buchberger(rows, packing, mod, reduce_tails):
+    """(entries, numerator) of :func:`_minimal_basis` from nonzero term
+    dicts in this packing, with ints mod p or integers over Q."""
+    nvars, top, guards = len(packing.offsets), packing.top, packing.guards
     entries, leads = [], []
     buckets, pending = {}, set()  # lcm degree -> [(-lcm, i, j)]; unwalked
+    # one matrix per leading degree, ascending; a row is homogeneous when
+    # its largest and smallest monomials, the least and the largest int,
+    # have one degree
+    gens = sorted(((min(terms), terms) for terms in rows), key=lambda g: -g[0])
     # the numerator of the minimal leading exponents so far, and for the
     # Hilbert-driven skip (module docstring) the complete-intersection
     # bound: ``room`` is how many more degree-d leading monomials it allows
     numerator, minimal, bound = {0: 1}, [], None
-    if len(polys) <= nvars and all(p.is_homogeneous() for p in polys):
-        bound = _one_minus_powers(p.degree() for p in polys)
+    if len(gens) <= nvars and all(lead >> top == max(terms) >> top
+                                  for lead, terms in gens):
+        bound = _one_minus_powers(-(lead >> top) for lead, _ in gens)
 
     def add(new):
         """Append new entries and their pairs; False on the unit ideal."""
@@ -476,14 +488,10 @@ def _buchberger(polys, packing, reduce_tails):
             leads.append(e[0])
         return True
 
-    # one matrix per leading degree, ascending
-    gens = [(min(terms), terms)
-            for terms in (packing.terms(p, mod) for p in polys)]
-    gens.sort(key=lambda g: -g[0])
     for _, group in groupby(gens, key=lambda g: -(g[0] >> top)):
         if not add(_reduce_rows([terms for _, terms in group], entries,
                                 packing, mod)):
-            return packing, [(0, 1, [])], {}
+            return [(0, 1, [])], {}
 
     # one lcm degree at a time, until the leads meet the bound (docstring)
     while buckets and numerator != bound:
@@ -512,7 +520,7 @@ def _buchberger(polys, packing, reduce_tails):
                 break
             new = _reduce_rows(rows, entries, packing, mod)
             if not add(new):
-                return packing, [(0, 1, [])], {}
+                return [(0, 1, [])], {}
             room -= len(new)
         # the rest of a degree left without room reduces to zero
         pending.difference_update((i, j) for _, i, j in walk)
@@ -528,7 +536,7 @@ def _buchberger(polys, packing, reduce_tails):
             rows = [dict([e[:2], *e[2]]) for e in kept[start:stop]]
             kept[start:stop] = _reduce_rows(rows, kept[:start], packing, mod)
             start = stop
-    return packing, kept, numerator
+    return kept, numerator
 
 
 def groebner_basis(polys):
@@ -538,15 +546,13 @@ def groebner_basis(polys):
     packed field.
     """
     polys = [p for p in polys if not p.is_zero()]
-    if not polys:
-        return []
-    nvars, field = _common_ring(polys)
     packing, entries, _ = _minimal_basis(polys, reduce_tails=True)
     basis = []
     while entries:  # free each entry as its polynomial is built
         lm, lc, tail = entries.pop()
+        field = polys[0].field
         inv = field.inv(lc)
-        basis.append(Polynomial(nvars, field, {
+        basis.append(Polynomial(polys[0].nvars, field, {
             packing.unpack(m): field(c) * inv for m, c in [(lm, lc), *tail]}))
     return basis[::-1]
 
@@ -563,8 +569,8 @@ def normal_form(f: Polynomial, basis) -> Polynomial:
     while work:
         mono = work.leading_monomial()
         coeff = work.leading_coefficient()
-        hit = next(((lm, lc, g) for lm, lc, g in leads if _divides(lm, mono)),
-                   None)
+        hit = next(((lm, lc, g) for lm, lc, g in leads
+                    if all(map(le, lm, mono))), None)
         if hit is None:
             term = Polynomial.from_terms({mono: coeff}, work.nvars, work.field)
             rem = rem + term

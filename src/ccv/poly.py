@@ -127,9 +127,6 @@ class Polynomial:
             self._grade()
         return self._homogeneous
 
-    def is_constant(self) -> bool:
-        return self.degree() <= 0
-
     # arithmetic
 
     def __add__(self, other):

@@ -2,35 +2,47 @@
 
 Projective space is split into the disjoint cells x0 = ... = x_{j-1} = 0,
 x_j = 1.  One substitution fixes every variable the solver fixes: x_j = 1
-for a cell, x_j = 0 for the hyperplane after it, and x = r for each root
-r below.  Setting 0 only drops the terms x_j divides and setting 1 clears
-its exponent and adds like terms, so neither multiplies a scalar.
+for a cell, x_j = 0 for the hyperplane after it, and x_j = r for each root
+r below.  It acts on the Groebner engine's packed entries (lead, lc,
+tail), whose monomials are ints with a field per exponent and the degree
+subtracted above them (see ccv.groebner).  x_j = 0 drops the terms whose
+field j is nonzero, and x_j = 1 subtracts e times the packed x_j from a
+term in x_j^e and adds like terms, so neither multiplies a scalar.  A
+root a/b (b = 1 mod p) multiplies that term by a^e b^(E - e), E the
+largest e in the form, which keeps Q in the integers; the content is then
+cleared.
 
 The system must be homogeneous, and one grevlex Groebner basis G of it
-serves every cell.  G names x_j as x_{N-j}, so that x_0 is the smallest
-variable, x_1 the smallest of the rest, and so on.  For a homogeneous
-basis and its smallest variable x, the leading monomial of each form has
-the least power of x among its terms, and:
+serves every cell.  G packs x_0 in the top field, then x_1, and so on, so
+that x_0 is the smallest variable, x_1 the smallest of the rest, and so
+on.  For a homogeneous basis and its smallest variable x, the leading
+monomial of each form has the least power of x among its terms, and:
 - x = 1 gives a Groebner basis of the cell: it divides every leading
   monomial by that power, which keeps it leading and merges no terms,
   and the results generate the leading ideal of the cell (Cox, Little and
-  O'Shea, *Ideals, Varieties, and Algorithms*, ch. 8 section 4);
+  O'Shea, *Ideals, Varieties, and Algorithms*, ch. 8 section 4).  Packed,
+  a term loses as much degree as it has x: one with more x than the lead
+  ends with a lower degree, a larger int, and one with as much keeps its
+  order, so the lead stays the least int;
 - x = 0 gives a homogeneous Groebner basis of the hyperplane, in which
   the next variable is the smallest: in(J + (x)) = in(J) + (x) for revlex
   (Bayer and Stillman, Invent. Math. 87, 1987), a form whose leading
   monomial x divides is a multiple of x and drops out, and every other
   keeps its leading monomial.
-So no cell or hyperplane takes a basis of its own, and a cell with no
-point shows a nonzero constant at once.  A cell's basis need be neither
-reduced nor minimal, since the multiplication map below reduces as it
-goes.  Only the system left after a root substitution takes a fresh
-basis.  The leading monomials of G refuse, once, a system whose affine
-dimension is more than 1: the dimension of R/I is that of R/in(I), the
-largest coordinate subspace on which every leading monomial vanishes
-(Cox, Little and O'Shea, ch. 9 sections 1 and 3), so it is at most 1
-exactly when each pair of variables holds the support of some leading
-monomial.  Every cell of a finite projective scheme, and every fiber of a
-cell over a root, is then finite.
+So no cell or hyperplane takes a basis of its own, each lead stays first,
+and a cell with no point shows a nonzero constant at once.  A cell's basis
+need be neither reduced nor minimal, since the multiplication map below
+reduces as it goes.  Only the system left after a root substitution goes
+back to the engine, as term dicts, for a basis of its own.  The leading
+monomials of G refuse, once, a system whose affine dimension is more than
+1: the dimension of R/I is that of R/in(I), the largest coordinate
+subspace on which every leading monomial vanishes (Cox, Little and
+O'Shea, ch. 9 sections 1 and 3), so it is at most 1 exactly when each pair
+of variables holds the support of some leading monomial.  Every cell of a
+finite projective scheme, and every fiber of a cell over a root, is then
+finite.  A solve takes the engine's narrow fields first and, as a basis
+does, is taken once more in the wide fields if an exponent outgrows them
+anywhere; only the wide fields refuse.
 
 The monic generator of I and k[x], for a variable x, is the minimal
 polynomial of 1 under the map M of multiplication by x on k[x]/I (FGLM
@@ -42,8 +54,8 @@ in grevlex x*s is again a standard monomial for most standard s, so most
 columns of its map are unit columns, where the largest variable's map is
 dense (Faugere and Mou, ISSAC 2011).  The columns of M are the normal
 forms of x*s for the standard monomials s reachable from 1, reduced by
-the cell's basis, its leads taken once; over Q each column is integers
-over one denominator.  The Krylov vectors 1, M 1, M^2 1, ... are residues
+the cell's entries as they are; over Q each column is integers over one
+denominator.  The Krylov vectors 1, M 1, M^2 1, ... are residues
 packed into one int each, echeloned in turn until the first dependency.
 Over Q that echelon runs modulo primes counted down from 2^62 - 57, the
 first eight pinned and the others found when first needed, skipping any
@@ -56,11 +68,12 @@ g(M) 1 = 0 in exact integer arithmetic.  The true minimal polynomial f
 then divides g, while deg g <= deg f, since the Krylov rank can only drop
 modulo p; so g = f, however many unlucky primes agreed on a wrong g.
 Its coefficients go to the root finder as they are; each root r is
-substituted into the cell's basis, and the smaller system takes its own
+substituted into the cell's entries, and the smaller system takes its own
 basis and is solved the same way.  The points of a cell are then sorted
 once into the order a lex solve gives, x_N first, then x_{N-1}, and so
 on: a coordinate by its residue over F_p, and over Q by (|numerator|,
 denominator), the positive one of a pair first, the order of the roots.
+Only the points themselves are built as field scalars.
 
 Univariate roots over a prime field are the residues where the polynomial
 vanishes; gcd(f, t^p - t) counts them first, so a scan that can find none
@@ -77,12 +90,13 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, compress, count, islice, takewhile
+from itertools import chain, combinations, count, islice, takewhile
 from math import gcd, isqrt, lcm
 
-from .fields import FpElement, is_prime
-from .poly import Polynomial, ProjectivePoint
-from .groebner import _Packing, groebner_basis
+from .fields import is_prime
+from .poly import ProjectivePoint
+from .groebner import (_buchberger, _common_ring, _in_fields, _normalize,
+                       _overflow)
 
 __all__ = ["projective_rational_solutions", "rational_roots"]
 
@@ -108,96 +122,107 @@ def projective_rational_solutions(gens) -> list:
         raise ValueError("empty system is not zero-dimensional")
     if not all(g.is_homogeneous() for g in gens):
         raise ValueError("the system is not homogeneous")
-    nvars, field = gens[0].nvars, gens[0].field
-    last = nvars - 1  # x_j is x_{last - j} in the basis (module docstring)
-    basis = groebner_basis([Polynomial(nvars, field, {
-        m[::-1]: c for m, c in g.terms.items()}) for g in gens])
-    supports = {frozenset(compress(range(nvars), g.leading_monomial()))
-                for g in basis}
+    nvars, field, mod = _common_ring(gens)
+    return _in_fields(nvars, lambda packing: _points(gens, field, mod,
+                                                     packing), reverse=True)
+
+
+def _points(gens, field, mod, packing) -> list:
+    """:func:`projective_rational_solutions` in one packing, whose fields
+    hold x_0 at the top (module docstring)."""
+    nvars, mask = len(packing.offsets), packing.mask
+    basis = _buchberger([packing.terms(g, mod) for g in gens], packing, mod,
+                        True)[0]
+    supports = {frozenset(i for i, o in enumerate(packing.offsets)
+                          if lead >> o & mask) for lead, _, _ in basis}
     if not all(any(s <= {i, k} for s in supports)
                for i, k in combinations(range(nvars), 2)):
         raise ValueError("system is not zero-dimensional")
-    key = (lambda v: v.value) if field.is_prime_field else _rational_key
     points = []
     for j in range(nvars):
-        if (cell := _substitute(basis, last - j, field.one)) is not None:
-            live = list(range(last - j - 1, -1, -1))  # x_{j+1}, ..., x_last
-            for sol in sorted(_affine_points(cell, live, field),  # x_N first
-                              key=lambda s: [key(s[i]) for i in live[::-1]]):
-                coords = [field.zero] * j + [field.one]
-                coords += [sol[i] for i in live]
-                points.append(ProjectivePoint(coords, field))
-        if (basis := _substitute(basis, last - j, field.zero)) is None:
+        if (cell := _substitute(basis, j, 1, packing, mod)) is not None:
+            live = list(range(j + 1, nvars))  # the smallest first
+            sols = _affine_points(_entries(cell), live, packing, mod)
+            for sol in sorted(sols, key=lambda s: [  # x_N first
+                    _rational_key(s[i]) for i in reversed(live)]):
+                points.append(ProjectivePoint(
+                    [0] * j + [1] + [sol[i] for i in live], field))
+        if (basis := _substitute(basis, j, 0, packing, mod)) is None:
             break  # every later cell keeps the nonzero constant
+        basis = _entries(basis)
     return points
 
 
-def _substitute(polys, j, value):
-    """The nonzero polynomials left by x_j = value, or None when one is a
-    nonzero constant.  x_j = 0 drops the terms in x_j and x_j = 1 clears
-    its exponent, so neither multiplies a scalar; others scale by value^e."""
-    zero, one = not value, value == 1
+def _substitute(entries, j, value, packing, mod):
+    """The nonzero term dicts left by x_j = value (0, 1, or a root: a
+    residue mod p or a Fraction) in the packed entries, in their order, or
+    None when one is a nonzero constant (module docstring)."""
+    shift, mask, unit = packing.offsets[j], packing.mask, packing.units[j]
     out = []
-    for g in polys:
-        terms = {}
-        for m, c in g.terms.items():
-            if e := m[j]:
-                if zero:
-                    continue
-                m = m[:j] + (0,) + m[j + 1:]
-                if not one:
-                    c = c * value ** e
-            if (v := terms.get(m)) is None:
+    for lead, lc, tail in entries:
+        terms, scale = {}, None
+        if value not in (0, 1):  # a root a/b: a^e b^(E - e) for each e
+            top = max(m >> shift & mask for m, _ in chain([(lead, lc)], tail))
+            scale = [pow(value.numerator, e, mod) * value.denominator
+                     ** (top - e) for e in range(top + 1)]
+        for m, c in chain([(lead, lc)], tail):
+            if (e := m >> shift & mask) and not value:
+                continue
+            if scale:
+                c = c * scale[e] % mod if mod else c * scale[e]
+            if (v := terms.get(m := m - e * unit)) is None:
                 terms[m] = c
-            elif v := v + c:
+            elif v := (v + c) % mod if mod else v + c:
                 terms[m] = v
             else:
                 del terms[m]
+        if scale and mod is None:
+            terms = _normalize(terms)
         if terms:
-            if not any(map(any, terms)):
+            if not any(terms):
                 return None
-            out.append(Polynomial(g.nvars, g.field, terms))
+            out.append(terms)
     return out
 
 
-def _affine_points(basis, live, field):
-    """Solutions {var: value} of the affine system supported on ``live``
-    that this grevlex Groebner basis generates."""
+def _entries(polys) -> list:
+    """The term dicts as entries (lead, lc, tail), in place, each lead its
+    dict's first key (module docstring)."""
+    return [(lead, terms.pop(lead), terms.items())
+            for terms in polys for lead in [next(iter(terms))]]
+
+
+def _affine_points(basis, live, packing, mod):
+    """Solutions {var: residue mod p or Fraction} of the affine system
+    supported on ``live`` that these packed entries, a grevlex Groebner
+    basis, generate."""
     if not live:
         return [{}] if not basis else []
-    if basis[0].is_constant():
+    if not basis[0][0]:
         return []  # unit ideal
     var, rest = live[0], live[1:]  # the smallest live variable first
     out = []
-    for root in _univariate_roots(_minimal_polynomial(basis, var), field):
-        if (sub := _substitute(basis, var, root)) is None:
+    for root in _univariate_roots(_minimal_polynomial(basis, var, packing,
+                                                      mod), mod):
+        if (sub := _substitute(basis, var, root, packing, mod)) is None:
             continue
-        for sol in _affine_points(groebner_basis(sub) if rest else sub,
-                                  rest, field):
+        sub = _buchberger(sub, packing, mod, True)[0] if rest else sub
+        for sol in _affine_points(sub, rest, packing, mod):
             sol[var] = root
             out.append(sol)
     return out
 
 
-def _minimal_polynomial(basis, var) -> list:
+def _minimal_polynomial(basis, var, packing, mod) -> list:
     """Coefficients, lowest first, of the monic generator of I and k[var],
-    for the zero-dimensional ideal I of a grevlex Groebner basis (not the
-    unit ideal): ints mod p, or Fractions."""
-    nvars, field = basis[0].nvars, basis[0].field
-    mod = field.p if field.is_prime_field else None
-    packing = _Packing(nvars)
-    reducers = []  # (lead, lc, tail times -1) in ints; lc is 1 mod p
-    for g in basis:
-        terms = packing.terms(g, mod)
-        lc = terms.pop(lead := min(terms))  # the largest monomial
-        reducers.append((lead, lc, [(m, -c) for m, c in terms.items()]))
-    step = packing.pack(tuple(int(i == var) for i in range(nvars)))
-    columns = _multiplication_map(reducers, step, packing.guards, mod)
+    for the zero-dimensional ideal I of a grevlex Groebner basis in packed
+    entries (not the unit ideal): ints mod p, or Fractions."""
+    columns = _multiplication_map(basis, packing.units[var], packing, mod)
     return (_rational_minimal_polynomial(columns) if mod is None
             else _minimal_polynomial_mod([c for _, c in columns], mod))
 
 
-def _multiplication_map(reducers, step, guards, mod) -> list:
+def _multiplication_map(reducers, step, packing, mod) -> list:
     """Sparse columns (den, {row: int}) of multiplication by the packed
     monomial ``step`` on the standard monomials reachable from 1, which are
     numbered as they are found (1 is row 0); entry i of a column is its
@@ -206,10 +231,12 @@ def _multiplication_map(reducers, step, guards, mod) -> list:
     Column s is the normal form of step * s.  A heap pops the largest
     monomial left: one whose normal form is known adds that form, and any
     other is a standard monomial or is replaced by its first reducer's
-    tail times the quotient.  Residues are reduced mod p when popped.
-    Over Q no fraction is formed: adding c/d times a form or a tail first
-    scales the column's work, form and denominator by d / gcd(c, d).
+    tail times the quotient, subtracted.  Residues are reduced mod p when
+    popped.  Over Q no fraction is formed: adding c/d times a form or a
+    tail first scales the column's work, form and denominator by
+    d / gcd(c, d).  A quotient past the fields refuses, as in the engine.
     """
+    guards, overflow = packing.guards, packing.overflow
     known = {0: (1, {0: 1})}  # packed monomial -> its normal form
     found, columns = [0], []
     for s in found:  # the loop reaches the rows found on the way
@@ -231,14 +258,15 @@ def _multiplication_map(reducers, step, guards, mod) -> list:
                 c, den = c * q // d, den * q
                 work = {t: a * q for t, a in work.items()}
                 form = {i: a * q for i, a in form.items()}
-            if nf is None:  # m = u * lead: add c * u * tail
-                u = m - hit[0]
+            if nf is None:  # m = u * lead: subtract c * u * tail
+                if (u := m - hit[0]) & overflow:
+                    _overflow("a reduction multiplier")
                 for t, a in terms:
                     if (v := work.get(t := t + u)) is None:
-                        work[t] = c * a
+                        work[t] = -c * a
                         heapq.heappush(heap, t)
                     else:
-                        work[t] = v + c * a
+                        work[t] = v - c * a
                 continue
             for i, a in terms.items():
                 form[i] = form.get(i, 0) + c * a
@@ -345,10 +373,11 @@ def _annihilates(coeffs, ints, dens) -> bool:
     return not any(w)
 
 
-def _univariate_roots(coeffs: list, field):
-    """Field roots of sum(coeffs[e] * t^e), coefficients mod p or in Q."""
-    if field.is_prime_field:
-        return [FpElement(v, field.p) for v in _roots_mod(coeffs, field.p)]
+def _univariate_roots(coeffs: list, mod):
+    """Roots of sum(coeffs[e] * t^e) with coefficients mod p, as ascending
+    residues, or in Q, as Fractions."""
+    if mod is not None:
+        return _roots_mod(coeffs, mod)
     denom = lcm(*(c.denominator for c in coeffs))
     return rational_roots({e: c.numerator * (denom // c.denominator)
                            for e, c in enumerate(coeffs)})
@@ -371,10 +400,8 @@ def rational_roots(coeffs: dict) -> list:
     roots = [Fraction(0)] if low > 0 else []
     if max(coeffs) == low:
         return roots
-    g = [0] * (max(coeffs) - low + 1)
-    for e, c in coeffs.items():
-        g[e - low] = c
-    g = _squarefree_part(g)
+    g = _squarefree_part([coeffs.get(e, 0)
+                          for e in range(low, max(coeffs) + 1)])
     dg = [e * c for e, c in enumerate(g)][1:]
     p = 2
     # g is square-free, so any prime dividing neither lc(g) nor disc(g) stops
@@ -398,7 +425,7 @@ def rational_roots(coeffs: dict) -> list:
     return sorted(roots, key=_rational_key)
 
 
-def _rational_key(q: Fraction) -> tuple:
+def _rational_key(q) -> tuple:
     """(|numerator|, denominator), the positive one of a pair first."""
     return abs(q.numerator), q.denominator, q < 0
 

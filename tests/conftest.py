@@ -1,5 +1,5 @@
 from itertools import combinations
-from operator import le
+from operator import le, mul
 from pathlib import Path
 
 import pytest
@@ -8,6 +8,11 @@ from ccv import (QQ, ProjectivePoint, grevlex_key, load_variety, normal_form,
                  s_polynomial)
 
 VARIETIES = Path(__file__).resolve().parent.parent / "varieties"
+
+
+def pack(packing, mono):
+    """An exponent tuple as the packed int of the engine's layout."""
+    return sum(map(mul, mono, packing.units))
 
 
 def qpt(*coords, field=QQ):

@@ -13,6 +13,8 @@ from ccv import (GF, QQ, FieldMismatchError, FpElement, Polynomial,
                  ProjectivePoint, expand_line_pencil)
 from ccv.groebner import _Packing, _normalize, _primitive_mod
 
+from conftest import pack
+
 FIELDS = [QQ, GF(7), GF(32003)]
 FIELD_IDS = ["QQ", "F7", "F32003"]
 
@@ -74,7 +76,7 @@ def reference_primitive_mod(poly, field):
     denom = 1
     for c in poly.terms.values():
         denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = _normalize({packing.pack(m): int(c * denom)
+    ints = _normalize({pack(packing, m): int(c * denom)
                        for m, c in poly.terms.items()})
     return Polynomial.from_terms(
         {packing.unpack(m): c for m, c in ints.items()}, poly.nvars, field)

@@ -23,7 +23,7 @@ from ccv import (GF, QQ, IdealSummary, OracleRefusal, Polynomial,
                  s_polynomial, verify_groebner)
 from ccv.parser import MAX_EXPONENT
 
-from conftest import textbook_basis
+from conftest import pack, textbook_basis
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -266,7 +266,7 @@ def _folded(monos, nvars):
     a kept lead divides is skipped."""
     packing = ccv.groebner._Packing(nvars)
     numerator, minimal = {0: 1}, []
-    for m in map(packing.pack, monos):
+    for m in (pack(packing, mono) for mono in monos):
         if all((m - g) & packing.guards for g in minimal):
             ccv.groebner._add_lead(numerator, minimal, m, packing)
     return numerator
@@ -516,7 +516,7 @@ def test_kept_numerator_drops_the_leads_a_new_one_divides(monkeypatch):
             if not any(m) or any(all(map(le, g, m)) for g in leads):
                 continue  # m must be a new minimal generator
             before = len(calls)
-            ccv.groebner._add_lead(numerator, minimal, packing.pack(m),
+            ccv.groebner._add_lead(numerator, minimal, pack(packing, m),
                                    packing)
             branches[len(calls) > before + 1] += bool(leads)
             dropped += len(minimal) <= len(leads)
@@ -561,12 +561,13 @@ def test_packed_lcm_is_the_fieldwise_maximum():
         a = draw()
         others = [a] + [tuple(x if rng.random() < 0.3 else y
                               for x, y in zip(a, draw())) for _ in range(4)]
-        got = list(packing.lcms(packing.pack(a), map(packing.pack, others)))
+        got = list(packing.lcms(pack(packing, a),
+                                [pack(packing, m) for m in others]))
         for b, lcm in zip(others, got, strict=True):
             want = tuple(map(max, a, b))
-            assert lcm == packing.pack(want), (half, a, b)
+            assert lcm == pack(packing, want), (half, a, b)
             assert -(lcm >> packing.top) == sum(want), (half, a, b)
-            swapped = packing.lcms(packing.pack(b), [packing.pack(a)])
+            swapped = packing.lcms(pack(packing, b), [pack(packing, a)])
             assert list(swapped) == [lcm]
 
 
@@ -745,7 +746,7 @@ def _heap_basis(polys):
 
     def push_pairs(k):
         for t in range(k):
-            lcm = packing.pack(tuple(map(max, exps[t], exps[k])))
+            lcm = pack(packing, tuple(map(max, exps[t], exps[k])))
             heapq.heappush(heap, (-lcm, t, k, lcm))
             pending.add((t, k))
 
@@ -820,9 +821,9 @@ def test_exponents_past_the_packed_fields_are_refused():
     # x0^(limit + 1) by the lead x0 needs the multiplier x0^limit, in both
     # reductions (a sum of packed monomials is their product)
     packing = ccv.groebner._Packing(2)
-    x0 = packing.pack((1, 0))
-    row = {2 * packing.pack((limit // 2, 0)) + x0: 1}
-    entry = (x0, 1, [(packing.pack((0, 1)), -1)])  # x0 - x1
+    x0 = pack(packing, (1, 0))
+    row = {2 * pack(packing, (limit // 2, 0)) + x0: 1}
+    entry = (x0, 1, [(pack(packing, (0, 1)), -1)])  # x0 - x1
     for mod in (None, 101):
         with pytest.raises(OracleRefusal, match="multiplier"):
             ccv.groebner._reduce_rows([row], [entry], packing, mod)
@@ -841,9 +842,9 @@ def test_an_exponent_past_the_narrow_fields_takes_the_wide(field,
     runs in the narrow layout."""
     runs, buchberger = [], ccv.groebner._buchberger  # (half, outcome)
 
-    def spy(polys, packing, reduce_tails):
+    def spy(rows, packing, mod, reduce_tails):
         try:
-            result = buchberger(polys, packing, reduce_tails)
+            result = buchberger(rows, packing, mod, reduce_tails)
         except ccv.groebner.ExponentOverflow:
             runs.append((packing.half, "refused"))
             raise

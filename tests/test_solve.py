@@ -10,9 +10,10 @@ from math import gcd
 import pytest
 
 from ccv import (GF, QQ, Polynomial, conic_system, find_singular_conics,
-                 groebner_basis, load_variety, normal_form,
+                 grevlex_key, groebner_basis, load_variety, normal_form,
                  over_prime, parse_polynomial, projective_rational_solutions,
                  rational_roots)
+import ccv.groebner
 from ccv import solve
 from ccv.fields import is_prime
 from ccv.groebner import _Packing, _add_lead, _pole_order
@@ -21,7 +22,7 @@ from ccv.solve import (_eval_mod, _minimal_polynomial,
                        _remainder_squarefree_part, _roots_mod,
                        _squarefree_part, _substitute, _univariate_roots)
 
-from conftest import VARIETIES, qpt, textbook_basis
+from conftest import VARIETIES, pack, qpt, textbook_basis
 
 
 def P(text, nvars, field=QQ):
@@ -236,14 +237,6 @@ def _specialize(poly, assignments):
     return Polynomial(poly.nvars, poly.field, terms)
 
 
-def _items(dicts):
-    """Each term dict as its list of items, or None when one of them is a
-    nonzero constant."""
-    if any(not any(map(any, t)) for t in dicts):
-        return None
-    return [list(t.items()) for t in dicts]
-
-
 def _random_polys(rng, field, nvars):
     def scalar():
         if field == QQ:
@@ -259,47 +252,94 @@ def _random_polys(rng, field, nvars):
     return [g for g in polys if g]
 
 
+def _entry(terms):
+    """A packed term dict as an entry (lead, lc, tail), its first term as
+    the lead."""
+    (lead, lc), *tail = terms.items()
+    return lead, lc, tail
+
+
+def _scalar(value, mod):
+    """A field scalar as the solver takes it: a residue mod p, or itself."""
+    return value.value if mod else value
+
+
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)],
                          ids=["QQ", "F7", "F32003"])
 def test_substitute_equals_the_three_references(field):
+    """The packed substitution against the three references, on the
+    packed forms of seeded polynomials: over F_p and, for 0 and 1, over Q
+    it gives the specialization of those forms exactly; at a root over Q,
+    whose denominator it clears, a multiple with content 1."""
     rng = random.Random(f"ccv-substitute:{field!r}")
+    mod = field.p if field.is_prime_field else None
     nones = kept = 0
     for _ in range(300):
         nvars = rng.randint(2, 4)
         polys = _random_polys(rng, field, nvars)
         j = rng.randrange(nvars)
-        rest = [g.terms for g in polys]
+        packing = _Packing(nvars)
+        packed = [packing.terms(g, mod) for g in polys]
+        entries = [_entry(t) for t in packed]
+        # the packed forms as polynomials: the integral forms over Q
+        forms = [Polynomial(nvars, field, {packing.unpack(m): field(c)
+                                           for m, c in t.items()})
+                 for t in packed]
+        rest = [g.terms for g in forms]
         other = field(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                       if field == QQ else rng.randrange(field.p))
         for value in (field.zero, field.one, field(-1), other):
-            got = _substitute(polys, j, value)
+            got = _substitute(entries, j, _scalar(value, mod), packing, mod)
             if got is not None:
-                got = [list(g.terms.items()) for g in got]
-            assert got == _items([t for g in polys if (
+                got = [{packing.unpack(m): field(c) for m, c in t.items()}
+                       for t in got]
+            want = _dicts([t for g in forms if (
                 t := _specialize(g, {j: value}).terms)])
+            if mod is None and value != 0 and value != 1 and got:
+                assert all(gcd(*(c.numerator for c in g.values())) == 1
+                           for g in got)
+                got, want = _monic(got), _monic(want)
+            assert got == want
             if not value:
-                assert got == _items(_hyperplane(rest, j))
+                assert got == _dicts(_hyperplane(rest, j))
             elif value == 1:
                 cell = _cell(rest, j, nvars, field)
                 assert got == (None if cell is None
-                               else _items([g.terms for g in cell]))
+                               else _dicts([g.terms for g in cell]))
             nones += got is None
             if value and value != 1:
                 continue
             # a term that no other term merges with keeps its coefficient,
             # the same object: no scalar is multiplied
-            for g in polys:
+            for terms, entry in zip(packed, entries):
+                shift = packing.offsets[j]
                 sources = {}
-                for m, c in g.terms.items():
-                    if value or not m[j]:
-                        sources.setdefault(m[:j] + (0,) + m[j + 1:],
-                                           []).append(c)
-                for out in _substitute([g], j, value) or []:
-                    for m, c in out.terms.items():
+                for m, c in terms.items():
+                    if e := m >> shift & packing.mask:
+                        if not value:
+                            continue
+                        m -= e * packing.units[j]
+                    sources.setdefault(m, []).append(c)
+                for out in _substitute([entry], j, _scalar(value, mod),
+                                       packing, mod) or []:
+                    for m, c in out.items():
                         if len(sources[m]) == 1:
                             assert c is sources[m][0]
                             kept += 1
     assert nones and kept
+
+
+def _dicts(dicts):
+    """The term dicts, or None when one of them is a nonzero constant."""
+    if any(not any(map(any, t)) for t in dicts):
+        return None
+    return [dict(t) for t in dicts]
+
+
+def _monic(dicts):
+    """Each term dict over its coefficient of largest monomial."""
+    return [{m: c / t[max(t, key=grevlex_key)] for m, c in t.items()}
+            for t in dicts]
 
 
 def _flip(polys):
@@ -336,14 +376,15 @@ def _eliminant_affine_points(gens, live, field):
     if not live:
         return [{}] if not gens else []
     basis = textbook_basis(gens)
-    if basis[0].is_constant():
+    if basis[0].degree() == 0:
         return []
     last, rest = live[-1], live[:-1]
     out = []
-    for root in _univariate_roots(_eliminant(basis, last), field):
+    mod = field.p if field.is_prime_field else None
+    for root in map(field, _univariate_roots(_eliminant(basis, last), mod)):
         sub = [_specialize(g, {last: root}) for g in basis]
         sub = [g for g in sub if not g.is_zero()]
-        if any(g.is_constant() for g in sub):
+        if any(g.degree() == 0 for g in sub):
             continue
         for sol in _eliminant_affine_points(sub, rest, field):
             sol[last] = root
@@ -383,17 +424,33 @@ def _grid_cell(rng, field, nvars):
     return gens, live, points
 
 
+def _packed_basis(gens):
+    """(packing, entries, mod) of the engine's reduced basis of the
+    generators, in its own layout."""
+    packing, entries, _ = ccv.groebner._minimal_basis(gens, True)
+    field = gens[0].field
+    return packing, entries, field.p if field.is_prime_field else None
+
+
+def _affine_points(gens, live):
+    """The solver's affine points of the generators' basis, as scalars."""
+    packing, basis, mod = _packed_basis(gens)
+    field = gens[0].field
+    return [{i: field(v) for i, v in pt.items()}
+            for pt in solve._affine_points(basis, live, packing, mod)]
+
+
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "F101"])
 def test_minimal_polynomial_is_the_normal_form_eliminant(field):
     rng = random.Random(f"ccv-fglm:{field!r}")
     for _ in range(30):
         gens, live, planted = _grid_cell(rng, field, rng.choice((3, 4)))
-        basis = groebner_basis(gens)
         var = live[0]  # the variable the solver fixes first
-        assert (_minimal_polynomial(basis, var)
+        packing, basis, mod = _packed_basis(gens)
+        assert (_minimal_polynomial(basis, var, packing, mod)
                 == _eliminant(textbook_basis(gens), var))
         # the list order comes from the sort in projective_rational_solutions
-        points = solve._affine_points(basis, live, field)
+        points = _affine_points(gens, live)
         assert len(points) == len(planted)
         assert (_point_set(points)
                 == _point_set(_eliminant_affine_points(gens, live, field))
@@ -430,8 +487,8 @@ def test_points_come_in_the_order_of_the_lex_solve(field):
                            field)
         assert got == lex
         assert set(got) == set(_in_the_cell(planted, live, field))
-        reordered += _in_the_cell(solve._affine_points(
-            groebner_basis(gens), live, field), live, field) != lex
+        reordered += _in_the_cell(_affine_points(gens, live), live,
+                                  field) != lex
     assert reordered  # the smallest variable alone gives another order
 
 
@@ -446,25 +503,29 @@ def test_vertices_match_the_eliminant_route(name, n, prime, monkeypatch):
         variety, x, y = over_prime(variety, prime, x, y)
     gens = conic_system(variety, x, y).generators
     got = projective_rational_solutions(gens)
-    # the solver names x_j as x_{n-j} (solve module docstring); the
-    # reference solves the same cell of the generators themselves, x_0 =
-    # ... = x_{j-1} = 0 and x_j = 1, in the original variables
-    cells, routed = [], []
+    # the reference solves the same cell of the generators themselves,
+    # x_0 = ... = x_{j-1} = 0 and x_j = 1, with the textbook basis
+    field = gens[0].field
+    cells, entries, routed = [], {}, []
 
-    def eliminant_route(basis, live, field):
+    def eliminant_route(basis, live, packing, mod):
         routed.append(basis)
         j, rest = n - len(live), [g.terms for g in gens]
         for i in range(j):
             rest = _hyperplane(rest, i)
-        return [{n - i: v for i, v in sol.items()} for sol in
-                _eliminant_affine_points(_cell(rest, j, n + 1, field),
-                                         [n - i for i in live], field)]
+        return [{i: _scalar(v, mod) for i, v in sol.items()} for sol in
+                _eliminant_affine_points(_cell(rest, j, n + 1, field), live,
+                                         field)]
 
     monkeypatch.setattr(solve, "_affine_points", eliminant_route)
+    # each cell left by x_j = 1, as the entries it is turned into
     _spy(monkeypatch, "_substitute", lambda args, out: cells.append(out)
          if args[2] == 1 and out is not None else None)
+    _spy(monkeypatch, "_entries", lambda args, out: entries.update(
+        {id(args[0]): out}))
     assert got == projective_rational_solutions(gens)
-    assert routed and list(map(id, routed)) == list(map(id, cells))
+    assert routed and list(map(id, routed)) == [
+        id(entries[id(cell)]) for cell in cells]
 
 
 # The minimal polynomial over Q comes from residues modulo primes counted
@@ -508,18 +569,18 @@ def test_the_exact_check_refuses_agreeing_unlucky_primes(monkeypatch):
     n = P1 * P2
     gens = [P(f"x2^2 - x2 - {n}*x1", 3), P("x1*x2 - 2*x1", 3),
             P(f"{n}*x1^2 - 2*x1", 3)]
-    basis = groebner_basis(gens)
+    packing, basis, _ = _packed_basis(gens)
     eliminant = _eliminant(textbook_basis(gens), 2)
     assert eliminant == [0, 2, -3, 1]  # x2^3 - 3*x2^2 + 2*x2
     checks, degrees = [], []
     _spy(monkeypatch, "_annihilates", lambda _, ok: checks.append(ok))
     _spy(monkeypatch, "_minimal_polynomial_mod",
          lambda args, g: degrees.append((args[1], len(g) - 1)))
-    assert _minimal_polynomial(basis, 2) == eliminant
+    assert _minimal_polynomial(basis, 2, packing, None) == eliminant
     assert checks == [False, True]
     assert degrees == [(P1, 2), (P2, 2), (2**62 - 117, 3)]
     monkeypatch.setattr(solve, "_annihilates", lambda *args: True)
-    assert _minimal_polynomial(basis, 2) == [0, -1, 1]
+    assert _minimal_polynomial(basis, 2, packing, None) == [0, -1, 1]
 
 
 def test_a_linear_cell_is_accepted_after_one_prime(monkeypatch):
@@ -628,14 +689,16 @@ def test_integer_columns_equal_the_fraction_map(monkeypatch):
         rng = random.Random(f"ccv-fglm:{field!r}")
         for _ in range(30):
             gens, live, _ = _grid_cell(rng, field, rng.choice((3, 4)))
-            _minimal_polynomial(groebner_basis(gens), live[-1])
+            packing, basis, mod = _packed_basis(gens)
+            _minimal_polynomial(basis, live[-1], packing, mod)
     assert sum(args[3] is None for args, _ in maps) > 30
-    for (reducers, step, guards, mod), columns in maps:
-        tails = [(lead, [(m, a % mod if mod else Fraction(a, lc))
+    for (reducers, step, packing, mod), columns in maps:
+        # the reference adds its reducers' tails, negated here
+        tails = [(lead, [(m, -a % mod if mod else Fraction(-a, lc))
                          for m, a in tail]) for lead, lc, tail in reducers]
         assert [{i: Fraction(a, den) if mod is None else a
                  for i, a in col.items()} for den, col in columns] == (
-            _fraction_map(tails, step, guards, mod))
+            _fraction_map(tails, step, packing.guards, mod))
 
 
 # full conics on the rungs of the enumerate benchmark and on the systems of
@@ -657,28 +720,30 @@ def test_cells_take_no_normal_form_and_restrict_only_at_roots(monkeypatch):
         if (name.split(".")[0] == "ccv"
                 and getattr(module, "normal_form", None) is normal_form):
             monkeypatch.setattr(module, "normal_form", forbidden)
-    calls, roots, owner, bases = [], [], {}, []
+    calls, roots, bases = [], [], []
     _spy(monkeypatch, "_substitute",
          lambda args, _: calls.append((args[0], args[2])))
     _spy(monkeypatch, "_minimal_polynomial",
          lambda args, _: bases.append(args[0]))
-    # each root belongs to the basis whose minimal polynomial gave it
-    _spy(monkeypatch, "_univariate_roots", lambda _, found: (
-        roots.extend(found), owner.update((id(r), bases[-1]) for r in found)))
+    # the roots of the basis whose minimal polynomial gave them
+    _spy(monkeypatch, "_univariate_roots",
+         lambda _, found: roots.append((bases[-1], list(found))))
     for name, n, prime in ENUMERATE_CASES:
         variety = load_variety(VARIETIES / f"{name}.json")
         x, y = qpt(1, *[0] * n), qpt(*[0] * n, 1)
         if prime is not None:
             variety, x, y = over_prime(variety, prime, x, y)
         find_singular_conics(variety, x, y)
-    at_roots = [(polys, value) for polys, value in calls
-                if id(value) in owner]
-    assert roots and len(at_roots) == len(roots)  # once per root
-    assert {id(value) for _, value in at_roots} == set(owner)
-    assert all(polys is owner[id(value)] for polys, value in at_roots)
-    # any other value than 0 and 1 comes only at a root
-    assert all(id(value) in owner for _, value in calls
-               if value != 0 and value != 1)
+    # a basis that gave a minimal polynomial takes each of its roots once,
+    # in order, and nothing else; every other substitution is 0 or 1
+    owners, at_roots = {id(b) for b in bases}, {}
+    for polys, value in calls:
+        if id(polys) in owners:
+            at_roots.setdefault(id(polys), []).append(value)
+        else:
+            assert value == 0 or value == 1
+    assert any(found for _, found in roots)
+    assert at_roots == {id(b): found for b, found in roots if found}
 
 
 def _search(name, n, prime):
@@ -693,24 +758,25 @@ def _search(name, n, prime):
 
 def test_a_search_takes_one_basis_before_any_root(monkeypatch):
     real = solve._affine_points
-    events, roots, stack = [], [], []
+    events, bases, stack = [], [], []
 
-    def affine_points(basis, live, field):
+    def affine_points(basis, live, packing, mod):
         stack.append(live)
         try:
-            return real(basis, live, field)
+            return real(basis, live, packing, mod)
         finally:
             stack.pop()
 
     monkeypatch.setattr(solve, "_affine_points", affine_points)
-    _spy(monkeypatch, "groebner_basis", lambda *_: events.append("basis"))
-    _spy(monkeypatch, "_univariate_roots",
-         lambda _, found: roots.extend(found))
-    # a root substitution leaves live variables when its system has more
-    # than the root's variable; None means a nonzero constant was left
+    _spy(monkeypatch, "_buchberger", lambda *_: events.append("basis"))
+    _spy(monkeypatch, "_minimal_polynomial",
+         lambda args, _: bases.append(args[0]))
+    # a substitution into a basis that gave a minimal polynomial is at one
+    # of its roots; it leaves live variables when its system has more than
+    # the root's variable, and None means a nonzero constant was left
     _spy(monkeypatch, "_substitute", lambda args, out: events.append(
         "live root" if out is not None and len(stack[-1]) > 1 else "root")
-        if any(args[2] is r for r in roots) else None)
+        if any(args[0] is b for b in bases) else None)
     searches = 0
     for case in ENUMERATE_CASES:
         events.clear()
@@ -724,13 +790,81 @@ def test_a_search_takes_one_basis_before_any_root(monkeypatch):
     assert searches  # some search substitutes a root and solves again
 
 
-def _leading_ideal(polys, nvars):
-    """The minimal leading monomials of polynomials; (1) for None, which
-    stands for a list holding a nonzero constant."""
-    leads = ({(0,) * nvars} if polys is None
-             else {g.leading_monomial() for g in polys})
+def test_a_solve_packs_only_its_generators(monkeypatch):
+    # the engine's entries go from the first basis to the maps as they
+    # are: the generators are packed once each, and no basis is unpacked
+    # into polynomials
+    def forbidden(*args, **kwargs):
+        raise AssertionError("groebner_basis was called")
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "ccv"
+                and getattr(module, "groebner_basis", None) is groebner_basis):
+            monkeypatch.setattr(module, "groebner_basis", forbidden)
+    packed, terms = [], _Packing.terms
+    monkeypatch.setattr(_Packing, "terms", lambda self, poly, mod: (
+        packed.append(poly), terms(self, poly, mod))[1])
+    for case in ENUMERATE_CASES:
+        gens = _search(*case)
+        packed.clear()
+        projective_rational_solutions(gens)
+        assert list(map(id, packed)) == [id(g) for g in gens if g], case
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "F32003"])
+def test_an_exponent_past_the_narrow_fields_retakes_the_solve(field,
+                                                              monkeypatch):
+    """x0^256 outgrows the 16-bit fields of the first layout, so the whole
+    solve is taken again in the wide fields, and gives the points of the
+    wide layout alone and of the eliminant route: x0^256 (x1 - x0) meets
+    x2^2 - x1^2 in [1 : 1 : +-1] and, on x0 = 0, in [0 : 1 : +-1]."""
+    gens = [P("x0^256*x1 - x0^257", 3, field), P("x2^2 - x1^2", 3, field)]
+    runs, points = [], solve._points  # (half, outcome)
+
+    def spy(gens, field, mod, packing):
+        try:
+            result = points(gens, field, mod, packing)
+        except ccv.groebner.ExponentOverflow:
+            runs.append((packing.half, "refused"))
+            raise
+        runs.append((packing.half, "ran"))
+        return result
+
+    monkeypatch.setattr(solve, "_points", spy)
+    got = projective_rational_solutions(gens)
+    assert runs == [(8, "refused"), (22, "ran")]
+    assert got == points(gens, field, field.p if field.is_prime_field
+                         else None, _Packing(3, reverse=True))
+    rest, reference = [g.terms for g in gens], []
+    for j in range(3):
+        live = list(range(j + 1, 3))
+        if (cell := _cell(rest, j, 3, field)) is not None:
+            reference += [qpt(*[0] * j, 1, *(sol[i] for i in live),
+                              field=field)
+                          for sol in _eliminant_affine_points(cell, live,
+                                                              field)]
+        rest = _hyperplane(rest, j)
+    assert len(got) == 4 and set(got) == set(reference)
+
+
+def _minimal(leads):
     return {m for m in leads if not any(
         o != m and all(a <= b for a, b in zip(o, m)) for o in leads)}
+
+
+def _leading_ideal(polys):
+    """The minimal leading monomials of polynomials."""
+    return _minimal({g.leading_monomial() for g in polys})
+
+
+def _packed_leading_ideal(dicts, packing):
+    """The minimal leading monomials of packed term dicts, each its dict's
+    first key, which must be its least int; (1) for None, which stands
+    for a list holding a nonzero constant."""
+    if dicts is None:
+        return {(0,) * len(packing.offsets)}
+    assert all(next(iter(t)) == min(t) for t in dicts)
+    return _minimal({packing.unpack(next(iter(t))) for t in dicts})
 
 
 @pytest.mark.parametrize("name, n", [("ci_2_2_p6", 6), ("ci_3_p5", 5),
@@ -738,21 +872,23 @@ def _leading_ideal(polys, nvars):
 @pytest.mark.parametrize("prime", [None, 32003], ids=["QQ", "F32003"])
 def test_substitution_keeps_the_basis_of_each_cell(name, n, prime):
     # with x_j named x_{n-j}, the smallest variable, setting it to 1 in the
-    # homogeneous basis gives a basis of the cell, and setting it to 0 one
-    # of the hyperplane: the leading ideal of a fresh basis, each time
+    # packed homogeneous basis gives a basis of the cell, and setting it to
+    # 0 one of the hyperplane: the leading ideal of a fresh basis, each
+    # time, with each lead still the least int of its form, and first
     gens = _flip(_search(name, n, prime))
     field, nvars = gens[0].field, n + 1
-    basis, rest = groebner_basis(gens), [g.terms for g in gens]
+    (packing, basis, mod), rest = _packed_basis(gens), [g.terms for g in gens]
     for j in range(3):
         cell = _cell(rest, n - j, nvars, field)
-        fresh = [field.one] if cell is None else groebner_basis(cell)
-        assert (_leading_ideal(_substitute(basis, n - j, field.one), nvars)
-                == _leading_ideal(fresh, nvars)), j
+        assert cell is not None
+        assert (_packed_leading_ideal(_substitute(basis, n - j, 1, packing,
+                                                  mod), packing)
+                == _leading_ideal(groebner_basis(cell))), j
         rest = _hyperplane(rest, n - j)
-        basis = _substitute(basis, n - j, field.zero)
-        assert (_leading_ideal(basis, nvars) == _leading_ideal(
-            groebner_basis([Polynomial(nvars, field, t) for t in rest]),
-            nvars)), j
+        basis = _substitute(basis, n - j, 0, packing, mod)
+        assert (_packed_leading_ideal(basis, packing) == _leading_ideal(
+            groebner_basis([Polynomial(nvars, field, t) for t in rest]))), j
+        basis = solve._entries(basis)
 
 
 # The staircase walk and the pure-power test the Hilbert series replaced,
@@ -778,21 +914,20 @@ def _series_dimension_and_degree(monos, nvars):
     monomial ideal that these exponents generate."""
     packing = _Packing(nvars)
     numerator, minimal = {0: 1}, []
-    for m in map(packing.pack, monos):
+    for m in (pack(packing, mono) for mono in monos):
         if all((m - g) & packing.guards for g in minimal):
             _add_lead(numerator, minimal, m, packing)
     return _pole_order(numerator, nvars)
 
 
-def _check_the_hilbert_count(basis, live):
-    """The Hilbert series of a cell basis, and of the leads left when one
-    element is dropped, against the reference; returns how many of them
-    were zero-dimensional."""
-    nvars = basis[0].nvars
+def _check_the_hilbert_count(leads, live):
+    """The Hilbert series of the leading monomials of a cell basis, and of
+    those left when one is dropped, against the reference; returns how
+    many of them were zero-dimensional."""
+    nvars = len(leads[0])
     zero_dimensional = 0
-    for leads in [basis] + [basis[:k] + basis[k + 1:]
-                            for k in range(len(basis))]:
-        monos = [g.leading_monomial() for g in leads]
+    for monos in [leads] + [leads[:k] + leads[k + 1:]
+                            for k in range(len(leads))]:
         pure = all(any(lm[v] and lm[v] == sum(lm) for lm in monos)
                    for v in live)
         dim, degree = _series_dimension_and_degree(monos, nvars)
@@ -809,7 +944,8 @@ def test_hilbert_degree_is_the_staircase_of_the_grid_cells(field):
     seen = 0
     for _ in range(30):
         gens, live, _ = _grid_cell(rng, field, rng.choice((3, 4)))
-        seen += _check_the_hilbert_count(groebner_basis(gens), live)
+        seen += _check_the_hilbert_count(
+            [g.leading_monomial() for g in groebner_basis(gens)], live)
     assert seen > 30  # some dropped elements keep the cell finite
 
 
@@ -817,10 +953,10 @@ def test_hilbert_degree_is_the_staircase_of_the_conic_cells(monkeypatch):
     cells = []
     affine_points = solve._affine_points
 
-    def spy(basis, live, field):
-        if live and not basis[0].is_constant():  # a minimal polynomial
-            cells.append((basis, live))
-        return affine_points(basis, live, field)
+    def spy(basis, live, packing, mod):
+        if live and basis[0][0]:  # a minimal polynomial
+            cells.append(([packing.unpack(e[0]) for e in basis], live))
+        return affine_points(basis, live, packing, mod)
 
     monkeypatch.setattr(solve, "_affine_points", spy)
     # the systems of test_vertices_match_the_eliminant_route
@@ -834,8 +970,8 @@ def test_hilbert_degree_is_the_staircase_of_the_conic_cells(monkeypatch):
             variety, x, y = over_prime(variety, prime, x, y)
         projective_rational_solutions(conic_system(variety, x, y).generators)
     assert cells
-    for basis, live in cells:
-        assert _check_the_hilbert_count(basis, live)
+    for leads, live in cells:
+        assert _check_the_hilbert_count(leads, live)
 
 
 def _scan(dense, p):
