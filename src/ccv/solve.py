@@ -3,14 +3,12 @@
 Projective space is split into the disjoint cells x0 = ... = x_{j-1} = 0,
 x_j = 1.  One substitution fixes every variable the solver fixes: x_j = 1
 for a cell, x_j = 0 for the hyperplane after it, and x_j = r for each root
-r below.  It acts on the Groebner engine's packed entries (lead, lc,
-tail), whose monomials are ints with a field per exponent and the degree
-subtracted above them (see ccv.groebner).  x_j = 0 drops the terms whose
-field j is nonzero, and x_j = 1 subtracts e times the packed x_j from a
-term in x_j^e and adds like terms, so neither multiplies a scalar.  A
-root a/b (b = 1 mod p) multiplies that term by a^e b^(E - e), E the
-largest e in the form, which keeps Q in the integers; the content is then
-cleared.
+r below, on the engine's packed entries (lead, lc, tail), whose monomials
+are ints with a field per exponent (see ccv.groebner).  x_j = 0 drops the
+terms whose field j is nonzero, and x_j = 1 subtracts e times the packed
+x_j from a term in x_j^e and adds like terms, so neither multiplies a
+scalar.  A root a/b (b = 1 mod p) multiplies that term by a^e b^(E - e),
+E the largest e in the form, and over Q the content is then cleared.
 
 The system must be homogeneous, and one grevlex Groebner basis G of it
 serves every cell.  G packs x_0 in the top field, then x_1, and so on, so
@@ -90,7 +88,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations, count, islice, takewhile
+from itertools import chain, combinations, compress, count, islice, takewhile
 from math import gcd, isqrt, lcm
 
 from .fields import is_prime
@@ -128,13 +126,12 @@ def projective_rational_solutions(gens) -> list:
 
 
 def _points(gens, field, mod, packing) -> list:
-    """:func:`projective_rational_solutions` in one packing, whose fields
-    hold x_0 at the top (module docstring)."""
-    nvars, mask = len(packing.offsets), packing.mask
+    """:func:`projective_rational_solutions` in one reversed packing."""
+    nvars = len(packing.offsets)
     basis = _buchberger([packing.terms(g, mod) for g in gens], packing, mod,
                         True)[0]
-    supports = {frozenset(i for i, o in enumerate(packing.offsets)
-                          if lead >> o & mask) for lead, _, _ in basis}
+    supports = {frozenset(compress(range(nvars), packing.unpack(lead)))
+                for lead, _, _ in basis}
     if not all(any(s <= {i, k} for s in supports)
                for i, k in combinations(range(nvars), 2)):
         raise ValueError("system is not zero-dimensional")
@@ -176,7 +173,7 @@ def _substitute(entries, j, value, packing, mod):
                 terms[m] = v
             else:
                 del terms[m]
-        if scale and mod is None:
+        if scale and not mod:
             terms = _normalize(terms)
         if terms:
             if not any(terms):
@@ -186,18 +183,16 @@ def _substitute(entries, j, value, packing, mod):
 
 
 def _entries(polys) -> list:
-    """The term dicts as entries (lead, lc, tail), in place, each lead its
-    dict's first key (module docstring)."""
+    """The lead-first term dicts as entries (lead, lc, tail), in place."""
     return [(lead, terms.pop(lead), terms.items())
             for terms in polys for lead in [next(iter(terms))]]
 
 
 def _affine_points(basis, live, packing, mod):
-    """Solutions {var: residue mod p or Fraction} of the affine system
-    supported on ``live`` that these packed entries, a grevlex Groebner
-    basis, generate."""
+    """Solutions {var: residue mod p or Fraction} of the affine system on
+    ``live`` that these packed entries, a grevlex Groebner basis, generate."""
     if not live:
-        return [{}] if not basis else []
+        return [] if basis else [{}]
     if not basis[0][0]:
         return []  # unit ideal
     var, rest = live[0], live[1:]  # the smallest live variable first
@@ -376,7 +371,7 @@ def _annihilates(coeffs, ints, dens) -> bool:
 def _univariate_roots(coeffs: list, mod):
     """Roots of sum(coeffs[e] * t^e) with coefficients mod p, as ascending
     residues, or in Q, as Fractions."""
-    if mod is not None:
+    if mod:
         return _roots_mod(coeffs, mod)
     denom = lcm(*(c.denominator for c in coeffs))
     return rational_roots({e: c.numerator * (denom // c.denominator)
