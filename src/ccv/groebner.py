@@ -33,8 +33,8 @@ inter-reduction of :func:`groebner_basis`, raises ExponentOverflow, the
 basis is taken once more from the start in the wide fields, half = 22,
 and only there does the overflow refuse (exit 3).  An overflow can meet
 the inter-reduction alone: a tail reduced by an element found after it
-can take an exponent that no step of the loop formed.  The solver takes
-a whole solve, its bases, cells and maps, in one layout the same way.
+can take an exponent that no step of the loop formed.  The solver retakes
+a whole solve the same way.
 
 Over the rationals division pops monomials off a heap (Monagan and Pearce,
 "Sparse polynomial division using a heap", J. Symbolic Comput. 46, 2011):
@@ -200,16 +200,14 @@ def _overflow(what):
 
 class _Packing:
     """Layout of grevlex exponent tuples as ints, in which a smaller int is
-    a larger monomial (see the module docstring), with fields of 2 * half
-    bits whose exponents stay below 2^half.  Reversed, the fields hold x_0
-    at the top, so that x_0 is the smallest variable."""
+    a larger monomial (module docstring), with fields of 2 * half bits whose
+    exponents stay below 2^half; reversed, x_0 is the smallest variable."""
 
     def __init__(self, nvars: int, half: int = _HALF, reverse=False):
         self.half, self.width = half, 2 * half
         self.top = self.width * nvars
         self.offsets = tuple(range(0, self.top, self.width))[
             ::-1 if reverse else 1]
-        # each variable packed: a field of 1 and a degree of 1
         self.units = tuple((1 << o) - (1 << self.top) for o in self.offsets)
         self.ones = sum(1 << o for o in self.offsets)
         self.guards = self.ones << (self.width - 1)
@@ -235,9 +233,7 @@ class _Packing:
         return tuple((m >> o) & self.mask for o in self.offsets)
 
     def terms(self, poly: Polynomial, mod) -> dict:
-        """{packed monomial: int} from a nonzero polynomial, denominators
-        cleared.  Only a degree of 2^half or more can hide an exponent that
-        outgrows the fields, so only then is each monomial looked at."""
+        """{packed monomial: int} from a polynomial, denominators cleared."""
         if poly.degree() >> self.half and any(
                 max(m) >> self.half for m in poly.terms):
             _overflow("a generator")
@@ -258,7 +254,6 @@ def _integral(poly: Polynomial) -> dict:
 
 
 def _common_ring(polys):
-    """(nvars, field, p or None for Q) of polynomials over one ring."""
     nvars, field = polys[0].nvars, polys[0].field
     for p in polys[1:]:
         if p.nvars != nvars:
@@ -447,9 +442,7 @@ def _minimal_basis(polys, reduce_tails=False):
 
 
 def _in_fields(nvars: int, run, reverse=False):
-    """run(packing) in the fields sized to the ring, and once more in the
-    wide fields if an exponent outgrows them (module docstring): only the
-    wide fields refuse."""
+    """run(packing) in the narrow fields, or the wide ones on an overflow."""
     try:
         return run(_Packing(nvars, max(8, nvars.bit_length()), reverse))
     except ExponentOverflow:
@@ -462,16 +455,14 @@ def _buchberger(rows, packing, mod, reduce_tails):
     nvars, top, guards = len(packing.offsets), packing.top, packing.guards
     entries, leads = [], []
     buckets, pending = {}, set()  # lcm degree -> [(-lcm, i, j)]; unwalked
-    # one matrix per leading degree, ascending; a row is homogeneous when
-    # its largest and smallest monomials, the least and the largest int,
-    # have one degree
+    # one matrix per leading degree, ascending
     gens = sorted(((min(terms), terms) for terms in rows), key=lambda g: -g[0])
     # the numerator of the minimal leading exponents so far, and for the
     # Hilbert-driven skip (module docstring) the complete-intersection
     # bound: ``room`` is how many more degree-d leading monomials it allows
     numerator, minimal, bound = {0: 1}, [], None
-    if len(gens) <= nvars and all(lead >> top == max(terms) >> top
-                                  for lead, terms in gens):
+    if len(gens) <= nvars and all(  # homogeneous: max and min in one degree
+            lead >> top == max(terms) >> top for lead, terms in gens):
         bound = _one_minus_powers(-(lead >> top) for lead, _ in gens)
 
     def add(new):

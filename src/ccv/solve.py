@@ -1,62 +1,53 @@
 """Enumerate the points of a zero-dimensional projective system exactly.
 
 Projective space is split into the disjoint cells x0 = ... = x_{j-1} = 0,
-x_j = 1.  One substitution fixes every variable the solver fixes: x_j = 1
-for a cell, x_j = 0 for the hyperplane after it, and x_j = r for each root
-r below, on the engine's packed entries (lead, lc, tail), whose monomials
-are ints with a field per exponent (see ccv.groebner).  x_j = 0 drops the
-terms whose field j is nonzero, and x_j = 1 subtracts e times the packed
-x_j from a term in x_j^e and adds like terms, so neither multiplies a
-scalar.  A root a/b (b = 1 mod p) multiplies that term by a^e b^(E - e),
-E the largest e in the form, and over Q the content is then cleared.
+x_j = 1.  One substitution on the engine's packed entries fixes every
+variable the solver fixes: x_j = 1 for a cell, x_j = 0 for the hyperplane
+after it, and x_j = r for each root r below.  Setting 0 drops the terms
+in x_j and setting 1 takes e times the packed x_j off a term in x_j^e, so
+neither multiplies a scalar; a root a/b scales it by a^e b^(max e - e).
 
 The system must be homogeneous, and one grevlex Groebner basis G of it
-serves every cell.  G packs x_0 in the top field, then x_1, and so on, so
-that x_0 is the smallest variable, x_1 the smallest of the rest, and so
-on.  For a homogeneous basis and its smallest variable x, the leading
-monomial of each form has the least power of x among its terms, and:
+serves every cell.  G packs x_0 in the top field, so that x_0 is the
+smallest variable, x_1 the smallest of the rest, and so on.  For a
+homogeneous basis and its smallest variable x, the leading monomial of
+each form has the least power of x among its terms, and:
 - x = 1 gives a Groebner basis of the cell: it divides every leading
   monomial by that power, which keeps it leading and merges no terms,
   and the results generate the leading ideal of the cell (Cox, Little and
-  O'Shea, *Ideals, Varieties, and Algorithms*, ch. 8 section 4).  Packed,
-  a term loses as much degree as it has x: one with more x than the lead
-  ends with a lower degree, a larger int, and one with as much keeps its
-  order, so the lead stays the least int;
+  O'Shea, *Ideals, Varieties, and Algorithms*, ch. 8 section 4); packed,
+  a term with more x than the lead loses more degree: the lead stays least;
 - x = 0 gives a homogeneous Groebner basis of the hyperplane, in which
   the next variable is the smallest: in(J + (x)) = in(J) + (x) for revlex
   (Bayer and Stillman, Invent. Math. 87, 1987), a form whose leading
   monomial x divides is a multiple of x and drops out, and every other
   keeps its leading monomial.
-So no cell or hyperplane takes a basis of its own, each lead stays first,
-and a cell with no point shows a nonzero constant at once.  A cell's basis
-need be neither reduced nor minimal, since the multiplication map below
-reduces as it goes.  Only the system left after a root substitution goes
-back to the engine, as term dicts, for a basis of its own.  The leading
-monomials of G refuse, once, a system whose affine dimension is more than
-1: the dimension of R/I is that of R/in(I), the largest coordinate
-subspace on which every leading monomial vanishes (Cox, Little and
-O'Shea, ch. 9 sections 1 and 3), so it is at most 1 exactly when each pair
-of variables holds the support of some leading monomial.  Every cell of a
-finite projective scheme, and every fiber of a cell over a root, is then
-finite.  A solve takes the engine's narrow fields first and, as a basis
-does, is taken once more in the wide fields if an exponent outgrows them
-anywhere; only the wide fields refuse.
+So no cell or hyperplane takes a basis of its own, and a cell with no
+point shows a nonzero constant at once.  A cell's basis need be neither
+reduced nor minimal, since the multiplication map below reduces as it
+goes.  Only the system left after a root substitution takes a fresh
+basis.  The leading monomials of G refuse, once, a system whose affine
+dimension is more than 1: the dimension of R/I is that of R/in(I), the
+largest coordinate subspace on which every leading monomial vanishes
+(Cox, Little and O'Shea, ch. 9 sections 1 and 3), so it is at most 1
+exactly when each pair of variables holds the support of some leading
+monomial.  Every cell of a finite projective scheme, and every fiber of a
+cell over a root, is then finite.
 
 The monic generator of I and k[x], for a variable x, is the minimal
 polynomial of 1 under the map M of multiplication by x on k[x]/I (FGLM
-restricted to one variable: Faugere, Gianni, Lazard and Mora, J.
-Symbolic Comput. 16, 1993).  Its roots are the values of x on the points,
-so fixing each root and solving the rest gives the same points whichever
-variable comes first.  The solver fixes the smallest live variable first:
-in grevlex x*s is again a standard monomial for most standard s, so most
+restricted to one variable: Faugere, Gianni, Lazard and Mora, J. Symbolic
+Comput. 16, 1993).  Its roots are the values of x on the points, so fixing
+each root and solving the rest gives the same points whichever variable
+comes first.  The solver fixes the smallest live variable first: in
+grevlex x*s is again a standard monomial for most standard s, so most
 columns of its map are unit columns, where the largest variable's map is
 dense (Faugere and Mou, ISSAC 2011).  The columns of M are the normal
-forms of x*s for the standard monomials s reachable from 1, reduced by
-the cell's entries as they are; over Q each column is integers over one
-denominator.  The Krylov vectors 1, M 1, M^2 1, ... are residues
-packed into one int each, echeloned in turn until the first dependency.
-Over Q that echelon runs modulo primes counted down from 2^62 - 57, the
-first eight pinned and the others found when first needed, skipping any
+forms of x*s for the standard monomials s reachable from 1, reduced by the
+cell's basis as it is; over Q each column is integers over one
+denominator.  The Krylov vectors 1, M 1, M^2 1, ... are residues packed
+into one int each, echeloned in turn until the first dependency.  Over Q
+that echelon runs modulo primes counted down from 2^62 - 57, skipping any
 that divides a denominator of M; a prime that gives a lower degree than
 another is unlucky and is dropped.  The residues are combined by the
 Chinese remainder theorem and each coefficient is reconstructed as a
@@ -64,14 +55,13 @@ fraction (P. S. Wang, 1981).  The first reconstruction of every
 coefficient that differs from the last one checked is accepted only if
 g(M) 1 = 0 in exact integer arithmetic.  The true minimal polynomial f
 then divides g, while deg g <= deg f, since the Krylov rank can only drop
-modulo p; so g = f, however many unlucky primes agreed on a wrong g.
-Its coefficients go to the root finder as they are; each root r is
-substituted into the cell's entries, and the smaller system takes its own
-basis and is solved the same way.  The points of a cell are then sorted
-once into the order a lex solve gives, x_N first, then x_{N-1}, and so
-on: a coordinate by its residue over F_p, and over Q by (|numerator|,
-denominator), the positive one of a pair first, the order of the roots.
-Only the points themselves are built as field scalars.
+modulo p; so g = f, however many unlucky primes agreed on a wrong g.  Its
+coefficients go to the root finder as they are; each root r is substituted
+into the cell's basis, and the smaller system takes its own basis and is
+solved the same way.  The points of a cell are then sorted once into the
+order a lex solve gives, x_N first, then x_{N-1}, and so on: a coordinate
+by its residue over F_p, and over Q by (|numerator|, denominator), the
+positive one of a pair first, the order of the roots.
 
 Univariate roots over a prime field are the residues where the polynomial
 vanishes; gcd(f, t^p - t) counts them first, so a scan that can find none
@@ -87,7 +77,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, combinations, compress, count, islice, takewhile
 from math import gcd, isqrt, lcm
 
@@ -121,8 +111,7 @@ def projective_rational_solutions(gens) -> list:
     if not all(g.is_homogeneous() for g in gens):
         raise ValueError("the system is not homogeneous")
     nvars, field, mod = _common_ring(gens)
-    return _in_fields(nvars, lambda packing: _points(gens, field, mod,
-                                                     packing), reverse=True)
+    return _in_fields(nvars, partial(_points, gens, field, mod), reverse=True)
 
 
 def _points(gens, field, mod, packing) -> list:
@@ -151,9 +140,8 @@ def _points(gens, field, mod, packing) -> list:
 
 
 def _substitute(entries, j, value, packing, mod):
-    """The nonzero term dicts left by x_j = value (0, 1, or a root: a
-    residue mod p or a Fraction) in the packed entries, in their order, or
-    None when one is a nonzero constant (module docstring)."""
+    """The nonzero term dicts, lead first, left by x_j = value in packed
+    entries, or None when one is a nonzero constant (module docstring)."""
     shift, mask, unit = packing.offsets[j], packing.mask, packing.units[j]
     out = []
     for lead, lc, tail in entries:
@@ -189,8 +177,8 @@ def _entries(polys) -> list:
 
 
 def _affine_points(basis, live, packing, mod):
-    """Solutions {var: residue mod p or Fraction} of the affine system on
-    ``live`` that these packed entries, a grevlex Groebner basis, generate."""
+    """Solutions {var: value} of the affine system on ``live`` that this
+    packed grevlex Groebner basis generates."""
     if not live:
         return [] if basis else [{}]
     if not basis[0][0]:
@@ -210,8 +198,8 @@ def _affine_points(basis, live, packing, mod):
 
 def _minimal_polynomial(basis, var, packing, mod) -> list:
     """Coefficients, lowest first, of the monic generator of I and k[var],
-    for the zero-dimensional ideal I of a grevlex Groebner basis in packed
-    entries (not the unit ideal): ints mod p, or Fractions."""
+    for the zero-dimensional ideal I of a packed grevlex Groebner basis
+    (not the unit ideal): ints mod p, or Fractions."""
     columns = _multiplication_map(basis, packing.units[var], packing, mod)
     return (_rational_minimal_polynomial(columns) if mod is None
             else _minimal_polynomial_mod([c for _, c in columns], mod))
@@ -229,7 +217,7 @@ def _multiplication_map(reducers, step, packing, mod) -> list:
     tail times the quotient, subtracted.  Residues are reduced mod p when
     popped.  Over Q no fraction is formed: adding c/d times a form or a
     tail first scales the column's work, form and denominator by
-    d / gcd(c, d).  A quotient past the fields refuses, as in the engine.
+    d / gcd(c, d).
     """
     guards, overflow = packing.guards, packing.overflow
     known = {0: (1, {0: 1})}  # packed monomial -> its normal form

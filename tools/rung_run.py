@@ -12,8 +12,8 @@ A fresh interpreter imports ccv from DIR/src and runs the job through
 its wall seconds, its peak RSS (``ru_maxrss``) and the sha256 of the
 output, which this script prints on one line.
 
-With --check it runs instead every job of a table of expected output
-hashes (default: ``tools/rung_digests.json``), one child at a time, and
+With --check it runs instead every job of ``tools/rung_digests.json``,
+a table of expected output hashes, one child at a time, and
 prints each job's wall time, peak RSS and whether its exit code is 0 and
 its hash matches; it exits 1 on any mismatch.  The default set takes
 about a minute; --long adds the jobs the table marks long (full
@@ -21,7 +21,7 @@ about a minute; --long adds the jobs the table marks long (full
 
 Usage: python tools/rung_run.py DEGREE... [--src DIR] [--rational]
        [--count-only]
-       python tools/rung_run.py --check [--long] [--table FILE] [--src DIR]
+       python tools/rung_run.py --check [--long] [--src DIR]
 """
 
 from __future__ import annotations
@@ -108,11 +108,9 @@ def main(argv=None) -> int:
                         help="run the table's jobs against their hashes")
     parser.add_argument("--long", action="store_true",
                         help="with --check, run the long jobs too")
-    parser.add_argument("--table", type=Path, default=TABLE,
-                        help="the table of expected hashes for --check")
     args = parser.parse_args(argv)
     if args.check:
-        return check(args.table, args.src, args.long)
+        return check(TABLE, args.src, args.long)
     if not args.degrees:
         parser.error("give the rung's degrees, or --check")
     result = run_job(args.degrees, args.src, args.rational, args.count_only)
