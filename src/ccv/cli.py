@@ -3,8 +3,9 @@
 Every run echoes its resolved configuration, writes a deterministic
 report to standard output (text by default, ``--json`` for a JSON object
 with stable keys), and exits 0 on success, 2 on invalid input, 3 when a
-computation is refused (point budget, prime too small).  Empty solution
-sets are results, not errors.
+computation is refused (point budget, prime too small), and 1 when the
+reader of standard output has gone.  Empty solution sets are results,
+not errors.
 """
 
 from __future__ import annotations
@@ -367,14 +368,14 @@ def entry(argv=None) -> int:
     except (ValueError, FieldMismatchError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        document = {"command": args.command, "config": config}
-        document.update(payload)
-        print(json.dumps(document, indent=2, sort_keys=True))
-    else:
-        print(_config_line(config))
-        for line in lines:
-            print(line)
+    document = {"command": args.command, "config": config, **payload}
+    text = (json.dumps(document, indent=2, sort_keys=True) if args.json
+            else "\n".join([_config_line(config), *lines]))
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader left: the final flush goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -26,7 +26,7 @@ from .fields import GF, Record
 from .linalg import kernel_basis, matrix_rank
 from .poly import Polynomial, ProjectivePoint, expand_line_pencil
 from .groebner import IdealSummary, ideal_dimension_and_degree
-from .solve import projective_rational_solutions
+from .solve import summary_and_points
 from .variety import (VarietySpec, ClassificationReport, classify_line_family,
                       over_prime, point_on_variety,
                       singular_conic_count_formula, variety_dimension)
@@ -131,8 +131,9 @@ class ConicSystem(Record):
 
     @cached_property
     def summary(self) -> IdealSummary:
-        """Dimension and degree of the system, from one grevlex basis
-        computed on first use."""
+        """Dimension and degree of the system: those a symbolic
+        :func:`find_singular_conics` read off the solver's basis, or else
+        :func:`ideal_dimension_and_degree`'s, computed on first use."""
         return ideal_dimension_and_degree(self.generators)
 
 
@@ -257,7 +258,8 @@ def find_singular_conics(variety: VarietySpec, x: ProjectivePoint,
 
     Symbolic mode (prime None) works over the variety's own field through
     Groebner bases: it reports the system's dimension and degree, and when
-    zero-dimensional enumerates every field-rational vertex.  Finite-field
+    zero-dimensional enumerates every field-rational vertex.  A system of
+    N generators takes one basis, the solver's, for both.  Finite-field
     mode works over F_p (see :func:`over_prime`): a vertex lies in the
     meet of the tangent spaces T_xX and T_yX, the kernel of the system's
     degree-1 conditions, so it evaluates the nonlinear conditions at every
@@ -268,6 +270,15 @@ def find_singular_conics(variety: VarietySpec, x: ProjectivePoint,
     """
     if prime is None:
         system = system or conic_system(variety, x, y)
+        # N generators, the boundary's shape, are finite in general, and the
+        # solver's basis gives the summary, which count_conics reads too.
+        # Any other number is infinite or empty in general, which the
+        # count's route shows without a basis over Q; the solver follows
+        # it only on a finite system.
+        if (len(system.generators) == variety.ambient_dim
+                or not system.summary.projective_dimension):
+            vars(system)["summary"], vertices = summary_and_points(
+                system.generators, cap)
         summary = system.summary
         if summary.projective_dimension < 0:
             return ConicSearchResult(
@@ -279,9 +290,6 @@ def find_singular_conics(variety: VarietySpec, x: ProjectivePoint,
                 summary.degree, (),
                 notes=("the vertex locus has positive dimension; no "
                        "enumeration attempted",))
-        if variety.field.is_prime_field:  # the root scan visits P^1(F_p)
-            check_point_budget(1, variety.field.p, cap)
-        vertices = projective_rational_solutions(system.generators)
         solutions = tuple(solution_from_vertex(v, x, y) for v in vertices)
         note = ("degree counts vertices with multiplicity over the "
                 "algebraic closure; the list contains the "
@@ -331,7 +339,8 @@ def count_conics(variety: VarietySpec, x: ProjectivePoint,
     """Count singular-conic vertices by ideal degree and by the formula.
 
     ``system`` is a conic_system already built for the same inputs; its
-    summary is shared with :func:`find_singular_conics`.
+    summary is shared with :func:`find_singular_conics`, which may have
+    read it off the solver's basis, so that no other basis is taken.
     """
     summary = (system or conic_system(variety, x, y)).summary
     degrees = variety.degrees

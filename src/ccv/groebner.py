@@ -657,15 +657,20 @@ def ideal_dimension_and_degree(polys) -> IdealSummary:
 
 def _complete_intersection(forms):
     """The summary of nonzero forms whose basis shows affine dimension
-    nvars - len(forms), a complete intersection, or None; such a summary
-    must have degree prod(d_i), which is checked."""
+    nvars - len(forms), a complete intersection, or None."""
     nvars = forms[0].nvars
-    dim, degree = _leading_dimension_and_degree(forms, nvars)
-    if dim != nvars - len(forms):
-        return None
-    if degree != prod(f.degree() for f in forms):
+    dim, degree = _bezout(*_leading_dimension_and_degree(forms, nvars), forms)
+    return _summary(dim, degree) if dim == nvars - len(forms) else None
+
+
+def _bezout(dim: int, degree: int, forms) -> tuple:
+    """(dim, degree), the affine dimension and degree of the ideal of
+    nonzero forms, which must be prod(d_i) at dim = nvars - len(forms), a
+    complete intersection: checked."""
+    if (dim == forms[0].nvars - len(forms)
+            and degree != prod(f.degree() for f in forms)):
         raise ArithmeticError("a complete intersection broke Bezout")
-    return _summary(dim, degree)
+    return dim, degree
 
 
 def _leading_dimension_and_degree(polys, nvars: int) -> tuple:

@@ -26,13 +26,12 @@ So no cell or hyperplane takes a basis of its own, and a cell with no
 point shows a nonzero constant at once.  A cell's basis need be neither
 reduced nor minimal, since the multiplication map below reduces as it
 goes.  Only the system left after a root substitution takes a fresh
-basis.  The leading monomials of G refuse, once, a system whose affine
-dimension is more than 1: the dimension of R/I is that of R/in(I), the
-largest coordinate subspace on which every leading monomial vanishes
-(Cox, Little and O'Shea, ch. 9 sections 1 and 3), so it is at most 1
-exactly when each pair of variables holds the support of some leading
-monomial.  Every cell of a finite projective scheme, and every fiber of a
-cell over a root, is then finite.
+basis.  The Hilbert numerator that the engine keeps for the leading
+monomials of G gives the dimension and degree of the system, since R/I
+and R/in(I) have one Hilbert series for every term order (Cox, Little and
+O'Shea, ch. 9 section 3), and it refuses, once, a system whose affine
+dimension is more than 1.  Every cell of a finite projective scheme, and
+every fiber of a cell over a root, is then finite.
 
 The monic generator of I and k[x], for a variable x, is the minimal
 polynomial of 1 under the map M of multiplication by x on k[x]/I (FGLM
@@ -78,13 +77,14 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import chain, combinations, compress, count, islice, takewhile
+from itertools import chain, count, islice, takewhile
 from math import gcd, isqrt, lcm
 
+from .ffutil import check_point_budget
 from .fields import is_prime
 from .poly import ProjectivePoint
-from .groebner import (_buchberger, _common_ring, _in_fields, _normalize,
-                       _overflow)
+from .groebner import (_bezout, _buchberger, _common_ring, _in_fields,
+                       _normalize, _overflow, _pole_order, _summary)
 
 __all__ = ["projective_rational_solutions", "rational_roots"]
 
@@ -105,25 +105,37 @@ def projective_rational_solutions(gens) -> list:
     projective scheme (over the algebraic closure); otherwise a ValueError
     is raised rather than returning a silently incomplete list.
     """
+    summary, points = summary_and_points(gens)
+    if summary.projective_dimension > 0:
+        raise ValueError("system is not zero-dimensional")
+    return points or []
+
+
+def summary_and_points(gens, cap=None) -> tuple:
+    """(summary, points) of homogeneous generators from one basis: the
+    :class:`IdealSummary` read off its Hilbert numerator, and the points
+    when it shows projective dimension 0, or else None.  Over F_p a
+    ``cap`` bounds P^1(F_p), which the root scan visits, before any root."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("empty system is not zero-dimensional")
     if not all(g.is_homogeneous() for g in gens):
         raise ValueError("the system is not homogeneous")
     nvars, field, mod = _common_ring(gens)
-    return _in_fields(nvars, partial(_points, gens, field, mod), reverse=True)
+    return _in_fields(nvars, partial(_points, gens, field, mod, cap),
+                      reverse=True)
 
 
-def _points(gens, field, mod, packing) -> list:
-    """:func:`projective_rational_solutions` in one reversed packing."""
+def _points(gens, field, mod, cap, packing) -> tuple:
+    """:func:`summary_and_points` in one reversed packing."""
     nvars = len(packing.offsets)
-    basis = _buchberger([packing.terms(g, mod) for g in gens], packing, mod,
-                        True)[0]
-    supports = {frozenset(compress(range(nvars), packing.unpack(lead)))
-                for lead, _, _ in basis}
-    if not all(any(s <= {i, k} for s in supports)
-               for i, k in combinations(range(nvars), 2)):
-        raise ValueError("system is not zero-dimensional")
+    basis, numerator = _buchberger([packing.terms(g, mod) for g in gens],
+                                   packing, mod, True)
+    summary = _summary(*_bezout(*_pole_order(numerator, nvars), gens))
+    if summary.projective_dimension:
+        return summary, None
+    if mod and cap:
+        check_point_budget(1, mod, cap)
     points = []
     for j in range(nvars):
         if (cell := _substitute(basis, j, 1, packing, mod)) is not None:
@@ -136,7 +148,7 @@ def _points(gens, field, mod, packing) -> list:
         if (basis := _substitute(basis, j, 0, packing, mod)) is None:
             break  # every later cell keeps the nonzero constant
         basis = _entries(basis)
-    return points
+    return summary, points
 
 
 def _substitute(entries, j, value, packing, mod):

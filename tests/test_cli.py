@@ -121,6 +121,7 @@ def test_conics_prime_mismatch_exits_2(capsys, tmp_path):
 def test_conics_builds_the_system_and_basis_once(capsys, monkeypatch):
     import ccv.conics
     import ccv.groebner
+    import ccv.solve
     calls = []
     inside = []
 
@@ -142,15 +143,43 @@ def test_conics_builds_the_system_and_basis_once(capsys, monkeypatch):
                         counted("basis", summary))
     monkeypatch.setattr(ccv.cli, "count_conics",
                         counted("count", ccv.conics.count_conics))
+    # a symbolic search takes one basis, the solver's, before any root, and
+    # the count reads its summary; a basis inside _affine_points is the
+    # fiber's over a root
+    engine = counted("engine", ccv.groebner._buchberger)
+    for module in (ccv.groebner, ccv.solve):
+        monkeypatch.setattr(module, "_buchberger", engine)
+    for name in ("_affine_points", "_univariate_roots"):
+        monkeypatch.setattr(ccv.solve, name,
+                            counted(name, getattr(ccv.solve, name)))
     argv = ["conics", QUADRIC, "--x", "1,0,0,0", "--y", "0,0,0,1", "--json"]
     assert run_cli(capsys, *argv)[0] == 0
-    assert [label for label, _ in calls if label != "count"] == [
-        "system", "basis"]
+    labels = [label for label, _ in calls]
+    assert [label for label, inside in calls if label != "count"
+            and "_affine_points" not in inside][:3] == [
+        "system", "engine", "_affine_points"]
+    assert [call for call in calls if call[0] == "engine"
+            and "_affine_points" not in call[1]] == [("engine", ())]
+    assert labels.index("engine") < labels.index("_univariate_roots")
+    assert "basis" not in labels and labels.count("system") == 1
     calls.clear()
     assert run_cli(capsys, *argv, "--prime", "5")[0] == 0
     assert [label for label, _ in calls if label == "system"] == ["system"]
     assert [call for call in calls if call[0] == "basis"] == [
         ("basis", ("count",))]
+
+
+def test_a_search_that_breaks_bezout_raises(capsys, monkeypatch):
+    # the solver's numerator shows the complete intersection of the three
+    # conditions, so its degree must be 1 * 2 * 1; one more is refused
+    import ccv.solve
+    pole_order = ccv.solve._pole_order
+    monkeypatch.setattr(ccv.solve, "_pole_order", lambda *args: (
+        pole_order(*args)[0], pole_order(*args)[1] + 1))
+    argv = ["conics", QUADRIC, "--x", "1,0,0,0", "--y", "0,0,0,1"]
+    with pytest.raises(ArithmeticError, match="broke Bezout"):
+        entry(argv)
+    assert run_cli(capsys, *argv, "--count-only")[0] == 0
 
 
 def test_conics_canonicalizes_input_points(capsys):
@@ -366,6 +395,27 @@ def test_module_runs_as_a_subprocess():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "check"
+
+
+@pytest.mark.parametrize("launch", [
+    ["-m", "ccv.cli"],
+    ["-c", "import sys; from ccv.cli import entry; sys.exit(entry())"],
+], ids=["module", "console-script"])
+def test_a_closed_reader_ends_the_run_without_a_traceback(launch):
+    # `ccv conics ... | head -1` with the reader gone before the report
+    env = dict(os.environ)
+    src = str(VARIETIES.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *launch, "conics", QUADRIC, "--x", "1,0,0,0",
+             "--y", "0,0,0,1"], stdout=write, stderr=subprocess.PIPE,
+            text=True, env=env)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_empty_solution_set_is_success(capsys, tmp_path):

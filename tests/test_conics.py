@@ -5,9 +5,10 @@ import time
 
 import pytest
 
-from ccv import (GF, brute_singular_conics, build_variety,
-                 conic_system, count_conics, expand_line_pencil,
-                 find_singular_conics, line_equations, load_variety,
+from ccv import (GF, QQ, ConicSystem, Polynomial, brute_singular_conics,
+                 build_variety, conic_system, count_conics,
+                 expand_line_pencil, find_singular_conics,
+                 ideal_dimension_and_degree, line_equations, load_variety,
                  over_prime, parse_polynomial, pencil_conditions,
                  point_on_variety, reduce_point_mod, reduce_variety_mod, singular_conic_count_formula,
                  solution_from_vertex)
@@ -18,6 +19,8 @@ from ccv.ffutil import (PointCapExceeded, PrimeTooSmall,
 
 from conftest import VARIETIES, qpt
 from test_golden import CASES, ROOT
+from test_groebner import _specs
+from test_solve import ENUMERATE_CASES
 
 
 def test_quadric_system_generators(quadric):
@@ -395,6 +398,75 @@ def test_quadric_count_with_enumeration(quadric):
     assert [str(s.vertex) for s in search.solutions] == [
         "[0:1:0:0]", "[0:0:1:0]"]
     assert search.degree == count.ideal_degree == 2
+
+
+def _search_summary(variety, x, y, generators=None):
+    """The status of a symbolic search and whether the summary it read off
+    the solver's basis, kept for the count, is the one of
+    ideal_dimension_and_degree, the route of --count-only."""
+    system = conic_system(variety, x, y)
+    if generators is not None:
+        system = ConicSystem(x, y, generators, system.shared_count)
+    result = find_singular_conics(variety, x, y, system=system)
+    expected = ideal_dimension_and_degree(system.generators)
+    return result.status, (system.summary == expected and (
+        result.dimension, result.degree) == (expected.projective_dimension,
+                                              expected.degree))
+
+
+def test_search_summary_on_the_enumerate_cases():
+    for name, n, prime in ENUMERATE_CASES:
+        variety = load_variety(VARIETIES / f"{name}.json")
+        x, y = qpt(1, *[0] * n), qpt(*[0] * n, 1)
+        if prime is not None:
+            variety, x, y = over_prime(variety, prime, x, y)
+        assert _search_summary(variety, x, y) == ("finite", True), name
+
+
+@pytest.mark.parametrize("prime", [None, 32003], ids=["QQ", "F32003"])
+def test_search_summary_on_the_boundary_rungs(prime):
+    rungs = [(2, 2), (3,), (2, 2, 2), (3, 2), (2, 2, 2, 2)]
+    if prime:
+        rungs += [(3, 2, 2), (2, 2, 2, 2, 2), (4,), (3, 3)]
+    for degrees in rungs:
+        variety = build_variety(_specs().boundary_spec(1, degrees, prime))
+        x, y = (qpt(*p, field=variety.field)
+                for p in _specs().base_points(degrees))
+        assert _search_summary(variety, x, y) == ("finite", True), degrees
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "F32003"])
+def test_search_summary_when_infinite_or_empty(field):
+    for name, x, y in [("quadric_p3", (1, 0, 0, 0), (0, 1, 0, 0)),
+                       ("fermat_cubic_p5", (1, -1, 0, 0, 0, 0),
+                        (0, 0, 1, -1, 0, 0))]:
+        variety = load_variety(VARIETIES / f"{name}.json")
+        x, y = qpt(*x), qpt(*y)
+        if field != QQ:
+            variety, x, y = over_prime(variety, field.p, x, y)
+        assert _search_summary(variety, x, y) == ("infinite", True), name
+        unit = (Polynomial(variety.ambient_dim + 1, field, {
+            (0,) * (variety.ambient_dim + 1): field.one}),)
+        assert _search_summary(variety, x, y, unit) == ("empty", True), name
+
+
+def test_a_search_off_the_boundary_shape_takes_the_count_route(
+        quadric3, monkeypatch):
+    # 3 generators in P^4 are infinite by Krull's height theorem: the
+    # mod-32003 certificate answers, and no basis over Q is taken
+    import ccv.groebner
+    import ccv.solve
+    fields, engine = [], ccv.groebner._buchberger
+
+    def spy(rows, packing, mod, reduce_tails):
+        fields.append(mod)
+        return engine(rows, packing, mod, reduce_tails)
+
+    for module in (ccv.groebner, ccv.solve):
+        monkeypatch.setattr(module, "_buchberger", spy)
+    x, y = qpt(1, 0, 0, 0, 0), qpt(0, 0, 0, 0, 1)
+    assert _search_summary(quadric3, x, y) == ("infinite", True)
+    assert fields == [32003, 32003]  # the search's, then the reference's
 
 
 def test_two_quadrics_count(two_quadrics):
