@@ -664,9 +664,9 @@ def _complete_intersection(forms):
 
 
 def _bezout(dim: int, degree: int, forms) -> tuple:
-    """(dim, degree), the affine dimension and degree of the ideal of
-    nonzero forms, which must be prod(d_i) at dim = nvars - len(forms), a
-    complete intersection: checked."""
+    """(dim, degree) as given, the affine dimension and degree of the ideal
+    of these nonzero forms, once a complete intersection (dim = nvars -
+    len(forms)) is checked to have degree prod(d_i)."""
     if (dim == forms[0].nvars - len(forms)
             and degree != prod(f.degree() for f in forms)):
         raise ArithmeticError("a complete intersection broke Bezout")

@@ -29,8 +29,8 @@ goes.  Only the system left after a root substitution takes a fresh
 basis.  The Hilbert numerator that the engine keeps for the leading
 monomials of G gives the dimension and degree of the system, since R/I
 and R/in(I) have one Hilbert series for every term order (Cox, Little and
-O'Shea, ch. 9 section 3), and it refuses, once, a system whose affine
-dimension is more than 1.  Every cell of a finite projective scheme, and
+O'Shea, ch. 9 section 3), and no cell is solved unless it shows
+projective dimension 0.  Every cell of a finite projective scheme, and
 every fiber of a cell over a root, is then finite.
 
 The monic generator of I and k[x], for a variable x, is the minimal
