@@ -132,7 +132,7 @@ class ConicSystem(Record):
     @cached_property
     def summary(self) -> IdealSummary:
         """Dimension and degree of the system: those a symbolic
-        :func:`find_singular_conics` read off the solver's basis, or else
+        :func:`find_singular_conics` took from the solver, or else
         :func:`ideal_dimension_and_degree`'s, computed on first use."""
         return ideal_dimension_and_degree(self.generators)
 
@@ -258,8 +258,8 @@ def find_singular_conics(variety: VarietySpec, x: ProjectivePoint,
 
     Symbolic mode (prime None) works over the variety's own field through
     Groebner bases: it reports the system's dimension and degree, and when
-    zero-dimensional enumerates every field-rational vertex.  A system of
-    N generators takes one basis, the solver's, for both.  Finite-field
+    zero-dimensional enumerates every field-rational vertex, both from
+    :func:`solve.summary_and_points`, which chooses the bases.  Finite-field
     mode works over F_p (see :func:`over_prime`): a vertex lies in the
     meet of the tangent spaces T_xX and T_yX, the kernel of the system's
     degree-1 conditions, so it evaluates the nonlinear conditions at every
@@ -270,16 +270,9 @@ def find_singular_conics(variety: VarietySpec, x: ProjectivePoint,
     """
     if prime is None:
         system = system or conic_system(variety, x, y)
-        # N generators, the boundary's shape, are finite in general, and the
-        # solver's basis gives the summary, which count_conics reads too.
-        # Any other number is infinite or empty in general, which the
-        # count's route shows without a basis over Q; the solver follows
-        # it only on a finite system.
-        if (len(system.generators) == variety.ambient_dim
-                or not system.summary.projective_dimension):
-            vars(system)["summary"], vertices = summary_and_points(
-                system.generators, cap)
-        summary = system.summary
+        # the summary the solver reports is kept for count_conics
+        summary, vertices = summary_and_points(system.generators, cap)
+        vars(system)["summary"] = summary
         if summary.projective_dimension < 0:
             return ConicSearchResult(
                 "symbolic", "empty", -1, None, (),
@@ -340,7 +333,7 @@ def count_conics(variety: VarietySpec, x: ProjectivePoint,
 
     ``system`` is a conic_system already built for the same inputs; its
     summary is shared with :func:`find_singular_conics`, which may have
-    read it off the solver's basis, so that no other basis is taken.
+    taken it from the solver, so that no other basis is taken.
     """
     summary = (system or conic_system(variety, x, y)).summary
     degrees = variety.degrees

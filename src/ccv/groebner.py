@@ -115,7 +115,10 @@ codimension m, the first order with a nonzero N^(m)(1) / m! = sum_k c_k
 C(k, m), and (-1)^m times that sum is the degree (Bayer and Stillman,
 "Computation of Hilbert functions", J. Symbolic Comput. 14, 1992).  Only
 the leading monomials of a minimal basis are needed, so the summary
-neither inter-reduces the tails nor builds polynomials.
+neither inter-reduces the tails nor builds polynomials.  One helper reads
+the summary off N for every basis below and for the solver's: whenever r
+nonzero forms show affine dimension nvars - r, a complete intersection,
+it checks that the degree is the product of the form degrees (Bezout).
 
 Over the rationals that basis is first taken modulo p = 32003, which skips
 the coefficient swell of the fraction-free engine.  Each of the r nonzero
@@ -130,9 +133,8 @@ when the basis mod p shows affine dimension nvars - r, both ideals are
 complete intersections with the Hilbert series
 prod(1 - t^d_i) / (1 - t)^nvars, and the summary mod p is the summary over
 Q (Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*, ch. 9;
-Traverso, cited above).  Its degree must then be the product of the
-generator degrees, which is checked.  Any other outcome, and any input
-that is not homogeneous, falls back to the basis over Q.
+Traverso, cited above).  Any other outcome, and any input that is not
+homogeneous, falls back to the basis over Q.
 
 Before either basis, r = nvars - 1 nonzero forms f_1, ..., f_r (over Q,
 their primitive forms modulo p) are cut by x_N = 0, x_N = x_(nvars-1) the
@@ -149,13 +151,13 @@ intersection, with numerator prod(1 - t^d_i) (Bruns and Herzog,
 *Cohen-Macaulay Rings*, CUP 1993, sections 1.5 and 4.1).  The section's
 forms have the same degrees and are a complete intersection too, so the
 numerator its loop keeps is that same product, and the dimension and
-degree read off it, after the same Bezout check, are the system's; over
-Q the argument above carries them from p to Q.  A section of larger
-dimension proves nothing, and the routes above run as before: that
-happens when a point of V(I) lies on x_N = 0, or when I is not a
-complete intersection.  So do a form that x_N divides, whose section is
-0, and any other r: r = nvars - 1 is the shape of every conic system on
-the boundary, and exactly the case in which the section can be Artinian.
+degree read off it are the system's; over Q the argument above carries
+them from p to Q.  A section of larger dimension proves nothing, and the
+routes above run as before: that happens when a point of V(I) lies on
+x_N = 0, or when I is not a complete intersection.  So do a form that x_N
+divides, whose section is 0, and any other r: r = nvars - 1 is the shape
+of every conic system on the boundary, and exactly the case in which the
+section can be Artinian.
 """
 
 from __future__ import annotations
@@ -648,35 +650,37 @@ def ideal_dimension_and_degree(polys) -> IdealSummary:
             section = [Polynomial(nvars, f.field, {
                 m: c for m, c in f.terms.items() if not m[-1]})
                 for f in forms]
-            if all(section) and (summary := _complete_intersection(section)):
+            if all(section) and not (summary := _summary(
+                    _minimal_basis(section)[2], nvars,
+                    section)).projective_dimension:
                 return summary
-        if rational and (summary := _complete_intersection(forms)):
+        if rational and (summary := _summary(
+                _minimal_basis(forms)[2], nvars,
+                forms)).projective_dimension == nvars - len(forms) - 1:
             return summary
-    return _summary(*_leading_dimension_and_degree(live, nvars))
+    return _summary(_minimal_basis(live)[2], nvars, live)
 
 
-def _complete_intersection(forms):
-    """The summary of nonzero forms whose basis shows affine dimension
-    nvars - len(forms), a complete intersection, or None."""
-    nvars = forms[0].nvars
-    dim, degree = _bezout(*_leading_dimension_and_degree(forms, nvars), forms)
-    return _summary(dim, degree) if dim == nvars - len(forms) else None
-
-
-def _bezout(dim: int, degree: int, forms) -> tuple:
-    """(dim, degree) as given, the affine dimension and degree of the ideal
-    of these nonzero forms, once a complete intersection (dim = nvars -
-    len(forms)) is checked to have degree prod(d_i)."""
-    if (dim == forms[0].nvars - len(forms)
-            and degree != prod(f.degree() for f in forms)):
+def _summary(numerator: dict, nvars: int, polys) -> IdealSummary:
+    """The summary of the ideal of the nonzero polynomials ``polys`` whose
+    leading monomials have the Hilbert numerator N over (1-t)^nvars ({} for
+    the unit ideal).  Forms that show a complete intersection, affine
+    dimension nvars - len(polys), must have degree prod(d_i)."""
+    # N = (1 - t)^m Q with Q(1) != 0, so N^(j)(1) = 0 for j < m and
+    # N^(m)(1) / m! = (-1)^m Q(1), the degree; m <= nvars unless N = 0
+    m = value = 0
+    while m <= nvars and not (value := sum(
+            c * comb(k, m) for k, c in numerator.items())):
+        m += 1
+    degree = (-1) ** m * value
+    if (m == len(polys) and all(p.is_homogeneous() for p in polys)
+            and degree != prod(p.degree() for p in polys)):
         raise ArithmeticError("a complete intersection broke Bezout")
-    return dim, degree
-
-
-def _leading_dimension_and_degree(polys, nvars: int) -> tuple:
-    """(affine dimension, degree) of the minimal grevlex basis of nonzero
-    polynomials, read off the numerator that the loop kept."""
-    return _pole_order(_minimal_basis(polys)[2], nvars)
+    if m >= nvars:
+        return IdealSummary(-1, None)  # unit ideal, or the cone is the origin
+    if degree <= 0:
+        raise ArithmeticError("Hilbert computation produced a bad degree")
+    return IdealSummary(nvars - m - 1, degree)
 
 
 def _primitive_mod(poly: Polynomial, field) -> Polynomial:
@@ -685,27 +689,6 @@ def _primitive_mod(poly: Polynomial, field) -> Polynomial:
     ints = _normalize(_integral(poly))
     return Polynomial(poly.nvars, field,
                       {m: r for m, c in ints.items() if (r := field(c))})
-
-
-def _pole_order(numerator: dict, nvars: int) -> tuple:
-    """(affine dimension, degree) from the Hilbert numerator N over
-    (1-t)^nvars; (-1, 0) for N = 0, the unit ideal."""
-    if not numerator:
-        return -1, 0
-    # N = (1 - t)^m Q with Q(1) != 0, so N^(j)(1) = 0 for j < m and
-    # N^(m)(1) / m! = (-1)^m Q(1), the degree
-    m = 0
-    while not (value := sum(c * comb(k, m) for k, c in numerator.items())):
-        m += 1
-    return nvars - m, (-1) ** m * value
-
-
-def _summary(affine_dim: int, degree: int) -> IdealSummary:
-    if affine_dim <= 0:
-        return IdealSummary(-1, None)  # unit ideal, or the cone is the origin
-    if degree <= 0:
-        raise ArithmeticError("Hilbert computation produced a bad degree")
-    return IdealSummary(affine_dim - 1, degree)
 
 
 def _add_lead(numerator: dict, minimal: list, m: int, packing) -> None:

@@ -23,25 +23,31 @@ each form has the least power of x among its terms, and:
   monomial x divides is a multiple of x and drops out, and every other
   keeps its leading monomial.
 So no cell or hyperplane takes a basis of its own, and a cell with no
-point shows a nonzero constant at once.  A cell's basis need be neither
-reduced nor minimal, since the multiplication map below reduces as it
-goes.  Only the system left after a root substitution takes a fresh
-basis.  The Hilbert numerator that the engine keeps for the leading
-monomials of G gives the dimension and degree of the system, since R/I
-and R/in(I) have one Hilbert series for every term order (Cox, Little and
-O'Shea, ch. 9 section 3), and no cell is solved unless it shows
-projective dimension 0.  Every cell of a finite projective scheme, and
-every fiber of a cell over a root, is then finite.
+point shows a nonzero constant at once; a hyperplane never does, since
+x = 0 leaves each term of a form at its positive degree.  A cell's basis
+need be neither reduced nor minimal, since the multiplication map below
+reduces as it goes.  Only the system left after a root substitution
+takes a fresh basis.  The Hilbert numerator that the engine keeps for
+the leading monomials of G gives the dimension and degree of the system,
+since R/I and R/in(I) have one Hilbert series for every term order (Cox,
+Little and O'Shea, ch. 9 section 3), and no cell is solved unless it
+shows projective dimension 0.  Every cell of a finite projective scheme,
+and every fiber of a cell over a root, is then finite.  N = nvars - 1
+generators take their summary from G; any other number, infinite or
+empty in general, takes it from groebner.ideal_dimension_and_degree
+first, and G only when that shows projective dimension 0.
 
 The monic generator of I and k[x], for a variable x, is the minimal
 polynomial of 1 under the map M of multiplication by x on k[x]/I (FGLM
 restricted to one variable: Faugere, Gianni, Lazard and Mora, J. Symbolic
-Comput. 16, 1993).  Its roots are the values of x on the points, so fixing
-each root and solving the rest gives the same points whichever variable
-comes first.  The solver fixes the smallest live variable first: in
-grevlex x*s is again a standard monomial for most standard s, so most
-columns of its map are unit columns, where the largest variable's map is
-dense (Faugere and Mou, ISSAC 2011).  The columns of M are the normal
+Comput. 16, 1993).  Its roots are the values of x on the points over the
+closure, so no form of the cell's basis becomes a nonzero constant at a
+root r, and the basis of the fiber x = r is not (1); and fixing each
+root and solving the rest gives the same points whichever variable comes
+first.  The solver fixes the smallest live variable first: in grevlex
+x*s is again a standard monomial for most standard s, so most columns of
+its map are unit columns, where the largest variable's map is dense
+(Faugere and Mou, ISSAC 2011).  The columns of M are the normal
 forms of x*s for the standard monomials s reachable from 1, reduced by the
 cell's basis as it is; over Q each column is integers over one
 denominator.  The Krylov vectors 1, M 1, M^2 1, ... are residues packed
@@ -83,8 +89,8 @@ from math import gcd, isqrt, lcm
 from .ffutil import check_point_budget
 from .fields import is_prime
 from .poly import ProjectivePoint
-from .groebner import (_bezout, _buchberger, _common_ring, _in_fields,
-                       _normalize, _overflow, _pole_order, _summary)
+from .groebner import (_buchberger, _common_ring, _in_fields, _normalize,
+                       _overflow, _summary, ideal_dimension_and_degree)
 
 __all__ = ["projective_rational_solutions", "rational_roots"]
 
@@ -112,16 +118,20 @@ def projective_rational_solutions(gens) -> list:
 
 
 def summary_and_points(gens, cap=None) -> tuple:
-    """(summary, points) of homogeneous generators from one basis: the
-    :class:`IdealSummary` read off its Hilbert numerator, and the points
-    when it shows projective dimension 0, or else None.  Over F_p a
-    ``cap`` bounds P^1(F_p), which the root scan visits, before any root."""
+    """(summary, points) of homogeneous generators: their
+    :class:`IdealSummary`, and the points when it shows projective
+    dimension 0, or else None, by the one rule of the module docstring.
+    Over F_p a ``cap`` bounds P^1(F_p), which the root scan visits, before
+    any root."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("empty system is not zero-dimensional")
     if not all(g.is_homogeneous() for g in gens):
         raise ValueError("the system is not homogeneous")
     nvars, field, mod = _common_ring(gens)
+    if len(gens) != nvars - 1 and (
+            summary := ideal_dimension_and_degree(gens)).projective_dimension:
+        return summary, None
     return _in_fields(nvars, partial(_points, gens, field, mod, cap),
                       reverse=True)
 
@@ -131,7 +141,7 @@ def _points(gens, field, mod, cap, packing) -> tuple:
     nvars = len(packing.offsets)
     basis, numerator = _buchberger([packing.terms(g, mod) for g in gens],
                                    packing, mod, True)
-    summary = _summary(*_bezout(*_pole_order(numerator, nvars), gens))
+    summary = _summary(numerator, nvars, gens)
     if summary.projective_dimension:
         return summary, None
     if mod and cap:
@@ -145,9 +155,7 @@ def _points(gens, field, mod, cap, packing) -> tuple:
                     _rational_key(s[i]) for i in reversed(live)]):
                 points.append(ProjectivePoint(
                     [0] * j + [1] + [sol[i] for i in live], field))
-        if (basis := _substitute(basis, j, 0, packing, mod)) is None:
-            break  # every later cell keeps the nonzero constant
-        basis = _entries(basis)
+        basis = _entries(_substitute(basis, j, 0, packing, mod))
     return summary, points
 
 
@@ -193,14 +201,11 @@ def _affine_points(basis, live, packing, mod):
     packed grevlex Groebner basis generates."""
     if not live:
         return [] if basis else [{}]
-    if not basis[0][0]:
-        return []  # unit ideal
     var, rest = live[0], live[1:]  # the smallest live variable first
     out = []
     for root in _univariate_roots(_minimal_polynomial(basis, var, packing,
                                                       mod), mod):
-        if (sub := _substitute(basis, var, root, packing, mod)) is None:
-            continue
+        sub = _substitute(basis, var, root, packing, mod)
         sub = _buchberger(sub, packing, mod, True)[0] if rest else sub
         for sol in _affine_points(sub, rest, packing, mod):
             sol[var] = root

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from math import comb
 
 import pytest
 
@@ -138,9 +139,8 @@ def test_conics_builds_the_system_and_basis_once(capsys, monkeypatch):
     system = counted("system", ccv.conics.conic_system)
     for module in (ccv.conics, ccv.cli):
         monkeypatch.setattr(module, "conic_system", system)
-    summary = ccv.groebner._leading_dimension_and_degree
-    monkeypatch.setattr(ccv.groebner, "_leading_dimension_and_degree",
-                        counted("basis", summary))
+    monkeypatch.setattr(ccv.groebner, "_minimal_basis",
+                        counted("basis", ccv.groebner._minimal_basis))
     monkeypatch.setattr(ccv.cli, "count_conics",
                         counted("count", ccv.conics.count_conics))
     # a symbolic search takes one basis, the solver's, before any root, and
@@ -171,11 +171,18 @@ def test_conics_builds_the_system_and_basis_once(capsys, monkeypatch):
 
 def test_a_search_that_breaks_bezout_raises(capsys, monkeypatch):
     # the solver's numerator shows the complete intersection of the three
-    # conditions, so its degree must be 1 * 2 * 1; one more is refused
+    # conditions, so its degree must be 1 * 2 * 1; adding (1 - t)^3, of
+    # the numerator's pole order 3, keeps that order and adds 1 to it
     import ccv.solve
-    pole_order = ccv.solve._pole_order
-    monkeypatch.setattr(ccv.solve, "_pole_order", lambda *args: (
-        pole_order(*args)[0], pole_order(*args)[1] + 1))
+    summary = ccv.solve._summary
+
+    def perturbed(numerator, nvars, polys):
+        numerator = dict(numerator)
+        for k in range(4):
+            numerator[k] = numerator.get(k, 0) + (-1) ** k * comb(3, k)
+        return summary(numerator, nvars, polys)
+
+    monkeypatch.setattr(ccv.solve, "_summary", perturbed)
     argv = ["conics", QUADRIC, "--x", "1,0,0,0", "--y", "0,0,0,1"]
     with pytest.raises(ArithmeticError, match="broke Bezout"):
         entry(argv)

@@ -10,8 +10,9 @@ from ccv import (GF, QQ, ConicSystem, Polynomial, brute_singular_conics,
                  expand_line_pencil, find_singular_conics,
                  ideal_dimension_and_degree, line_equations, load_variety,
                  over_prime, parse_polynomial, pencil_conditions,
-                 point_on_variety, reduce_point_mod, reduce_variety_mod, singular_conic_count_formula,
-                 solution_from_vertex)
+                 point_on_variety, projective_rational_solutions,
+                 reduce_point_mod, reduce_variety_mod,
+                 singular_conic_count_formula, solution_from_vertex)
 from ccv.conics import _zeros_on_span
 from ccv.ffutil import (PointCapExceeded, PrimeTooSmall,
                         compile_mod_evaluator, enumerate_points,
@@ -467,6 +468,11 @@ def test_a_search_off_the_boundary_shape_takes_the_count_route(
     x, y = qpt(1, 0, 0, 0, 0), qpt(0, 0, 0, 0, 1)
     assert _search_summary(quadric3, x, y) == ("infinite", True)
     assert fields == [32003, 32003]  # the search's, then the reference's
+    # the public solver takes the same route
+    fields.clear()
+    with pytest.raises(ValueError, match="^system is not zero-dimensional$"):
+        projective_rational_solutions(conic_system(quadric3, x, y).generators)
+    assert fields == [32003]
 
 
 def test_two_quadrics_count(two_quadrics):

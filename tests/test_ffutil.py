@@ -62,6 +62,11 @@ def test_compiled_evaluator_reduces_rational_coefficients():
     assert fn((1, 1)) == 0
 
 
+def test_compiled_evaluator_drops_a_coefficient_divisible_by_p():
+    ev = compile_mod_evaluator(parse_polynomial("14*x0^2 + 3*x1", 2), 7)
+    assert [ev((a, b)) for a, b in [(1, 0), (2, 1), (5, 3)]] == [0, 3, 2]
+
+
 def test_compiled_evaluator_zero_polynomial():
     fn = compile_mod_evaluator(Polynomial.zero(2), 5)
     assert fn((1, 4)) == 0

@@ -3,6 +3,7 @@
 import time
 from fractions import Fraction
 from math import isqrt
+from operator import add, mul, sub, truediv
 
 import pytest
 
@@ -134,6 +135,25 @@ def test_different_primes_never_combine():
         GF(5)(1) * Fraction(1, 2)
     with pytest.raises(FieldMismatchError):
         QQ(GF(5)(1))
+
+
+def test_fp_refuses_what_it_cannot_combine():
+    a = GF(5)(2)
+    with pytest.raises(FieldMismatchError):
+        a == Fraction(1, 2)
+    with pytest.raises(TypeError):
+        GF(5)(None)
+    for op in (add, sub, mul, truediv):
+        for other in ("2", None, True):
+            with pytest.raises(TypeError):
+                op(a, other)
+            with pytest.raises(TypeError):
+                op(other, a)
+        with pytest.raises(FieldMismatchError):
+            op(a, GF(7)(1))
+    with pytest.raises(TypeError):
+        a ** 0.5
+    assert a != "2" and not GF(5)(1) == True  # noqa: E712
 
 
 def test_field_mismatch_is_a_type_error():

@@ -16,11 +16,12 @@ from pathlib import Path
 import pytest
 
 import ccv.groebner
-from ccv import (GF, QQ, IdealSummary, OracleRefusal, Polynomial,
-                 ProjectivePoint, build_variety, conic_system, groebner_basis,
-                 grevlex_key, ideal_dimension_and_degree, lex_key,
-                 load_variety, normal_form, over_prime, parse_polynomial,
-                 s_polynomial, verify_groebner)
+from ccv import (GF, QQ, FieldMismatchError, IdealSummary, OracleRefusal,
+                 Polynomial, ProjectivePoint, build_variety, conic_system,
+                 groebner_basis, grevlex_key, ideal_dimension_and_degree,
+                 lex_key, load_variety, normal_form, over_prime,
+                 parse_polynomial, s_polynomial, verify_groebner)
+from ccv.groebner import _summary  # never the spy of _spy_fields
 from ccv.parser import MAX_EXPONENT
 
 from conftest import pack, textbook_basis
@@ -66,6 +67,20 @@ def test_verify_groebner_rejects_non_basis():
     # x0*x2 - x1^2 and x0*x3 - x1*x2 alone are not a basis in grevlex
     gens = twisted_cubic()[:2]
     assert not verify_groebner(gens)
+
+
+def test_verify_groebner_rejects_a_generator_outside_the_ideal():
+    gens = twisted_cubic()
+    basis = groebner_basis(gens[:2])
+    assert verify_groebner(basis, gens[:2])
+    assert not verify_groebner(basis, gens)
+
+
+def test_groebner_basis_refuses_generators_of_different_rings():
+    with pytest.raises(ValueError, match="different rings"):
+        groebner_basis([P("x0", 2), P("x1", 3)])
+    with pytest.raises(FieldMismatchError):
+        groebner_basis([P("x0", 2), P("x1", 2, GF(5))])
 
 
 def test_unit_ideal_collapses_to_one():
@@ -636,8 +651,8 @@ def test_kept_numerator_is_that_of_the_minimal_leads():
             continue
         rebuilt = _rebuilt(leads, nvars, {})
         assert numerator == rebuilt, (trial, gens)
-        assert (ccv.groebner._pole_order(numerator, nvars)
-                == ccv.groebner._pole_order(rebuilt, nvars))
+        assert (_summary(numerator, nvars, gens)
+                == _summary(rebuilt, nvars, gens))
     assert unbounded > 30
 
 
@@ -923,8 +938,7 @@ def _fraction_free_summary(gens):
     """The summary from the basis over Q, the route the certificate skips."""
     nvars = gens[0].nvars
     leads = [g.leading_monomial() for g in groebner_basis(gens)]
-    return ccv.groebner._summary(*ccv.groebner._pole_order(
-        _rebuilt(leads, nvars, {}), nvars))
+    return _summary(_rebuilt(leads, nvars, {}), nvars, gens)
 
 
 def _spy_fields(monkeypatch):
@@ -932,16 +946,16 @@ def _spy_fields(monkeypatch):
     computes, as ("section", field) for a basis of the section by x_N = 0,
     recognized by having no term in the last variable."""
     fields = []
-    basis = ccv.groebner._leading_dimension_and_degree
+    summary = ccv.groebner._summary
 
-    def spy(polys, *args, **kwargs):
+    def spy(numerator, nvars, polys):
         field = polys[0].field
         if not any(m[-1] for p in polys for m in p.terms):
             field = ("section", field)
         fields.append(field)
-        return basis(polys, *args, **kwargs)
+        return summary(numerator, nvars, polys)
 
-    monkeypatch.setattr(ccv.groebner, "_leading_dimension_and_degree", spy)
+    monkeypatch.setattr(ccv.groebner, "_summary", spy)
     return fields
 
 
@@ -1014,6 +1028,26 @@ def test_prime_field_and_inhomogeneous_input_skip_the_certificate(
     ideal_dimension_and_degree([P("x0*x1", 2, GF(7))])
     ideal_dimension_and_degree([P("x0^2 - x1", 2)])
     assert fields == [GF(7), QQ]
+
+
+def test_the_fallback_checks_bezout(monkeypatch):
+    # two forms in five variables over F_101 take neither the section nor
+    # the certificate; their numerator (1 - t^2)^2 has pole order m = 2,
+    # and adding (-1)^m (1 - t)^m keeps that order and adds 1 to the degree
+    gens = [P("x0^2 + x1*x2", 5, GF(101)), P("x3^2 - x2*x4", 5, GF(101))]
+    fields = _spy_fields(monkeypatch)
+    assert ideal_dimension_and_degree(gens) == IdealSummary(2, 4)
+    assert fields == [GF(101)]
+
+    def perturbed(numerator, nvars, polys):
+        numerator = dict(numerator)
+        for k in range(3):
+            numerator[k] = numerator.get(k, 0) + (-1) ** k * comb(2, k)
+        return _summary(numerator, nvars, polys)
+
+    monkeypatch.setattr(ccv.groebner, "_summary", perturbed)
+    with pytest.raises(ArithmeticError, match="broke Bezout"):
+        ideal_dimension_and_degree(gens)
 
 
 # the section by x_N = 0: r = nvars - 1 forms with their terms in x_N dropped

@@ -54,6 +54,11 @@ def test_kernel_dimension_counts_free_columns():
         assert sum(r * v for r, v in zip(rows[0], vec)) == 0
 
 
+def test_the_empty_matrix():
+    assert row_echelon([], QQ.one) == ([], [])
+    assert kernel_basis([], QQ.one, QQ.zero) == []
+
+
 def test_linalg_over_prime_field():
     K = GF(5)
     rows = [[K(1), K(2)], [K(3), K(2)]]  # det = -4 = 1 mod 5

@@ -174,6 +174,30 @@ def test_cross_ring_operations_fail():
         P("x0", 2) + P("x0", 2, GF(5))
 
 
+def test_polynomial_refuses_bad_input():
+    x = Polynomial.variable(0, 3)
+    for bad in (lambda: Polynomial.variable(3, 3),
+                lambda: Polynomial.variable(-1, 3),
+                lambda: Polynomial.from_terms({(1, 0): 1}, 3),
+                lambda: Polynomial.from_terms({(1, -1, 0): 1}, 3),
+                lambda: x ** -1,
+                lambda: Polynomial.zero(3).leading_monomial(),
+                lambda: x.evaluate([QQ(1), QQ(2)])):
+        with pytest.raises(ValueError):
+            bad()
+    for other in ("x", None):
+        with pytest.raises(TypeError):
+            x + other
+        with pytest.raises(TypeError):
+            x * other
+    with pytest.raises(TypeError):
+        x / x
+    with pytest.raises(FieldMismatchError):
+        x + GF(5)(1)
+    with pytest.raises(FieldMismatchError):
+        x * GF(5)(1)
+
+
 # --- projective points ---
 
 def test_point_canonicalizes_first_nonzero_to_one():
@@ -276,6 +300,13 @@ def test_pencil_rejects_base_point_off_hypersurface():
     G = P("x0*x3 - x1*x2", 4)
     with pytest.raises(ValueError):
         expand_line_pencil(G, qpt(1, 1, 1, 0))
+
+
+def test_pencil_rejects_another_space_and_the_zero_polynomial():
+    with pytest.raises(ValueError, match="different spaces"):
+        expand_line_pencil(P("x0*x3 - x1*x2", 4), qpt(1, 0, 0))
+    with pytest.raises(ValueError, match="nonzero homogeneous"):
+        expand_line_pencil(Polynomial.zero(4), qpt(1, 0, 0, 0))
 
 
 def test_pencil_field_mismatch():

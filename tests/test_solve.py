@@ -5,6 +5,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 import pytest
@@ -16,7 +17,7 @@ from ccv import (GF, QQ, Polynomial, conic_system, find_singular_conics,
 import ccv.groebner
 from ccv import solve
 from ccv.fields import is_prime
-from ccv.groebner import _Packing, _add_lead, _pole_order
+from ccv.groebner import _Packing, _add_lead
 from ccv.linalg import kernel_basis
 from ccv.solve import (_eval_mod, _minimal_polynomial,
                        _remainder_squarefree_part, _roots_mod,
@@ -37,6 +38,12 @@ def test_rational_roots_of_split_cubic():
 
 def test_rational_roots_irreducible_quadratic():
     assert rational_roots({2: 1, 0: 1}) == []
+
+
+def test_rational_roots_when_32003_divides_the_leading_coefficient():
+    # (t - 1)(32003 t - 1): the square-free test moves on to the next prime
+    assert rational_roots({2: 32003, 1: -32004, 0: 1}) == [
+        1, Fraction(1, 32003)]
 
 
 def test_rational_roots_at_zero():
@@ -583,6 +590,25 @@ def test_the_exact_check_refuses_agreeing_unlucky_primes(monkeypatch):
     assert _minimal_polynomial(basis, 2, packing, None) == [0, -1, 1]
 
 
+def test_a_later_prime_of_lower_degree_is_dropped(monkeypatch):
+    # the points (0, 0), (0, 1) and ((B^2 - B)/P2, B) of the (x1, x2)-plane:
+    # the eliminant x2 (x2 - 1) (x2 - B) does not reconstruct from P1 alone,
+    # whose candidate is checked and refused, and modulo P2, the denominator
+    # of the third point, only the first two are left: P2 gives x2^2 - x2,
+    # of lower degree, and is dropped before the third prime
+    b, n = 2**40 + 3, P2
+    gens = [P(f"x2^2 - x2 - {n}*x1", 3), P(f"x1*x2 - {b}*x1", 3),
+            P(f"{n}*x1^2 - {b * b - b}*x1", 3)]
+    packing, basis, _ = _packed_basis(gens)
+    checks, degrees = [], []
+    _spy(monkeypatch, "_annihilates", lambda _, ok: checks.append(ok))
+    _spy(monkeypatch, "_minimal_polynomial_mod",
+         lambda args, g: degrees.append((args[1], len(g) - 1)))
+    assert _minimal_polynomial(basis, 2, packing, None) == [0, b, -b - 1, 1]
+    assert degrees == [(P1, 3), (P2, 2), (2**62 - 117, 3)]
+    assert checks == [False, True]
+
+
 def test_a_linear_cell_is_accepted_after_one_prime(monkeypatch):
     # x1 - 2/3 reconstructs from its residues modulo P1 alone, and the
     # exact check accepts that first reconstruction
@@ -918,7 +944,14 @@ def _series_dimension_and_degree(monos, nvars):
     for m in (pack(packing, mono) for mono in monos):
         if all((m - g) & packing.guards for g in minimal):
             _add_lead(numerator, minimal, m, packing)
-    return _pole_order(numerator, nvars)
+    if not numerator:
+        return -1, 0  # the unit ideal
+    # while N vanishes at 1, N = (1 - t) Q, and Q's coefficients are the
+    # partial sums of N's; the degree is the last quotient's value at 1
+    dense, m = [numerator.get(k, 0) for k in range(max(numerator) + 1)], 0
+    while not sum(dense):
+        dense, m = list(accumulate(dense))[:-1], m + 1
+    return nvars - m, sum(dense)
 
 
 def _check_the_hilbert_count(leads, live):
